@@ -29,7 +29,6 @@ from .errors import (
     InvalidOperator,
     InvalidTilt,
     NoAdmissibleTilt,
-    NonConvergence,
     ObliqueConeError,
     SingularSystem,
 )

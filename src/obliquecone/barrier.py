@@ -104,8 +104,8 @@ def build_barrier(
 
     Verifies on a check_points theta-grid that c* <= F_a <= 1 with
     c* = F_a(theta0) > 0, that F_a' < 0 on (0, theta0], and that
-    F_a'(0) = 0 to 1e-8 by a one-sided difference.  Raises InvalidAlpha if
-    alpha is out of range or any certification fails.
+    F_a'(0) = 0 to 1e-8 by Richardson-extrapolated one-sided differences.
+    Raises InvalidAlpha if alpha is out of range or any certification fails.
     """
     if not (0.0 < alpha < 1.0):
         raise InvalidAlpha(f"barrier degree must lie in (0, 1), got {alpha}")
@@ -126,10 +126,14 @@ def build_barrier(
     derivs = np.array([barrier.profile_deriv(float(t)) for t in thetas[1:]])
     if derivs.max() >= 0.0:
         raise InvalidAlpha("profile derivative is not strictly negative on (0, theta0]")
-    h = 1e-7
-    one_sided = (barrier.profile(h) - 1.0) / h
-    if abs(one_sided) > 1e-8:
-        raise InvalidAlpha(f"profile derivative at 0 is {one_sided}, not 0 to 1e-8")
+    # F(h) = 1 - a(a+1) h^2/4 + O(h^4): the one-sided quotient D(h) carries an
+    # O(h) truncation error, which the Richardson combination 2 D(h/2) - D(h)
+    # cancels
+    h = 1e-4
+    d_h, d_half = ((barrier.profile(step) - 1.0) / step for step in (h, 0.5 * h))
+    slope0 = 2.0 * d_half - d_h
+    if abs(slope0) > 1e-8:
+        raise InvalidAlpha(f"profile derivative at 0 is {slope0}, not 0 to 1e-8")
     return barrier
 
 

@@ -9,10 +9,6 @@ class DomainError(ObliqueConeError, ValueError):
     """An argument lies outside the validated domain of an operation."""
 
 
-class NonConvergence(ObliqueConeError, RuntimeError):
-    """A series or iteration failed its tolerance within the evaluation cap."""
-
-
 class BracketError(ObliqueConeError, RuntimeError):
     """A sign-change bracket required by a root search could not be found."""
 

@@ -18,7 +18,7 @@ critical oblique angles, and classifies the regularity regime of a given
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -50,13 +50,25 @@ def _check_theta_alpha(theta: float, alpha: float) -> None:
         raise DomainError(f"degree must lie in [0, 2], got {alpha}")
 
 
+def _angular_factors(theta: float, alpha, p=legendre_p):
+    """(U1, U2) at polar angle theta from P_a and P_{a+1} at cos theta.
+
+    `alpha` is a float with p = legendre_p, or an array of degrees with
+    p = legendre_p_many; the formulas are the same for both.
+    """
+    z, st = math.cos(theta), math.sin(theta)
+    p0, p1 = p(alpha, z), p(alpha + 1.0, z)
+    f1 = (2.0 * alpha + 1.0) * z * p0 - (alpha + 1.0) * p1
+    f2 = st * (alpha - (alpha + 1.0) * z * z / (st * st)) * p0 + (alpha + 1.0) * (
+        z / st
+    ) * p1
+    return f1, f2
+
+
 def u1(theta: float, alpha: float) -> float:
     """Angular factor of d(u_a)/dy1: (2a+1) cos t P_a(cos t) - (a+1) P_{a+1}(cos t)."""
     _check_theta_alpha(theta, alpha)
-    z = math.cos(theta)
-    return (2.0 * alpha + 1.0) * z * legendre_p(alpha, z) - (alpha + 1.0) * legendre_p(
-        alpha + 1.0, z
-    )
+    return _angular_factors(theta, alpha)[0]
 
 
 def u2(theta: float, alpha: float) -> float:
@@ -65,11 +77,12 @@ def u2(theta: float, alpha: float) -> float:
     sin t (a - (a+1) cos^2 t / sin^2 t) P_a(cos t) + (a+1) (cos t / sin t) P_{a+1}(cos t).
     """
     _check_theta_alpha(theta, alpha)
-    z, st = math.cos(theta), math.sin(theta)
-    return (
-        st * (alpha - (alpha + 1.0) * z * z / (st * st)) * legendre_p(alpha, z)
-        + (alpha + 1.0) * (z / st) * legendre_p(alpha + 1.0, z)
-    )
+    return _angular_factors(theta, alpha)[1]
+
+
+def _mismatch(geom: ConeGeometry, s: float, alpha, p=legendre_p):
+    f1, f2 = _angular_factors(geom.theta0, alpha, p)
+    return math.cos(s) * f1 + math.sin(s) * f2
 
 
 def boundary_mismatch(geom: ConeGeometry, alpha: float, s: float) -> float:
@@ -77,20 +90,13 @@ def boundary_mismatch(geom: ConeGeometry, alpha: float, s: float) -> float:
 
     Zero means u_a satisfies beta0 . Du = 0 on the cone edge.
     """
-    return math.cos(s) * u1(geom.theta0, alpha) + math.sin(s) * u2(geom.theta0, alpha)
+    _check_theta_alpha(geom.theta0, alpha)
+    return _mismatch(geom, s, alpha)
 
 
 def _mismatch_profile(geom: ConeGeometry, s: float, alphas: np.ndarray) -> np.ndarray:
     """Vectorized B(theta0, ., s) over an array of degrees."""
-    z, st = geom.z0, math.sin(geom.theta0)
-    alphas = np.asarray(alphas, dtype=float)
-    p = legendre_p_many(alphas, z)
-    p_next = legendre_p_many(alphas + 1.0, z)
-    u1v = (2.0 * alphas + 1.0) * z * p - (alphas + 1.0) * p_next
-    u2v = st * (alphas - (alphas + 1.0) * z * z / (st * st)) * p + (
-        alphas + 1.0
-    ) * (z / st) * p_next
-    return math.cos(s) * u1v + math.sin(s) * u2v
+    return _mismatch(geom, s, np.asarray(alphas, dtype=float), legendre_p_many)
 
 
 def slope_at_zero(geom: ConeGeometry, s: float) -> float:
@@ -176,9 +182,28 @@ def critical_exponent_scan(
 
 
 def critical_exponent(geom: ConeGeometry, bc: ObliqueBC) -> Optional[float]:
-    """Smallest exponent a in (0, 1) with B(theta0, a, s) = 0, or None if absent."""
+    """Smallest exponent a in the search window (ALPHA_MIN, 1] with B(theta0, a, s) = 0.
+
+    Returns None when the scan finds no sign change there.  A root in
+    (0, ALPHA_MIN], which occurs for s close to s0, is not searched for and
+    also gives None.
+    """
     root, _ = critical_exponent_scan(geom, bc)
     return root
+
+
+def _neumann(geom: ConeGeometry, alpha, p=legendre_p):
+    """W(theta0, .) written out in terms of P at three degrees.
+
+    It is (P^1_a)'(z) at z = cos theta0 by the order-1 derivative identities;
+    `alpha` and `p` pair up as in `_angular_factors`.
+    """
+    z = geom.z0
+    p0, p1, p2 = p(alpha, z), p(alpha + 1.0, z), p(alpha + 2.0, z)
+    one_m_z2 = 1.0 - z * z
+    return (
+        alpha * (alpha + 2.0) * (z * p1 - p2) - (alpha + 1.0) ** 2 * z * (z * p0 - p1)
+    ) / one_m_z2 ** 1.5
 
 
 def neumann_mismatch(geom: ConeGeometry, alpha: float) -> float:
@@ -189,21 +214,12 @@ def neumann_mismatch(geom: ConeGeometry, alpha: float) -> float:
     """
     if not (0.0 <= alpha <= 1.0 + 1e-12):
         raise DomainError(f"degree must lie in [0, 1], got {alpha}")
-    return legendre_dp1_dz(alpha, geom.z0)
+    return _neumann(geom, alpha)
 
 
 def _neumann_profile(geom: ConeGeometry, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized W(theta0, .), written out in terms of P at three degrees."""
-    z = geom.z0
-    alphas = np.asarray(alphas, dtype=float)
-    p0 = legendre_p_many(alphas, z)
-    p1 = legendre_p_many(alphas + 1.0, z)
-    p2 = legendre_p_many(alphas + 2.0, z)
-    one_m_z2 = 1.0 - z * z
-    return (
-        alphas * (alphas + 2.0) * (z * p1 - p2)
-        - (alphas + 1.0) ** 2 * z * (z * p0 - p1)
-    ) / one_m_z2 ** 1.5
+    """Vectorized W(theta0, .) over an array of degrees."""
+    return _neumann(geom, np.asarray(alphas, dtype=float), legendre_p_many)
 
 
 def neumann_exponent(geom: ConeGeometry, endpoint_tol: float = 1e-12) -> float:
@@ -301,14 +317,37 @@ def separable_eval(
     return value, (g1, g2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegimeReport:
-    """Classification of a (theta0, s) pair with its numeric witnesses."""
+    """Classification of a (theta0, s) pair with its numeric witnesses.
+
+    `mismatch_at_root` is B(theta0, a, s) at the critical exponent, None
+    when there is no root.
+    """
 
     label: str
     critical_exponent: Optional[float]
     s0: float
-    witnesses: tuple[tuple[str, float, float], ...] = field(default_factory=tuple)
+    slope: float
+    cos_s_sin_s: float
+    sign_changes: int
+    mismatch_at_root: Optional[float]
+
+    @property
+    def witnesses(self) -> tuple[tuple[str, float, float], ...]:
+        """(name, value, tolerance) triples, in a fixed order."""
+        found = (
+            ("slope_at_zero", self.slope, 0.0),
+            ("critical_angle_s0", self.s0, 1e-10),
+            ("cos_s_sin_s", self.cos_s_sin_s, 0.0),
+            ("sign_change_count", float(self.sign_changes), 0.0),
+        )
+        if self.critical_exponent is None:
+            return found
+        return found + (
+            ("critical_exponent", self.critical_exponent, ROOT_XTOL),
+            ("boundary_mismatch_at_root", self.mismatch_at_root, 1e-10),
+        )
 
     def witness(self, name: str) -> Optional[float]:
         for wname, value, _tol in self.witnesses:
@@ -329,17 +368,6 @@ def classify_regime(geom: ConeGeometry, bc: ObliqueBC) -> RegimeReport:
     s0 = critical_angle_s0(geom)
     slope = slope_at_zero(geom, bc.s)
     cs = math.cos(bc.s) * math.sin(bc.s)
-    witnesses: list[tuple[str, float, float]] = [
-        ("slope_at_zero", slope, 0.0),
-        ("critical_angle_s0", s0, 1e-10),
-        ("cos_s_sin_s", cs, 0.0),
-        ("sign_change_count", float(count), 0.0),
-    ]
-    if root is not None:
-        witnesses.append(("critical_exponent", root, ROOT_XTOL))
-        witnesses.append(
-            ("boundary_mismatch_at_root", boundary_mismatch(geom, root, bc.s), 1e-10)
-        )
     barrier_regime = cs > 0.0
     if root is not None and barrier_regime:
         label = UNKNOWN
@@ -355,5 +383,8 @@ def classify_regime(geom: ConeGeometry, bc: ObliqueBC) -> RegimeReport:
         label=label,
         critical_exponent=root,
         s0=s0,
-        witnesses=tuple(witnesses),
+        slope=slope,
+        cos_s_sin_s=cs,
+        sign_changes=count,
+        mismatch_at_root=None if root is None else boundary_mismatch(geom, root, bc.s),
     )

@@ -10,7 +10,8 @@ import numpy as np
 from .errors import DomainError, InvalidOperator
 from .legendre import Z_CUTOFF
 
-#: Largest admissible opening angle (series accuracy degrades as theta0 -> pi).
+#: Largest admissible opening angle; cos(THETA0_MAX) stays above the Legendre
+#: kernel's argument cutoff -1 + Z_CUTOFF.
 THETA0_MAX = math.pi - 0.045
 
 

@@ -4,14 +4,17 @@ This module is the single source of truth for P_a(z), P^1_a(z), their
 z-derivatives and finite-difference degree-derivatives.  Everything else in
 the package evaluates Legendre functions through it.
 
-Evaluation uses the Gauss hypergeometric series
+Evaluation uses the Gauss hypergeometric identity (DLMF 14.3.1)
 
-    P_a(z) = 2F1(-a, a + 1; 1; (1 - z)/2),
+    P_a(z) = 2F1(-a, a + 1; 1; (1 - z)/2)
 
-truncated once the running term drops below 1e-16 times the partial sum,
-with a hard cap of 20000 terms.  The argument (1 - z)/2 lies in [0, 1) on
-the accepted domain, so convergence is geometric; it degrades as z -> -1,
-which is why the domain is cut off at z > -1 + 1e-3.
+through the compiled ufunc `scipy.special.hyp2f1`.  For z < Z_SWITCH that
+ufunc goes over to its 1 - x transformation, which loses up to four digits
+at degrees just below an integer, so there the non-integer degrees are
+summed from the connection formula around z = -1 (`_connection_series`)
+instead.  Both branches serve the scalar and the vectorised entry points
+alike.  The connection series sums a number of terms fixed in advance, so
+no accepted argument can fail to converge.
 
 An independent quadrature oracle (`legendre_p_quadrature`) is provided for
 cross-validation only; nothing in the evaluation path depends on it.
@@ -23,87 +26,110 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.special import hyp2f1, psi
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError
 
 #: Lower cutoff for the argument: z must satisfy z > -1 + Z_CUTOFF.
 Z_CUTOFF = 1e-3
 
-#: Relative size at which the running series term is considered negligible.
-SERIES_TOL = 1e-16
+#: Arguments below this take the connection series for non-integer degrees;
+#: hyp2f1 takes its 1 - x transformation for x = (1 - z)/2 > 0.9.
+Z_SWITCH = -0.8
 
-#: Hard cap on the number of series terms.
-SERIES_CAP = 20000
+#: Degrees this close to an integer are evaluated as that integer: P_a moves
+#: by less than 1e-17 there, and 1/(k - a) in the series could overflow.
+_INTEGER_TOL = 1e-18
+
+#: log(2^-60): the connection series stops once y^k falls below 2^-60.
+_LOG_TAIL = -60.0 * math.log(2.0)
 
 #: Default step for finite-difference degree-derivatives.
 DEGREE_STEP = 1e-5
 
 
-def _check_args(alpha: float, z: float) -> None:
-    if not (math.isfinite(alpha) and alpha >= -1.0):
-        raise DomainError(f"degree must be finite and >= -1, got {alpha}")
+def _check_z(z: float) -> None:
     if not (-1.0 + Z_CUTOFF < z <= 1.0):
         raise DomainError(
             f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}"
         )
 
 
+def _check_args(alpha: float, z: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= -1.0):
+        raise DomainError(f"degree must be finite and >= -1, got {alpha}")
+    _check_z(z)
+
+
+def _connection_series(alpha, y: float):
+    """P_a(z) for a non-integer degree, or an array of them, about z = -1.
+
+    With y = (1 + z)/2 and t_k = (-a)_k (a+1)_k / (k!)^2, the c = a + b case
+    of the 1 - x connection formula (DLMF 15.8.10) reads, after the
+    reflection psi(k - a) = psi(1 + a - k) + pi cot(pi a),
+
+        P_a(z) = sum_k t_k y^k [cos(pi a) - (sin(pi a)/pi)
+                 (2 psi(k+1) - psi(1+a-k) - psi(1+a+k) - ln y)].
+
+    sin and cos are taken of the offset from the nearest integer, which is
+    exact, so a degree close to an integer keeps its full accuracy.  For
+    k >= a every ratio |t_{k+1} y / t_k| is at most y, so past the largest
+    degree the terms shrink at least like y^k; y < 0.1 on this branch.
+    """
+    n = np.round(alpha)
+    sign = 1.0 - 2.0 * (n % 2.0)
+    sin_a = sign * np.sin(np.pi * (alpha - n)) / np.pi
+    cos_a = sign * np.cos(np.pi * (alpha - n))
+    # psi(k+1), psi(1+a-k) and psi(1+a+k), advanced by psi(w+1) = psi(w) + 1/w
+    psi_k, psi_lo = psi(1.0), psi(1.0 + alpha)
+    psi_hi = psi_lo
+    log_y = math.log(y)
+    t, total = 1.0, 0.0
+    n_terms = math.ceil(max(float(np.max(alpha)), 0.0)) + math.ceil(_LOG_TAIL / log_y)
+    for k in range(n_terms):
+        total = total + t * (cos_a - sin_a * (2.0 * psi_k - psi_lo - psi_hi - log_y))
+        t = t * ((k - alpha) * (k + alpha + 1.0) / ((k + 1.0) * (k + 1.0)) * y)
+        psi_k = psi_k + 1.0 / (k + 1.0)
+        psi_lo = psi_lo + 1.0 / (k - alpha)
+        psi_hi = psi_hi + 1.0 / (alpha + k + 1.0)
+    return total
+
+
+def _kernel(alpha, z: float):
+    """P_a(z) for a float or an array of degrees; arguments are not checked."""
+    p = hyp2f1(-alpha, alpha + 1.0, 1.0, 0.5 * (1.0 - z))
+    if z >= Z_SWITCH:
+        return p
+    # integer degrees stay with hyp2f1, which sums their terminating polynomial
+    y = 0.5 * (1.0 + z)
+    frac = abs(alpha - np.round(alpha)) > _INTEGER_TOL
+    if np.ndim(alpha) == 0:
+        return _connection_series(alpha, y) if frac else p
+    if frac.any():
+        p[frac] = _connection_series(alpha[frac], y)
+    return p
+
+
 def legendre_p(alpha: float, z: float) -> float:
     """Legendre function P_a(z) of real degree a >= -1, z in (-1+1e-3, 1].
 
-    Raises DomainError outside the accepted domain and NonConvergence if
-    the series does not meet its tolerance within the term cap.
+    Raises DomainError outside the accepted domain.
     """
     _check_args(alpha, z)
-    x = 0.5 * (1.0 - z)
-    if x == 0.0:
-        return 1.0
-    term = 1.0
-    total = 1.0
-    for k in range(SERIES_CAP):
-        term *= (k - alpha) * (k + alpha + 1.0) / ((k + 1.0) * (k + 1.0)) * x
-        total += term
-        if abs(term) <= SERIES_TOL * abs(total):
-            return total
-    raise NonConvergence(
-        f"series for P_{alpha}({z}) did not converge in {SERIES_CAP} terms"
-    )
+    return float(_kernel(alpha, z))
 
 
 def legendre_p_many(alphas: np.ndarray, z: float) -> np.ndarray:
     """Vectorized `legendre_p` over an array of degrees at a fixed argument.
 
-    Used by the root-scan paths; term recurrence and stopping rule match the
-    scalar evaluation element by element.
+    Used by the root-scan paths; element by element it equals the scalar
+    evaluation.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if alphas.size == 0:
-        return np.zeros(0)
     if not (np.all(np.isfinite(alphas)) and np.all(alphas >= -1.0)):
         raise DomainError("degrees must be finite and >= -1")
-    if not (-1.0 + Z_CUTOFF < z <= 1.0):
-        raise DomainError(f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}")
-    x = 0.5 * (1.0 - z)
-    total = np.ones_like(alphas)
-    if x == 0.0:
-        return total
-    term = np.ones_like(alphas)
-    active = np.ones(alphas.shape, dtype=bool)
-    for k in range(SERIES_CAP):
-        term[active] *= (
-            (k - alphas[active])
-            * (k + alphas[active] + 1.0)
-            / ((k + 1.0) * (k + 1.0))
-            * x
-        )
-        total[active] += term[active]
-        active &= np.abs(term) > SERIES_TOL * np.abs(total)
-        if not active.any():
-            return total
-    raise NonConvergence(
-        f"series did not converge in {SERIES_CAP} terms for {int(active.sum())} degrees"
-    )
+    _check_z(z)
+    return _kernel(alphas, z)
 
 
 def legendre_dp_dz(alpha: float, z: float) -> float:
@@ -156,7 +182,7 @@ def legendre_dp_dalpha(alpha: float, z: float, h: float = DEGREE_STEP) -> float:
 
 
 def legendre_p_quadrature(alpha: float, z: float) -> float:
-    """Quadrature oracle for P_a(z), independent of the series evaluation.
+    """Quadrature oracle for P_a(z), independent of the hypergeometric evaluation.
 
     For z >= 0 this is the Laplace integral
 
@@ -171,6 +197,8 @@ def legendre_p_quadrature(alpha: float, z: float) -> float:
     is used instead, with the substitution t = t0 - u^2 removing the
     endpoint singularity.  Both are evaluated adaptively to ~1e-12.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     _check_args(alpha, z)
     if z == 1.0:
         return 1.0

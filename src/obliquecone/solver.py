@@ -30,15 +30,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import DegenerateFit, DomainError, SingularSystem
 from .exponent import SeparableSolution
 from .grids import DiscreteField, SectorGrid
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Target for the verified linear-solve residual: tol * ||rhs||_inf + tol.
 SOLVE_TOL = 1e-12
@@ -208,6 +209,8 @@ def _assemble(
     Returns (A, kind) where kind flags each row as interior, Dirichlet or
     oblique.  The oblique rows are scaled positive-diagonal.
     """
+    import scipy.sparse as sp
+
     nr, nt = grid.n_r, grid.n_theta
     r, th = grid.r, grid.theta
     ht = grid.h_theta
@@ -303,6 +306,9 @@ def solve_dirichlet(
     The sparse system is solved by a direct factorization with iterative
     refinement until the residual meets SOLVE_TOL * ||rhs|| + SOLVE_TOL.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     required = {"r_min", "r_max"} | ({"cone"} if oblique_s is None else set())
     missing = required - set(boundary_values)
     if missing:

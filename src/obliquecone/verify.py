@@ -184,7 +184,7 @@ def _check_quadrature() -> tuple[bool, str]:
             worst = max(
                 worst, abs(legendre_p(a, float(z)) - legendre_p_quadrature(a, float(z)))
             )
-    return worst <= 1e-9, f"max series-vs-quadrature gap = {worst:.3e}"
+    return worst <= 1e-9, f"max kernel-vs-quadrature gap = {worst:.3e}"
 
 
 def _check_degree_derivative_identity() -> tuple[bool, str]:

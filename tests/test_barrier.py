@@ -82,6 +82,16 @@ class TestBuildBarrier:
         )
         assert sup <= 1e-2
 
+    @pytest.mark.parametrize("alpha", [0.34, 0.5])
+    def test_certifies_larger_degrees(self, alpha):
+        # alpha0 = 1 here, so these are valid barriers; a plain one-sided
+        # F'(0) quotient with h = 1e-7 would reject them through its
+        # truncation error a(a+1)h/4 > 1e-8
+        geom = ConeGeometry(theta0=1.2)
+        assert alpha0(geom) == 1.0
+        b = build_barrier(geom, alpha)
+        assert b.cstar == pytest.approx(legendre_p(alpha, geom.z0), abs=0.0)
+
     def test_rejects_degree_beyond_threshold(self):
         geom = ConeGeometry(theta0=2 * math.pi / 3)
         with pytest.raises(InvalidAlpha):

@@ -41,6 +41,11 @@ class TestClassify:
         assert code == 0
         assert "label: UNKNOWN" in out
 
+    def test_domain_edge_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--theta0", "3.08", "--s", "1.0")
+        assert code == 0
+        assert "label: REGULAR_BARRIER" in out
+
     def test_json_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "classify", "--theta0", "2.0944", "--s", "1.8", "--json"
@@ -83,6 +88,11 @@ class TestExponentCommand:
         code, out, _ = run_cli(capsys, "exponent", "--theta0", "2.0944", "--neumann")
         assert code == 0
         assert "exponent: 0.85631285" in out
+
+    def test_neumann_domain_edge_exits_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "exponent", "--theta0", "3.08", "--neumann")
+        assert code == 0
+        assert "exponent: 0.998" in out
 
     def test_neumann_acute_cone_bracket_error(self, capsys):
         code, _, err = run_cli(capsys, "exponent", "--theta0", "1.0472", "--neumann")

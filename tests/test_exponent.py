@@ -28,7 +28,7 @@ from obliquecone.exponent import (
     u2,
 )
 from obliquecone.geometry import ConeGeometry, ObliqueBC
-from obliquecone.legendre import legendre_p, legendre_p1
+from obliquecone.legendre import legendre_p, legendre_p1, legendre_p_quadrature
 
 THETA_GRID = np.linspace(0.3, 2.7, 9)
 
@@ -44,6 +44,30 @@ EXPECTED_NEUMANN = {
     2 * math.pi / 3: 0.8563132551458703,
     3 * math.pi / 4: 0.857167676523837,
 }
+
+
+#: Opening angles just below THETA0_MAX (about 3.0966), where cos(theta0)
+#: nears the kernel's argument cutoff.
+EDGE_THETA0 = (3.07, 3.08, 3.09)
+
+
+def quadrature_mismatch(theta0, alpha, s):
+    """B(theta0, alpha, s) with every P from the quadrature oracle."""
+    z, st = math.cos(theta0), math.sin(theta0)
+    p0 = legendre_p_quadrature(alpha, z)
+    p1 = legendre_p_quadrature(alpha + 1.0, z)
+    f1 = (2 * alpha + 1) * z * p0 - (alpha + 1) * p1
+    f2 = st * (alpha - (alpha + 1) * z * z / st ** 2) * p0 + (alpha + 1) * z / st * p1
+    return math.cos(s) * f1 + math.sin(s) * f2
+
+
+def quadrature_neumann(theta0, alpha):
+    """W(theta0, alpha) in terms of P at three degrees, all from quadrature."""
+    z = math.cos(theta0)
+    p0, p1, p2 = (legendre_p_quadrature(alpha + k, z) for k in range(3))
+    return (
+        alpha * (alpha + 2) * (z * p1 - p2) - (alpha + 1) ** 2 * z * (z * p0 - p1)
+    ) / (1 - z * z) ** 1.5
 
 
 def u_value(alpha, y1, y2):
@@ -230,6 +254,15 @@ class TestNeumann:
             g1, g2 = fd_gradient(mode, y1, y2, 1e-5 * r)
             assert abs(n1 * g1 + n2 * g2) <= 1e-6 * r ** (root - 1.0)
 
+    def test_root_near_domain_edge(self):
+        # W falls with slope ~ -1.5e4 here, so the root is pinned by a sign
+        # change of the quadrature-built W rather than by a small |W|
+        geom = ConeGeometry(theta0=3.09)
+        root = neumann_exponent(geom)
+        assert 1e-3 < root <= 1.0
+        h = 1e-9
+        assert quadrature_neumann(3.09, root - h) > 0.0 > quadrature_neumann(3.09, root + h)
+
     def test_acute_cone_raises_bracket_error(self):
         with pytest.raises(BracketError):
             neumann_exponent(ConeGeometry(theta0=math.pi / 3))
@@ -336,3 +369,38 @@ class TestClassification:
             geom = ConeGeometry(theta0=theta0)
             report = classify_regime(geom, ObliqueBC.for_cone(geom, s))
             assert report.s0 == pytest.approx((theta0 - math.pi) / 2, abs=1e-10)
+
+    def test_witness_order(self):
+        geom = ConeGeometry(theta0=2 * math.pi / 3)
+        report = classify_regime(geom, ObliqueBC.for_cone(geom, 1.8))
+        assert [name for name, _, _ in report.witnesses] == [
+            "slope_at_zero",
+            "critical_angle_s0",
+            "cos_s_sin_s",
+            "sign_change_count",
+            "critical_exponent",
+            "boundary_mismatch_at_root",
+        ]
+        assert report.witness("critical_exponent") == report.critical_exponent
+        barrier = classify_regime(geom, ObliqueBC.for_cone(geom, 0.7))
+        assert len(barrier.witnesses) == 4
+        assert barrier.witness("critical_exponent") is None
+
+    @pytest.mark.parametrize("theta0", EDGE_THETA0)
+    def test_domain_edge_root(self, theta0):
+        # s just above the admissible minimum: slope < 0 < cos s guarantees a root
+        geom = ConeGeometry(theta0=theta0)
+        lo, hi = geom.admissible_s_interval()
+        s = lo + 0.002 * (hi - lo)
+        report = classify_regime(geom, ObliqueBC.for_cone(geom, s))
+        assert report.label == IRREGULAR
+        root = report.critical_exponent
+        assert 1e-3 < root < 1.0
+        assert abs(quadrature_mismatch(theta0, root, s)) <= 1e-8
+        assert report.s0 == pytest.approx((theta0 - math.pi) / 2, abs=1e-10)
+
+    @pytest.mark.parametrize("theta0", EDGE_THETA0)
+    def test_domain_edge_barrier_regime(self, theta0):
+        geom = ConeGeometry(theta0=theta0)
+        report = classify_regime(geom, ObliqueBC.for_cone(geom, 1.0))
+        assert report.label == REGULAR_BARRIER

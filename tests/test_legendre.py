@@ -1,17 +1,19 @@
 """Tests of the real-degree Legendre kernel.
 
-Derived expectations follow the quadrature oracle and Richardson finite
-differences, both independent of the series evaluation path.
+Derived expectations follow the quadrature oracle, mpmath and Richardson
+finite differences, all independent of the hypergeometric evaluation path.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliquecone.errors import DomainError, NonConvergence
+from obliquecone.errors import DomainError
+from obliquecone.geometry import THETA0_MAX
 from obliquecone.legendre import (
     legendre_dp_dalpha,
     legendre_dp_dz,
@@ -86,10 +88,11 @@ class TestLegendreP:
         with pytest.raises(DomainError):
             legendre_p(math.inf, 0.2)
 
-    def test_non_convergence_near_cutoff(self):
-        # just inside the domain, but the term cap is exceeded
-        with pytest.raises(NonConvergence):
-            legendre_p(0.5, -0.9985)
+    def test_near_cutoff_matches_quadrature(self):
+        # just inside the argument cutoff -1 + 1e-3
+        assert legendre_p(0.5, -0.9985) == pytest.approx(
+            legendre_p_quadrature(0.5, -0.9985), abs=1e-12
+        )
 
     def test_vectorized_matches_scalar(self):
         alphas = np.array([0.0, 0.3, 1.0, 1.7, 2.4])
@@ -110,6 +113,36 @@ def test_three_term_recurrence(alpha, z):
         + alpha * legendre_p(alpha - 1.0, z)
     )
     assert abs(residual) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.0, max_value=3.0),
+    z=st.floats(min_value=math.cos(THETA0_MAX), max_value=1.0),
+)
+def test_matches_mpmath(alpha, z):
+    # relative to max(1, |P|): P_a has zeros in the domain, where a pure
+    # relative error is undefined
+    with mpmath.workdps(30):
+        want = float(mpmath.legenp(alpha, 0, z, type=2))
+    assert abs(legendre_p(alpha, z) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("z", [-0.95, -0.998])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("delta", [1e-4, -1e-8, 1e-8, 1e-12])
+def test_near_integer_degrees_match_mpmath(z, n, delta):
+    # hyp2f1 alone is off by up to 6e-5 at n - 1e-12 for z < -0.8
+    alpha = n - delta
+    with mpmath.workdps(30):
+        want = float(mpmath.legenp(alpha, 0, z, type=2))
+    assert abs(legendre_p(alpha, z) - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-17])
+def test_tiny_degrees(alpha):
+    # P_a = 1 + O(a log(1 + z)) as a -> 0
+    assert abs(legendre_p(alpha, -0.998) - 1.0) <= 1e-15
 
 
 class TestDerivatives:
