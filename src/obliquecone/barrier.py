@@ -30,11 +30,19 @@ from .errors import (
     InvalidTilt,
     NoAdmissibleTilt,
 )
+from .exponent import _bracketed_roots
 from .geometry import ConeGeometry, ObliqueBC
 from .legendre import legendre_dp_dz, legendre_p, legendre_p_many
 
 #: Floor of the dyadic tilt search.
 TILT_FLOOR = 1e-6
+
+#: Sign-scan points and bisection width of the positivity-threshold search.
+ALPHA0_SCAN_POINTS = 400
+ALPHA0_XTOL = 1e-10
+
+#: Size of the theta-grid on which `build_barrier` certifies the profile.
+BARRIER_CHECK_POINTS = 500
 
 
 @dataclass(frozen=True)
@@ -70,39 +78,24 @@ class MillerBarrier:
         )
 
 
-def alpha0(geom: ConeGeometry, scan_points: int = 400, xtol: float = 1e-10) -> float:
+def alpha0(geom: ConeGeometry) -> float:
     """Positivity threshold: smallest a in (0, 1] with P_a(cos theta0) = 0, else 1.
 
     P_0 = 1 > 0 and a -> P_a(cos theta0) is continuous, so the first zero is
     bracketed by a sign scan and pinned by bisection.
     """
     z = geom.z0
-    alphas = np.linspace(1e-6, 1.0, scan_points)
-    vals = legendre_p_many(alphas, z)
-    for i in range(scan_points - 1):
-        if vals[i] == 0.0:
-            return float(alphas[i])
-        if vals[i] * vals[i + 1] < 0.0:
-            lo, hi, flo = float(alphas[i]), float(alphas[i + 1]), float(vals[i])
-            while hi - lo > xtol:
-                mid = 0.5 * (lo + hi)
-                fmid = legendre_p(mid, z)
-                if fmid == 0.0:
-                    return mid
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            return 0.5 * (lo + hi)
-    return 1.0
+    alphas = np.linspace(1e-6, 1.0, ALPHA0_SCAN_POINTS)
+    roots = _bracketed_roots(
+        lambda a: legendre_p(a, z), alphas, legendre_p_many(alphas, z), ALPHA0_XTOL
+    )
+    return roots[0] if roots else 1.0
 
 
-def build_barrier(
-    geom: ConeGeometry, alpha: float, check_points: int = 500
-) -> MillerBarrier:
+def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
     """Construct the barrier for 0 < alpha < alpha0(geom) and certify it.
 
-    Verifies on a check_points theta-grid that c* <= F_a <= 1 with
+    Verifies on a BARRIER_CHECK_POINTS theta-grid that c* <= F_a <= 1 with
     c* = F_a(theta0) > 0, that F_a' < 0 on (0, theta0], and that
     F_a'(0) = 0 to 1e-8 by Richardson-extrapolated one-sided differences.
     Raises InvalidAlpha if alpha is out of range or any certification fails.
@@ -117,7 +110,7 @@ def build_barrier(
     barrier = MillerBarrier(alpha=alpha, theta0=geom.theta0, cstar=legendre_p(alpha, geom.z0))
     if not (0.0 < barrier.cstar <= 1.0):
         raise InvalidAlpha(f"boundary value c* = {barrier.cstar} not in (0, 1]")
-    thetas = np.linspace(0.0, geom.theta0, check_points)
+    thetas = np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS)
     values = np.array([barrier.profile(float(t)) for t in thetas])
     if values.min() < barrier.cstar - 1e-12 or values.max() > 1.0 + 1e-12:
         raise InvalidAlpha(

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -143,12 +142,7 @@ def _phase_cell_text(value) -> str:
 
 
 def cmd_phase_map(args: argparse.Namespace) -> int:
-    cells = _sweep_values(args)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_phase_row, cells))
-    else:
-        rows = [_phase_row(cell) for cell in cells]
+    rows = [_phase_row(cell) for cell in _sweep_values(args)]
     try:
         handle = open(args.output, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -296,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--degrees", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent sweep workers")
     p.set_defaults(func=cmd_phase_map)
 
     p = sub.add_parser("exponent", help="critical exponent of one configuration")

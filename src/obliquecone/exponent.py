@@ -36,6 +36,9 @@ SCAN_POINTS = 2000
 #: Bisection interval-width target for exponent roots.
 ROOT_XTOL = 1e-12
 
+#: |W(theta0, 1)| at or below this counts as the endpoint root a = 1.
+NEUMANN_ENDPOINT_TOL = 1e-12
+
 # Regime labels
 REGULAR_BARRIER = "REGULAR_BARRIER"
 IRREGULAR = "IRREGULAR"
@@ -107,60 +110,42 @@ def slope_at_zero(geom: ConeGeometry, s: float) -> float:
     return math.cos(s) + math.sin(s) * (1.0 - geom.z0) / math.sin(geom.theta0)
 
 
-def critical_angle_s0(geom: ConeGeometry, xtol: float = 1e-12) -> float:
+def critical_angle_s0(geom: ConeGeometry) -> float:
     """The unique root s0 of V(theta0, .) on the admissible interval.
 
-    Found by bisection on [-pi + theta0, 0], where V runs from -1 to 1.
+    V(theta0, s) = cos s + sin s tan(theta0/2), so s0 = (theta0 - pi)/2.
     """
-    lo, hi = -math.pi + geom.theta0, 0.0
-    flo, fhi = slope_at_zero(geom, lo), slope_at_zero(geom, hi)
-    if flo == 0.0:
-        return lo
-    if flo * fhi > 0.0:
-        raise BracketError(
-            f"no sign change of the slope on [{lo:.6f}, {hi:.6f}] for theta0 = {geom.theta0}"
-        )
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fmid = slope_at_zero(geom, mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return 0.5 * (geom.theta0 - math.pi)
 
 
-def _bisect(f, lo: float, hi: float, flo: float, xtol: float) -> float:
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+def _bracketed_roots(f, grid: np.ndarray, values: np.ndarray, xtol: float) -> list[float]:
+    """Every root of f that the sampled values locate on the grid, ascending.
 
-
-def _scan_roots(profile: np.ndarray, alphas: np.ndarray, f) -> tuple[list[float], int]:
-    """Sign-scan helper: bisect every sign change of f located by the profile."""
+    A node with values == 0 is a root as it stands; a strict sign change
+    between neighbouring nodes is bisected on f to width xtol.  A zero node
+    next to a nonzero one is not a sign change, so no root is counted twice.
+    """
+    zeros = np.flatnonzero(values == 0.0)
+    changes = np.flatnonzero(values[:-1] * values[1:] < 0.0)
     roots: list[float] = []
-    count = 0
-    for i in range(len(alphas) - 1):
-        a, b = profile[i], profile[i + 1]
-        if a == 0.0:
-            roots.append(float(alphas[i]))
-            count += 1
-        elif a * b < 0.0:
-            roots.append(_bisect(f, float(alphas[i]), float(alphas[i + 1]), a, ROOT_XTOL))
-            count += 1
-    if len(profile) and profile[-1] == 0.0:
-        roots.append(float(alphas[-1]))
-        count += 1
-    return roots, count
+    for i in np.union1d(zeros, changes):
+        lo = float(grid[i])
+        if values[i] == 0.0:
+            roots.append(lo)
+            continue
+        hi, flo = float(grid[i + 1]), values[i]
+        while hi - lo > xtol:
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        roots.append(0.5 * (lo + hi))
+    return roots
 
 
 def critical_exponent_scan(
@@ -172,13 +157,15 @@ def critical_exponent_scan(
     a = 0 is excluded by ALPHA_MIN.
     """
     alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
-    profile = _mismatch_profile(geom, bc.s, alphas)
-    roots, count = _scan_roots(
-        profile, alphas, lambda a: boundary_mismatch(geom, a, bc.s)
+    roots = _bracketed_roots(
+        lambda a: boundary_mismatch(geom, a, bc.s),
+        alphas,
+        _mismatch_profile(geom, bc.s, alphas),
+        ROOT_XTOL,
     )
     if not roots:
         return None, 0
-    return min(roots), count
+    return roots[0], len(roots)
 
 
 def critical_exponent(geom: ConeGeometry, bc: ObliqueBC) -> Optional[float]:
@@ -222,21 +209,23 @@ def _neumann_profile(geom: ConeGeometry, alphas: np.ndarray) -> np.ndarray:
     return _neumann(geom, np.asarray(alphas, dtype=float), legendre_p_many)
 
 
-def neumann_exponent(geom: ConeGeometry, endpoint_tol: float = 1e-12) -> float:
+def neumann_exponent(geom: ConeGeometry) -> float:
     """Smallest root of W(theta0, .) in (ALPHA_MIN, 1].
 
     The slope of W at a = 0 is positive; for theta0 >= pi/2 the endpoint
     value W(theta0, 1) = cot theta0 <= 0 guarantees a sign change.  An exact
-    endpoint root at a = 1 (half-space Neumann) is accepted via endpoint_tol.
-    For theta0 < pi/2 a root is not guaranteed; BracketError is raised when
-    the scan finds no sign change.
+    endpoint root at a = 1 (half-space Neumann) is accepted within
+    NEUMANN_ENDPOINT_TOL.  For theta0 < pi/2 a root is not guaranteed;
+    BracketError is raised when the scan finds no sign change.
     """
     alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
     profile = _neumann_profile(geom, alphas)
-    roots, _ = _scan_roots(profile, alphas, lambda a: neumann_mismatch(geom, a))
+    roots = _bracketed_roots(
+        lambda a: neumann_mismatch(geom, a), alphas, profile, ROOT_XTOL
+    )
     if roots:
-        return min(roots)
-    if abs(profile[-1]) <= endpoint_tol:
+        return roots[0]
+    if abs(profile[-1]) <= NEUMANN_ENDPOINT_TOL:
         return 1.0
     raise BracketError(
         f"no sign change of the Neumann mismatch on ({ALPHA_MIN}, 1] for "

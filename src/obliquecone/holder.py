@@ -181,9 +181,7 @@ def _pair_quotients(samples: HolderSamples, k: int, alpha: float, wexp: float) -
 
 def holder_seminorm(samples: HolderSamples, spec: HolderSpec) -> float:
     """Exact weighted Hoelder seminorm over the finite sample set."""
-    if len(samples) < 2:
-        return 0.0
-    return float(_pair_quotients(samples, spec.k, spec.alpha, spec.weight_exponent).max())
+    return _seminorm_raw(samples, spec.k, spec.alpha, spec.beta)
 
 
 def _seminorm_raw(samples: HolderSamples, k: int, alpha: float, beta: float) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,7 @@ from .legendre import (
     legendre_dp_dalpha,
     legendre_dp_dz,
     legendre_p,
+    legendre_p1,
     legendre_p_quadrature,
 )
 
@@ -67,45 +69,52 @@ def admissible_grid(n_theta0: int = 20, n_s: int = 20) -> list[tuple[float, floa
     return pairs
 
 
+def _separable(p, alpha: float):
+    """(y1, y2) -> r^a p(a, y1 / r) in Cartesian coordinates of the plane."""
+
+    def u(y1: float, y2: float) -> float:
+        r = math.hypot(y1, y2)
+        return r ** alpha * p(alpha, y1 / r)
+
+    return u
+
+
+def _central_difference(u, y1: float, y2: float, d1: float, d2: float, h: float) -> float:
+    """Central difference of u at (y1, y2) along the direction (d1, d2), step h."""
+    return (u(y1 + h * d1, y2 + h * d2) - u(y1 - h * d1, y2 - h * d2)) / (2.0 * h)
+
+
+def _fd_boundary_residual(
+    p, geom: ConeGeometry, direction, alpha: float, radii, step_scale: float
+) -> float:
+    """max over radii of |direction . D u| / r^(a-1) at the lateral boundary
+    for u = r^a p(a, cos t), with central differences of step step_scale * r
+    along the Cartesian axes."""
+    u = _separable(p, alpha)
+    d1, d2 = direction
+    worst = 0.0
+    for r in radii:
+        y1, y2 = r * math.cos(geom.theta0), r * math.sin(geom.theta0)
+        h = step_scale * r
+        g1 = _central_difference(u, y1, y2, 1.0, 0.0, h)
+        g2 = _central_difference(u, y1, y2, 0.0, 1.0, h)
+        worst = max(worst, abs(d1 * g1 + d2 * g2) / r ** (alpha - 1.0))
+    return worst
+
+
 def fd_oblique_residual(
     geom: ConeGeometry, s: float, alpha: float, radii, step_scale: float = 1e-5
 ) -> float:
     """max over radii of |beta0 . D u_a| / r^(a-1) at the lateral boundary,
     with central finite differences of u_a in Cartesian coordinates."""
-    b1, b2 = math.cos(s), math.sin(s)
-
-    def u(y1: float, y2: float) -> float:
-        r = math.hypot(y1, y2)
-        return r ** alpha * legendre_p(alpha, y1 / r)
-
-    worst = 0.0
-    for r in radii:
-        y1, y2 = r * math.cos(geom.theta0), r * math.sin(geom.theta0)
-        h = step_scale * r
-        g1 = (u(y1 + h, y2) - u(y1 - h, y2)) / (2.0 * h)
-        g2 = (u(y1, y2 + h) - u(y1, y2 - h)) / (2.0 * h)
-        worst = max(worst, abs(b1 * g1 + b2 * g2) / r ** (alpha - 1.0))
-    return worst
+    beta0 = (math.cos(s), math.sin(s))
+    return _fd_boundary_residual(legendre_p, geom, beta0, alpha, radii, step_scale)
 
 
 def fd_neumann_residual(geom: ConeGeometry, alpha: float, radii) -> float:
     """max |nu . D profile| / r^(a-1) for the m = 1 mode r^a P^1_a(cos t)."""
-    from .legendre import legendre_p1
-
-    n1, n2 = math.sin(geom.theta0), -math.cos(geom.theta0)
-
-    def u(y1: float, y2: float) -> float:
-        r = math.hypot(y1, y2)
-        return r ** alpha * legendre_p1(alpha, y1 / r)
-
-    worst = 0.0
-    for r in radii:
-        y1, y2 = r * math.cos(geom.theta0), r * math.sin(geom.theta0)
-        h = 1e-5 * r
-        g1 = (u(y1 + h, y2) - u(y1 - h, y2)) / (2.0 * h)
-        g2 = (u(y1, y2 + h) - u(y1, y2 - h)) / (2.0 * h)
-        worst = max(worst, abs(n1 * g1 + n2 * g2) / r ** (alpha - 1.0))
-    return worst
+    nu = (math.sin(geom.theta0), -math.cos(geom.theta0))
+    return _fd_boundary_residual(legendre_p1, geom, nu, alpha, radii, 1e-5)
 
 
 #: Branches of (theta0, s) where a critical exponent is guaranteed.
@@ -237,13 +246,19 @@ def _check_slope() -> tuple[bool, str]:
 
 
 def _check_critical_angle() -> tuple[bool, str]:
+    # bisect V(theta0, .) from -1 at -pi + theta0 to 1 at 0
     worst = 0.0
     for theta0 in np.linspace(0.25, 2.7, 100):
         geom = ConeGeometry(theta0=float(theta0))
-        worst = max(
-            worst, abs(exp_mod.critical_angle_s0(geom) - (theta0 - math.pi) / 2.0)
+        slope = partial(exp_mod.slope_at_zero, geom)
+        ends = np.array([-math.pi + geom.theta0, 0.0])
+        roots = exp_mod._bracketed_roots(
+            slope, ends, np.array([slope(e) for e in ends]), 1e-12
         )
-    return worst <= 1e-10, f"max |s0 - (theta0 - pi)/2| = {worst:.3e}"
+        if len(roots) != 1:
+            return False, f"{len(roots)} roots of V at theta0={theta0:.4f}"
+        worst = max(worst, abs(exp_mod.critical_angle_s0(geom) - roots[0]))
+    return worst <= 1e-10, f"max |s0 - bisected root of V| = {worst:.3e}"
 
 
 def _check_guaranteed_roots() -> tuple[bool, str]:
@@ -288,8 +303,8 @@ def _check_gradient_consistency() -> tuple[bool, str]:
                 )[0]
 
             y1, y2 = r * math.cos(theta), r * math.sin(theta)
-            fd1 = (val(y1 + h, y2) - val(y1 - h, y2)) / (2.0 * h)
-            fd2 = (val(y1, y2 + h) - val(y1, y2 - h)) / (2.0 * h)
+            fd1 = _central_difference(val, y1, y2, 1.0, 0.0, h)
+            fd2 = _central_difference(val, y1, y2, 0.0, 1.0, h)
             scale = max(abs(grad[0]), abs(grad[1]), 1e-30)
             worst = max(worst, abs(fd1 - grad[0]) / scale, abs(fd2 - grad[1]) / scale)
     return worst <= 1e-6, f"max relative gradient gap = {worst:.3e}"
@@ -466,16 +481,9 @@ def _m1_by_directional_differences(
     t1, t2 = bc.tau
     y1 = math.cos(bc.theta0)
     y2 = math.sin(bc.theta0)
-
-    def v(x1: float, x2: float) -> float:
-        r = math.hypot(x1, x2)
-        return r ** b.alpha * legendre_p(b.alpha, x1 / r)
-
-    def ddir(d1: float, d2: float) -> float:
-        return (v(y1 + h * d1, y2 + h * d2) - v(y1 - h * d1, y2 - h * d2)) / (2.0 * h)
-
-    beta_deriv = ddir(b1, b2)
-    tau_deriv = ddir(t1, t2)
+    v = _separable(legendre_p, b.alpha)
+    beta_deriv = _central_difference(v, y1, y2, b1, b2, h)
+    tau_deriv = _central_difference(v, y1, y2, t1, t2, h)
     return (
         beta_deriv
         + (n1 / b2) * (rc.a22 / rc.a11) * tau_deriv

@@ -144,10 +144,10 @@ class TestPhaseMap:
         "5",
     )
 
-    def test_csv_deterministic_across_jobs(self, capsys, tmp_path):
+    def test_csv_deterministic_across_runs(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         code1, _, _ = run_cli(capsys, *self.ARGS, "--output", str(p1))
-        code2, _, _ = run_cli(capsys, *self.ARGS, "--output", str(p2), "--jobs", "4")
+        code2, _, _ = run_cli(capsys, *self.ARGS, "--output", str(p2))
         assert code1 == code2 == 0
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -16,6 +16,7 @@ from obliquecone.exponent import (
     REGULAR_BARRIER,
     UNKNOWN,
     SeparableSolution,
+    _bracketed_roots,
     boundary_mismatch,
     classify_regime,
     critical_angle_s0,
@@ -172,6 +173,62 @@ class TestSlopeAndCriticalAngle:
         for theta0 in np.linspace(0.25, 2.7, 100):
             geom = ConeGeometry(theta0=float(theta0))
             assert abs(critical_angle_s0(geom) - (geom.theta0 - math.pi) / 2) <= 1e-10
+
+
+def reference_roots(f, grid, values, xtol):
+    """Node-by-node sign scan with bisection, one bracket at a time."""
+
+    def bisect(lo, hi, flo):
+        while hi - lo > xtol:
+            mid = 0.5 * (lo + hi)
+            fmid = f(mid)
+            if fmid == 0.0:
+                return mid
+            if flo * fmid < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        return 0.5 * (lo + hi)
+
+    roots = []
+    for i in range(len(grid) - 1):
+        a, b = values[i], values[i + 1]
+        if a == 0.0:
+            roots.append(float(grid[i]))
+        elif a * b < 0.0:
+            roots.append(bisect(float(grid[i]), float(grid[i + 1]), a))
+    if len(values) and values[-1] == 0.0:
+        roots.append(float(grid[-1]))
+    return roots
+
+
+class TestBracketedRoots:
+    @pytest.mark.parametrize(
+        "f,grid,expected",
+        [
+            # exact zero at an interior node
+            (lambda x: x - 0.5, np.linspace(0.0, 1.0, 5), [0.5]),
+            # exact zero at the last node
+            (lambda x: x - 1.0, np.linspace(0.0, 1.0, 5), [1.0]),
+            # zero node at 0.25, then a sign change in the cell [0.5, 0.75]
+            (lambda x: (x - 0.25) * (x - 0.6), np.linspace(0.0, 1.0, 5), [0.25, 0.6]),
+            # several sign changes
+            (
+                lambda x: math.sin(10.0 * x),
+                np.linspace(0.1, 3.0, 50),
+                [k * math.pi / 10.0 for k in range(1, 10)],
+            ),
+            # none
+            (lambda x: x * x + 1.0, np.linspace(-1.0, 1.0, 7), []),
+        ],
+    )
+    def test_matches_reference_scan(self, f, grid, expected):
+        values = np.array([f(float(x)) for x in grid])
+        roots = _bracketed_roots(f, grid, values, 1e-12)
+        assert roots == reference_roots(f, grid, values, 1e-12)
+        assert len(roots) == len(expected)
+        for got, want in zip(roots, expected):
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestCriticalExponent:

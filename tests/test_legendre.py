@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from obliquecone.errors import DomainError
 from obliquecone.geometry import THETA0_MAX
 from obliquecone.legendre import (
+    DEGREE_MAX,
     legendre_dp_dalpha,
     legendre_dp_dz,
     legendre_p,
@@ -88,6 +89,16 @@ class TestLegendreP:
         with pytest.raises(DomainError):
             legendre_p(math.inf, 0.2)
 
+    def test_rejects_degrees_above_cap(self):
+        # uncapped, the kernel gives 3117 here, where mpmath gives -0.141
+        with pytest.raises(DomainError):
+            legendre_p(27.51, -0.709)
+        with pytest.raises(DomainError):
+            legendre_p_many(np.array([0.5, 27.51]), -0.709)
+        with pytest.raises(DomainError):
+            legendre_p(math.nextafter(DEGREE_MAX, math.inf), 0.2)
+        assert legendre_p(DEGREE_MAX, 1.0) == 1.0
+
     def test_near_cutoff_matches_quadrature(self):
         # just inside the argument cutoff -1 + 1e-3
         assert legendre_p(0.5, -0.9985) == pytest.approx(
@@ -117,7 +128,7 @@ def test_three_term_recurrence(alpha, z):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    alpha=st.floats(min_value=0.0, max_value=3.0),
+    alpha=st.floats(min_value=0.0, max_value=DEGREE_MAX),
     z=st.floats(min_value=math.cos(THETA0_MAX), max_value=1.0),
 )
 def test_matches_mpmath(alpha, z):
