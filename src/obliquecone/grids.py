@@ -145,10 +145,10 @@ class DiscreteField:
     @classmethod
     def from_function(cls, grid: SectorGrid, fn) -> "DiscreteField":
         """Sample fn(r, theta) at the nodes."""
-        vals = np.empty((grid.n_r, grid.n_theta))
-        for i, ri in enumerate(grid.r):
-            for j, tj in enumerate(grid.theta):
-                vals[i, j] = fn(float(ri), float(tj))
+        thetas = grid.theta.tolist()
+        vals = np.array(
+            [[fn(ri, tj) for tj in thetas] for ri in grid.r.tolist()], dtype=float
+        )
         return cls(grid=grid, values=vals)
 
     def max_norm(self) -> float:

@@ -23,6 +23,11 @@ The lateral edge t = theta0 takes either Dirichlet data or the homogeneous
 oblique condition beta0 . Du = 0 by a second-order one-sided stencil.
 Assembled systems use the sign convention A = -L, so monotone rows have
 nonpositive off-diagonal entries.
+
+One assembly, `_assemble`, builds A from numpy index arithmetic with no loop
+over nodes, and serves all three uses of the operator: the solve, the
+M-matrix check (sign masks and row sums on its CSR arrays) and the residual
+of exact solutions (its interior rows).
 """
 
 from __future__ import annotations
@@ -51,56 +56,52 @@ _EdgeData = Union[float, Sequence[float], Callable[[float, float], float]]
 # stencil helpers
 # ---------------------------------------------------------------------------
 
-def _radial_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weights (w_m, w_0, w_p) of u_rr + (2/r) u_r at the interior nodes."""
+def _radial_weights(r: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Weights (w_m, w_0, w_p) of u_r and of u_rr + (2/r) u_r at the interior nodes."""
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
-    ri = r[1:-1]
-    wm = 2.0 / (hm * (hm + hp)) + (2.0 / ri) * (-hp / (hm * (hm + hp)))
-    w0 = -2.0 / (hm * hp) + (2.0 / ri) * ((hp - hm) / (hm * hp))
-    wp = 2.0 / (hp * (hm + hp)) + (2.0 / ri) * (hm / (hp * (hm + hp)))
-    return wm, w0, wp
-
-
-def _angular_weights_m0(grid: SectorGrid, j: int) -> tuple[float, float, float]:
-    """Weights of u_tt + cot(t) u_t on (u_{j-1}, u_j, u_{j+1}); j = 0 is the axis."""
-    ht = grid.h_theta
-    if j == 0:
-        return 0.0, -4.0 / (ht * ht), 4.0 / (ht * ht)
-    cot = math.cos(grid.theta[j]) / math.sin(grid.theta[j])
-    return (
-        1.0 / (ht * ht) - cot / (2.0 * ht),
-        -2.0 / (ht * ht),
-        1.0 / (ht * ht) + cot / (2.0 * ht),
+    first = (-hp / (hm * (hm + hp)), (hp - hm) / (hm * hp), hm / (hp * (hm + hp)))
+    c = 2.0 / r[1:-1]
+    radial = (
+        2.0 / (hm * (hm + hp)) + c * first[0],
+        -2.0 / (hm * hp) + c * first[1],
+        2.0 / (hp * (hm + hp)) + c * first[2],
     )
+    return first, radial
 
 
-def _angular_weights_m1(grid: SectorGrid, j: int) -> list[tuple[int, float]]:
-    """Weights on u of the scaled-variable angular operator at node j >= 1.
+def _angular_weights(grid: SectorGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights (lower, centre, upper) on u of the angular operator, per column.
 
-    Returns (column j', weight) pairs for
-    sin(t_j) w'' + 3 cos(t_j) w' - 2 sin(t_j) w with w = u / sin(t).
+    The columns are the interior ones, j = m .. n_theta - 2.  The first of
+    them has no lower neighbour (the axis for m = 0, folded into the upper
+    side for m = 1), so `lower` starts at the second.  Sines and cosines come
+    from `math`, whose results do not depend on the numpy build.
     """
     ht = grid.h_theta
-    th = grid.theta
-    sj, cj = math.sin(th[j]), math.cos(th[j])
-    wm = sj / (ht * ht) - 3.0 * cj / (2.0 * ht)
-    w0 = -2.0 * sj / (ht * ht) - 2.0 * sj
-    wp = sj / (ht * ht) + 3.0 * cj / (2.0 * ht)
-    pairs: dict[int, float] = {}
-
-    def add(col: int, w_on_w: float) -> None:
-        if col == 0:
-            # w_0 = (4 w_1 - w_2) / 3, even extrapolation across the axis
-            add(1, 4.0 * w_on_w / 3.0)
-            add(2, -w_on_w / 3.0)
-            return
-        pairs[col] = pairs.get(col, 0.0) + w_on_w / math.sin(th[col])
-
-    add(j - 1, wm)
-    add(j, w0)
-    add(j + 1, wp)
-    return sorted(pairs.items())
+    th = grid.theta.tolist()
+    sin = np.array([math.sin(t) for t in th])
+    cos = np.array([math.cos(t) for t in th])
+    if grid.m == 0:
+        # u_tt + cot(t) u_t; at the axis 2 u_tt with a reflected ghost node
+        cot = cos[1:-1] / sin[1:-1]
+        lower = 1.0 / (ht * ht) - cot / (2.0 * ht)
+        centre = np.full(len(th) - 1, -2.0 / (ht * ht))
+        centre[0] = -4.0 / (ht * ht)
+        upper = np.concatenate(([4.0 / (ht * ht)], 1.0 / (ht * ht) + cot / (2.0 * ht)))
+        return lower, centre, upper
+    # sin(t) w'' + 3 cos(t) w' - 2 sin(t) w on w = u / sin(t)
+    s, c = sin[1:-1], cos[1:-1]
+    wm = s / (ht * ht) - 3.0 * c / (2.0 * ht)
+    w0 = -2.0 * s / (ht * ht) - 2.0 * s
+    wp = s / (ht * ht) + 3.0 * c / (2.0 * ht)
+    lower = wm[1:] / sin[1:-2]
+    centre = w0 / s
+    upper = wp / sin[2:]
+    # w_0 = (4 w_1 - w_2) / 3, even extrapolation across the axis
+    centre[0] = 4.0 * wm[0] / 3.0 / sin[1] + centre[0]
+    upper[0] = -wm[0] / 3.0 / sin[2] + upper[0]
+    return lower, centre, upper
 
 
 # ---------------------------------------------------------------------------
@@ -112,45 +113,17 @@ def laplacian_residual(
 ) -> tuple[DiscreteField, float]:
     """Discrete Laplacian applied to exact nodal values of the solution.
 
-    Returns the residual field (zero on the rows/columns where the centered
-    stencil does not reach) and its max norm over the evaluated nodes.
+    The operator is the interior rows of the assembled Dirichlet system,
+    L = -A, so a refinement study certifies the matrix `solve_dirichlet`
+    factors.  Returns the residual field (zero on the boundary rows) and its
+    max norm over the interior nodes.
     """
     if sol.m != grid.m:
         raise DomainError(f"solution mode {sol.m} does not match grid mode {grid.m}")
-    r, th = grid.r, grid.theta
-    prof = sol.profile_array(th)
-    U = np.outer(r ** sol.alpha, prof)
-    res = np.zeros_like(U)
-    wm, w0, wp = _radial_weights(r)
-    radial = (
-        wm[:, None] * U[:-2, :] + w0[:, None] * U[1:-1, :] + wp[:, None] * U[2:, :]
-    )
-    ht = grid.h_theta
-    inv_r2 = 1.0 / (r[1:-1] ** 2)
-    if grid.m == 0:
-        ang = np.zeros_like(U[1:-1, :])
-        ang[:, 0] = 4.0 * (U[1:-1, 1] - U[1:-1, 0]) / (ht * ht)
-        cot = np.cos(th[1:-1]) / np.sin(th[1:-1])
-        ang[:, 1:-1] = (
-            (U[1:-1, :-2] - 2.0 * U[1:-1, 1:-1] + U[1:-1, 2:]) / (ht * ht)
-            + cot[None, :] * (U[1:-1, 2:] - U[1:-1, :-2]) / (2.0 * ht)
-        )
-        res[1:-1, :-1] = radial[:, :-1] + inv_r2[:, None] * ang[:, :-1]
-    else:
-        W = np.zeros_like(U)
-        W[:, 1:] = U[:, 1:] / np.sin(th[1:])
-        W[:, 0] = (4.0 * W[:, 1] - W[:, 2]) / 3.0
-        sj = np.sin(th[1:-1])
-        cj = np.cos(th[1:-1])
-        ang = (
-            sj[None, :]
-            * (W[1:-1, :-2] - 2.0 * W[1:-1, 1:-1] + W[1:-1, 2:])
-            / (ht * ht)
-            + 3.0 * cj[None, :] * (W[1:-1, 2:] - W[1:-1, :-2]) / (2.0 * ht)
-            - 2.0 * sj[None, :] * W[1:-1, 1:-1]
-        )
-        res[1:-1, 1:-1] = radial[:, 1:-1] + inv_r2[:, None] * ang
-    field = DiscreteField(grid=grid, values=res)
+    A, kind = _assemble(grid, None)
+    U = np.outer(grid.r ** sol.alpha, sol.profile_array(grid.theta))
+    res = np.where(kind == ROW_INTERIOR, -(A @ U.ravel()), 0.0)
+    field = DiscreteField(grid=grid, values=res.reshape(U.shape))
     return field, field.max_norm()
 
 
@@ -207,79 +180,59 @@ def _assemble(
     """Assemble A = -L with identity rows on Dirichlet nodes.
 
     Returns (A, kind) where kind flags each row as interior, Dirichlet or
-    oblique.  The oblique rows are scaled positive-diagonal.
+    oblique.  The oblique rows are scaled positive-diagonal.  Every row holds
+    its diagonal entry.
     """
     import scipy.sparse as sp
 
     nr, nt = grid.n_r, grid.n_theta
-    r, th = grid.r, grid.theta
-    ht = grid.h_theta
-    n = nr * nt
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    kind = np.full(n, ROW_DIRICHLET, dtype=np.int8)
-
-    def add(k: int, k2: int, v: float) -> None:
-        rows.append(k)
-        cols.append(k2)
-        vals.append(v)
-
-    wm_all, w0_all, wp_all = _radial_weights(r)
-    for i in range(nr):
-        for j in range(nt):
-            k = grid.index(i, j)
-            on_r_edge = i == 0 or i == nr - 1
-            if on_r_edge or (j == 0 and grid.m == 1):
-                add(k, k, 1.0)
-                continue
-            if j == nt - 1:
-                if oblique_s is None:
-                    add(k, k, 1.0)
-                    continue
-                # cos(s - t0) u_r + sin(s - t0) u_t / r = 0, one-sided in theta
-                cr = math.cos(oblique_s - grid.theta0)
-                ct = math.sin(oblique_s - grid.theta0)
-                hm = r[i] - r[i - 1]
-                hp = r[i + 1] - r[i]
-                dm = -hp / (hm * (hm + hp))
-                d0 = (hp - hm) / (hm * hp)
-                dp = hm / (hp * (hm + hp))
-                scale = -1.0 / ct  # ct < 0 for admissible s
-                add(k, grid.index(i - 1, j), scale * cr * dm)
-                add(k, grid.index(i + 1, j), scale * cr * dp)
-                add(k, k, scale * (cr * d0 + ct * 3.0 / (2.0 * ht * r[i])))
-                add(k, grid.index(i, j - 1), scale * ct * (-4.0) / (2.0 * ht * r[i]))
-                add(k, grid.index(i, j - 2), scale * ct * 1.0 / (2.0 * ht * r[i]))
-                kind[k] = ROW_OBLIQUE
-                continue
-            kind[k] = ROW_INTERIOR
-            wm, w0, wp = wm_all[i - 1], w0_all[i - 1], wp_all[i - 1]
-            inv_r2 = 1.0 / (r[i] * r[i])
-            add(k, grid.index(i - 1, j), -wm)
-            add(k, grid.index(i + 1, j), -wp)
-            diag = -w0
-            if grid.m == 0:
-                am, a0, ap = _angular_weights_m0(grid, j)
-                if j > 0:
-                    add(k, grid.index(i, j - 1), -inv_r2 * am)
-                add(k, grid.index(i, j + 1), -inv_r2 * ap)
-                diag += -inv_r2 * a0
-            else:
-                for col, w in _angular_weights_m1(grid, j):
-                    if col == j:
-                        diag += -inv_r2 * w
-                    else:
-                        add(k, grid.index(i, col), -inv_r2 * w)
-            add(k, k, diag)
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    A.sum_duplicates()
-    return A, kind
+    r, ht = grid.r, grid.h_theta
+    node = np.arange(nr * nt).reshape(nr, nt)
+    kind = np.full((nr, nt), ROW_DIRICHLET, dtype=np.int8)
+    j0 = grid.m  # first interior column; the m = 1 axis is Dirichlet 0
+    kind[1:-1, j0:-1] = ROW_INTERIOR
+    (dm, d0, dp), (wm, w0, wp) = _radial_weights(r)
+    inv_r2 = (1.0 / (r[1:-1] * r[1:-1]))[:, None]
+    lower, centre, upper = _angular_weights(grid)
+    inner = node[1:-1, j0:-1]
+    # (rows, columns, values) blocks; values broadcast over the rows
+    blocks = [
+        (inner, node[:-2, j0:-1], -wm[:, None]),
+        (inner, node[2:, j0:-1], -wp[:, None]),
+        (inner[:, 1:], inner[:, :-1], -inv_r2 * lower),
+        (inner, node[1:-1, j0 + 1:], -inv_r2 * upper),
+        (inner, inner, -w0[:, None] - inv_r2 * centre),
+    ]
+    if oblique_s is not None:
+        # cos(s - t0) u_r + sin(s - t0) u_t / r = 0, one-sided in theta
+        kind[1:-1, -1] = ROW_OBLIQUE
+        cr = math.cos(oblique_s - grid.theta0)
+        ct = math.sin(oblique_s - grid.theta0)
+        scale = -1.0 / ct  # ct < 0 for admissible s
+        two_h = 2.0 * ht * r[1:-1]
+        cone = node[1:-1, -1]
+        blocks += [
+            (cone, node[:-2, -1], scale * cr * dm),
+            (cone, node[2:, -1], scale * cr * dp),
+            (cone, cone, scale * (cr * d0 + ct * 3.0 / two_h)),
+            (cone, node[1:-1, -2], scale * ct * (-4.0) / two_h),
+            (cone, node[1:-1, -3], scale * ct / two_h),
+        ]
+    dirichlet = node[kind == ROW_DIRICHLET]
+    blocks.append((dirichlet, dirichlet, 1.0))
+    rows = np.concatenate([k.ravel() for k, _, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
+    vals = np.concatenate([np.broadcast_to(v, k.shape).ravel() for k, _, v in blocks])
+    # the stencils never repeat a column within a row, so the CSR data are
+    # the stencil weights themselves, sorted by column
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(nr * nt, nr * nt))
+    return A, kind.ravel()
 
 
 def _edge_values(data: _EdgeData, rs: np.ndarray, ths: np.ndarray) -> np.ndarray:
     if callable(data):
-        return np.array([data(float(a), float(b)) for a, b in zip(rs, ths)])
+        pairs = zip(rs.tolist(), ths.tolist())
+        return np.array([data(a, b) for a, b in pairs], dtype=float)
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 0:
         return np.full(len(rs), float(arr))
@@ -320,27 +273,22 @@ def solve_dirichlet(
 
     A, kind = _assemble(grid, oblique_s)
     nr, nt = grid.n_r, grid.n_theta
+    rr = np.repeat(grid.r, nt)
+    tt = np.tile(grid.theta, nr)
     b = np.zeros(nr * nt)
     if rhs is not None:
-        rr = np.repeat(grid.r, nt)
-        tt = np.tile(grid.theta, nr)
         interior = kind == ROW_INTERIOR
         # A = -L, so the right-hand side enters negated on interior rows
         b[interior] = -_edge_values(rhs, rr[interior], tt[interior])
 
-    edge_nodes = {
-        "r_min": (np.zeros(nt, dtype=int), np.arange(nt)),
-        "r_max": (np.full(nt, nr - 1, dtype=int), np.arange(nt)),
-        "cone": (np.arange(nr), np.full(nr, nt - 1, dtype=int)),
-    }
-    for name, (ii, jj) in edge_nodes.items():
-        if name == "cone" and oblique_s is not None:
-            continue
-        vals = _edge_values(boundary_values[name], grid.r[ii], grid.theta[jj])
-        for i, j, v in zip(ii, jj, vals):
-            k = grid.index(int(i), int(j))
-            if kind[k] == ROW_DIRICHLET:
-                b[k] = v
+    node = np.arange(nr * nt).reshape(nr, nt)
+    edges = {"r_min": node[0], "r_max": node[-1], "cone": node[:, -1]}
+    if oblique_s is not None:
+        del edges["cone"]
+    for name, k in edges.items():
+        vals = _edge_values(boundary_values[name], rr[k], tt[k])
+        dirichlet = kind[k] == ROW_DIRICHLET
+        b[k[dirichlet]] = vals[dirichlet]
 
     # equilibrate rows to unit max magnitude; the 1/r^2 factors otherwise
     # spread row scales over many orders and defeat the residual target
@@ -366,10 +314,9 @@ def solve_dirichlet(
                 break
             u = u + lu.solve(resid)
         else:
-            if np.abs(b_eq - A_eq @ u).max() > target:
-                raise SingularSystem(
-                    f"linear-solve residual {np.abs(b_eq - A_eq @ u).max()} above {target}"
-                )
+            worst = np.abs(b_eq - A_eq @ u).max()
+            if worst > target:
+                raise SingularSystem(f"linear-solve residual {worst} above {target}")
     return DiscreteField(grid=grid, values=u.reshape(nr, nt))
 
 
@@ -402,33 +349,35 @@ def check_m_matrix(
     from the transport terms on under-resolved grids) are reported per node.
     """
     A, kind = _assemble(grid, oblique_s)
-    A = A.tocsr()
-    violations: list[MMatrixViolation] = []
-    n_interior = 0
-    nt = grid.n_theta
-    for k in range(A.shape[0]):
-        if kind[k] != ROW_INTERIOR:
-            continue
-        n_interior += 1
-        start, end = A.indptr[k], A.indptr[k + 1]
-        row_cols = A.indices[start:end]
-        row_vals = A.data[start:end]
-        scale = np.abs(row_vals).max()
-        i, j = divmod(k, nt)
-        for col, v in zip(row_cols, row_vals):
-            if col != k and v > 1e-14 * scale:
-                violations.append(
-                    MMatrixViolation(i=i, j=j, kind="positive_offdiagonal", value=float(v))
-                )
-        row_sum = float(row_vals.sum())
-        if row_sum < -1e-12 * scale:
-            violations.append(
-                MMatrixViolation(i=i, j=j, kind="negative_row_sum", value=row_sum)
-            )
+    # every row holds its diagonal, so no reduceat segment is empty
+    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    scale = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
+    row_sum = np.add.reduceat(A.data, A.indptr[:-1])
+    interior = kind == ROW_INTERIOR
+    positive = np.flatnonzero(
+        interior[row] & (A.indices != row) & (A.data > 1e-14 * scale[row])
+    )
+    negative = np.flatnonzero(interior & (row_sum < -1e-12 * scale))
+    at = np.concatenate((row[positive], negative))
+    is_sum = np.arange(len(at)) >= len(positive)
+    value = np.concatenate((A.data[positive], row_sum[negative]))
+    # by row; within a row the off-diagonals in column order, then the row sum
+    order = np.lexsort((is_sum, at))
+    violations = tuple(
+        MMatrixViolation(
+            i=k // grid.n_theta,
+            j=k % grid.n_theta,
+            kind="negative_row_sum" if summed else "positive_offdiagonal",
+            value=v,
+        )
+        for k, summed, v in zip(
+            at[order].tolist(), is_sum[order].tolist(), value[order].tolist()
+        )
+    )
     return MMatrixReport(
         passed=not violations,
-        n_interior_rows=n_interior,
-        violations=tuple(violations),
+        n_interior_rows=int(interior.sum()),
+        violations=violations,
     )
 
 

@@ -446,3 +446,30 @@ def test_c12_reduction_formulas():
             assert b21 == (n - 2) * kappa
             assert np.array_equal(a0, kappa * np.eye(2))
     report("C12", True, "b21 = (n-2) kappa exactly for n in {3,4,5}")
+
+
+def test_c13_pairwise_orders_on_fine_grids():
+    # the 25/49/97 gates pass at about 1.74 against [1.7, 2.3] because the
+    # coarse pair is pre-asymptotic; on finer grids every pair sits near 2
+    theta0 = 2 * math.pi / 3
+    grids = {
+        m: [
+            SectorGrid(r_min=0.25, r_max=1.0, n_r=n, n_theta=n, theta0=theta0, m=m)
+            for n in (97, 193, 385)
+        ]
+        for m in (0, 1)
+    }
+    studies = [(0.05, 0), (1.0, 0), (0.6, 0), (neumann_exponent(ConeGeometry(theta0=theta0)), 1)]
+    orders = {
+        f"{alpha:.3f}/m{m}": residual_convergence(
+            SeparableSolution(alpha=alpha, m=m), grids[m]
+        ).pairwise_orders
+        for alpha, m in studies
+    }
+    ok = all(1.85 <= o <= 2.15 for pair in orders.values() for o in pair)
+    report(
+        "C13",
+        ok,
+        "pairwise orders on n = 97/193/385 in [1.85, 2.15]: "
+        + "; ".join(f"{k}: {', '.join(f'{o:.3f}' for o in v)}" for k, v in orders.items()),
+    )

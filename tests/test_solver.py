@@ -8,8 +8,15 @@ import pytest
 from obliquecone.errors import DegenerateFit, DomainError
 from obliquecone.exponent import SeparableSolution, critical_exponent, neumann_exponent
 from obliquecone.geometry import ConeGeometry, ObliqueBC
+from obliquecone import solver
 from obliquecone.grids import DiscreteField, SectorGrid
 from obliquecone.solver import (
+    ROW_DIRICHLET,
+    ROW_INTERIOR,
+    ROW_OBLIQUE,
+    MMatrixReport,
+    MMatrixViolation,
+    _assemble,
     check_m_matrix,
     fit_exponent,
     laplacian_residual,
@@ -19,12 +26,125 @@ from obliquecone.solver import (
 
 THETA0 = 2 * math.pi / 3
 
+#: Radial steps far larger than r near the inner edge: not monotone.
+RADIAL_STRESS = SectorGrid(
+    r_min=1e-6, r_max=1.0, n_r=8, n_theta=8, theta0=THETA0, grading=2.0
+)
+
 
 def annulus_grids(theta0, sizes=(25, 49, 97), m=0):
     return [
         SectorGrid(r_min=0.25, r_max=1.0, n_r=n, n_theta=n, theta0=theta0, m=m)
         for n in sizes
     ]
+
+
+def reference_assemble(grid, oblique_s):
+    """Node-by-node assembly of A = -L: the loop `_assemble` vectorises."""
+    import scipy.sparse as sp
+
+    nr, nt = grid.n_r, grid.n_theta
+    r, th = grid.r, grid.theta
+    ht = grid.h_theta
+    rows, cols, vals = [], [], []
+    kind = np.full(nr * nt, ROW_DIRICHLET, dtype=np.int8)
+
+    def add(k, k2, v):
+        rows.append(k)
+        cols.append(k2)
+        vals.append(v)
+
+    def angular_m1(j):
+        sj, cj = math.sin(th[j]), math.cos(th[j])
+        pairs = {}
+
+        def fold(col, w):
+            if col == 0:
+                fold(1, 4.0 * w / 3.0)
+                fold(2, -w / 3.0)
+                return
+            pairs[col] = pairs.get(col, 0.0) + w / math.sin(th[col])
+
+        fold(j - 1, sj / (ht * ht) - 3.0 * cj / (2.0 * ht))
+        fold(j, -2.0 * sj / (ht * ht) - 2.0 * sj)
+        fold(j + 1, sj / (ht * ht) + 3.0 * cj / (2.0 * ht))
+        return sorted(pairs.items())
+
+    for i in range(nr):
+        for j in range(nt):
+            k = grid.index(i, j)
+            if i == 0 or i == nr - 1 or (j == 0 and grid.m == 1):
+                add(k, k, 1.0)
+                continue
+            hm = r[i] - r[i - 1]
+            hp = r[i + 1] - r[i]
+            dm = -hp / (hm * (hm + hp))
+            d0 = (hp - hm) / (hm * hp)
+            dp = hm / (hp * (hm + hp))
+            if j == nt - 1:
+                if oblique_s is None:
+                    add(k, k, 1.0)
+                    continue
+                cr = math.cos(oblique_s - grid.theta0)
+                ct = math.sin(oblique_s - grid.theta0)
+                scale = -1.0 / ct
+                add(k, grid.index(i - 1, j), scale * cr * dm)
+                add(k, grid.index(i + 1, j), scale * cr * dp)
+                add(k, k, scale * (cr * d0 + ct * 3.0 / (2.0 * ht * r[i])))
+                add(k, grid.index(i, j - 1), scale * ct * (-4.0) / (2.0 * ht * r[i]))
+                add(k, grid.index(i, j - 2), scale * ct * 1.0 / (2.0 * ht * r[i]))
+                kind[k] = ROW_OBLIQUE
+                continue
+            kind[k] = ROW_INTERIOR
+            wm = 2.0 / (hm * (hm + hp)) + (2.0 / r[i]) * dm
+            w0 = -2.0 / (hm * hp) + (2.0 / r[i]) * d0
+            wp = 2.0 / (hp * (hm + hp)) + (2.0 / r[i]) * dp
+            inv_r2 = 1.0 / (r[i] * r[i])
+            add(k, grid.index(i - 1, j), -wm)
+            add(k, grid.index(i + 1, j), -wp)
+            diag = -w0
+            if grid.m == 0:
+                if j == 0:
+                    am, a0, ap = 0.0, -4.0 / (ht * ht), 4.0 / (ht * ht)
+                else:
+                    cot = math.cos(th[j]) / math.sin(th[j])
+                    am = 1.0 / (ht * ht) - cot / (2.0 * ht)
+                    a0 = -2.0 / (ht * ht)
+                    ap = 1.0 / (ht * ht) + cot / (2.0 * ht)
+                    add(k, grid.index(i, j - 1), -inv_r2 * am)
+                add(k, grid.index(i, j + 1), -inv_r2 * ap)
+                diag += -inv_r2 * a0
+            else:
+                for col, w in angular_m1(j):
+                    if col == j:
+                        diag += -inv_r2 * w
+                    else:
+                        add(k, grid.index(i, col), -inv_r2 * w)
+            add(k, k, diag)
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(nr * nt, nr * nt))
+    A.sum_duplicates()
+    return A, kind
+
+
+def reference_m_matrix(grid, A, kind):
+    """Row-by-row M-matrix check of (A, kind): the loop `check_m_matrix` vectorises."""
+    violations = []
+    n_interior = 0
+    for k in range(A.shape[0]):
+        if kind[k] != ROW_INTERIOR:
+            continue
+        n_interior += 1
+        row_cols = A.indices[A.indptr[k]:A.indptr[k + 1]]
+        row_vals = A.data[A.indptr[k]:A.indptr[k + 1]]
+        scale = np.abs(row_vals).max()
+        i, j = divmod(k, grid.n_theta)
+        for col, v in zip(row_cols, row_vals):
+            if col != k and v > 1e-14 * scale:
+                violations.append(MMatrixViolation(i, j, "positive_offdiagonal", float(v)))
+        row_sum = float(row_vals.sum())
+        if row_sum < -1e-12 * scale:
+            violations.append(MMatrixViolation(i, j, "negative_row_sum", row_sum))
+    return MMatrixReport(not violations, n_interior, tuple(violations))
 
 
 class TestSectorGrid:
@@ -203,7 +323,74 @@ class TestSolveDirichlet:
             solve_dirichlet(grid, {"r_min": 0.0, "r_max": 0.0}, oblique_s=THETA0 + 0.1)
 
 
+class TestAssembly:
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("oblique_s", [None, 1.2, -0.9])
+    @pytest.mark.parametrize("grading", [1.0, 1.05])
+    @pytest.mark.parametrize("shape", [(7, 6), (12, 9)])
+    def test_matches_reference_loop(self, m, oblique_s, grading, shape):
+        grid = SectorGrid(
+            r_min=0.05, r_max=1.0, n_r=shape[0], n_theta=shape[1], theta0=2.0,
+            grading=grading, m=m,
+        )
+        A, kind = _assemble(grid, oblique_s)
+        ref, ref_kind = reference_assemble(grid, oblique_s)
+        np.testing.assert_array_equal(A.indptr, ref.indptr)
+        np.testing.assert_array_equal(A.indices, ref.indices)
+        assert A.data.tobytes() == ref.data.tobytes()
+        np.testing.assert_array_equal(kind, ref_kind)
+
+    def test_residual_is_interior_rows_of_the_operator(self):
+        grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=12, n_theta=9, theta0=2.0, m=1)
+        sol = SeparableSolution(alpha=0.7, m=1)
+        field, _ = laplacian_residual(sol, grid)
+        A, kind = reference_assemble(grid, None)
+        U = np.outer(grid.r ** sol.alpha, sol.profile_array(grid.theta)).ravel()
+        expected = np.where(kind == ROW_INTERIOR, -(A @ U), 0.0)
+        np.testing.assert_array_equal(field.values.ravel(), expected)
+
+
 class TestMMatrix:
+    @pytest.mark.parametrize(
+        "grid,oblique_s",
+        [
+            (SectorGrid.default(THETA0, n_r=40, n_theta=32, m=0), None),
+            (SectorGrid.default(THETA0, n_r=40, n_theta=32, m=1), None),
+            (RADIAL_STRESS, None),
+            (SectorGrid(r_min=0.3, r_max=1.0, n_r=8, n_theta=10, theta0=3.05, m=1), None),
+            (RADIAL_STRESS, 1.9),
+        ],
+        ids=["default-m0", "default-m1", "radial-stress", "angular-stress",
+             "radial-stress-oblique"],
+    )
+    def test_report_matches_reference_loop(self, grid, oblique_s):
+        A, kind = _assemble(grid, oblique_s)
+        assert check_m_matrix(grid, oblique_s) == reference_m_matrix(grid, A, kind)
+
+    def test_row_sum_violation_follows_its_rows_offdiagonals(self, monkeypatch):
+        # no assembled row has a negative sum, so lower some diagonals of
+        # the radial stress matrix to interleave both kinds of violation
+        grid = RADIAL_STRESS
+        A, kind = _assemble(grid, None)
+        A = A.copy()
+        for k in np.flatnonzero(kind == ROW_INTERIOR)[::3]:
+            A[k, k] -= 3.0 * abs(A[k]).max()
+        monkeypatch.setattr(solver, "_assemble", lambda g, s: (A, kind))
+        report = check_m_matrix(grid)
+        ref = reference_m_matrix(grid, A, kind)
+        # np.add.reduceat adds a row's first entry to the sum of the others,
+        # ndarray.sum adds left to right: row sums may differ in the last bits
+        assert [(v.i, v.j, v.kind) for v in report.violations] == [
+            (v.i, v.j, v.kind) for v in ref.violations
+        ]
+        assert [v.value for v in report.violations] == pytest.approx(
+            [v.value for v in ref.violations], rel=1e-14, abs=0.0
+        )
+        kinds = [v.kind for v in report.violations]
+        assert "negative_row_sum" in kinds and "positive_offdiagonal" in kinds
+        first_sum = kinds.index("negative_row_sum")
+        assert kinds[first_sum + 1] == "positive_offdiagonal"
+
     def test_default_grids_pass(self):
         for m in (0, 1):
             grid = SectorGrid.default(THETA0, n_r=36, n_theta=28, m=m)
