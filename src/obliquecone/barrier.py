@@ -19,7 +19,7 @@ boundary; the functions below return that coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .errors import (
     InvalidTilt,
     NoAdmissibleTilt,
 )
-from .exponent import _bracketed_roots
+from .exponent import SeparableSolution, _bracketed_roots
 from .geometry import ConeGeometry, ObliqueBC
-from .legendre import legendre_dp_dz, legendre_p, legendre_p_many
+from .legendre import legendre_p, legendre_p_many
 
 #: Floor of the dyadic tilt search.
 TILT_FLOOR = 1e-6
@@ -46,36 +46,18 @@ BARRIER_CHECK_POINTS = 500
 
 
 @dataclass(frozen=True)
-class MillerBarrier:
-    """Barrier v_a = r^a F_a(theta) with F_a = P_a(cos .), certified on build."""
+class MillerBarrier(SeparableSolution):
+    """Barrier v_a = r^a F_a(theta), the m = 0 separable mode, certified on build.
 
-    alpha: float
+    F_a = P_a(cos .) is its profile; theta0 and c* = F_a(theta0) come from the
+    cone it was certified on.
+    """
+
+    m: int = field(default=0, init=False)
+    c: float = field(default=0.0, init=False)
+    d: float = field(default=1.0, init=False)
     theta0: float
     cstar: float
-
-    def profile(self, theta: float) -> float:
-        """F_a(theta) = P_a(cos theta)."""
-        return legendre_p(self.alpha, math.cos(theta))
-
-    def profile_deriv(self, theta: float) -> float:
-        """F_a'(theta) = -sin(theta) P_a'(cos theta); 0 at theta = 0."""
-        if theta == 0.0:
-            return 0.0
-        return -math.sin(theta) * legendre_dp_dz(self.alpha, math.cos(theta))
-
-    def value(self, r: float, theta: float) -> float:
-        return r ** self.alpha * self.profile(theta)
-
-    def gradient(self, r: float, theta: float) -> tuple[float, float]:
-        """(y1, y2)-gradient of v_a."""
-        a = self.alpha
-        f = self.profile(theta)
-        fp = self.profile_deriv(theta)
-        ct, st = math.cos(theta), math.sin(theta)
-        return (
-            r ** (a - 1.0) * (a * ct * f - st * fp),
-            r ** (a - 1.0) * (a * st * f + ct * fp),
-        )
 
 
 def alpha0(geom: ConeGeometry) -> float:
@@ -152,17 +134,14 @@ class RotatedCoefficients:
 
 
 def rotate_coefficients(
-    a0: np.ndarray,
-    bc: ObliqueBC,
-    b21: float = 1.0,
-    lam: float | None = None,
-    Lam: float | None = None,
+    a0: np.ndarray, bc: ObliqueBC, b21: float = 1.0
 ) -> RotatedCoefficients:
     """Rotate 2x2 plane coefficients into the (beta0, tau) frame.
 
     Computes atilde = J a0 J^T for J = [[beta1, beta2], [nu2, -nu1]].  Since
     both rows of J are unit vectors, the diagonal entries satisfy
-    lam <= a11~, a22~ <= Lam <= Lam / eps^2; the bracket is asserted.
+    lam <= a11~, a22~ <= Lam <= Lam / eps^2 for the extreme eigenvalues
+    lam, Lam of a0; the bracket is asserted.
     b21 defaults to 1, the reduced Laplacian in R^3.
 
     Raises InvalidOperator on a non-symmetric or indefinite a0 or a failed
@@ -176,8 +155,7 @@ def rotate_coefficients(
     eigs = np.linalg.eigvalsh(a0)
     if eigs.min() <= 0.0:
         raise InvalidOperator(f"plane coefficients not positive definite: {eigs}")
-    lam = float(eigs.min()) if lam is None else float(lam)
-    Lam = float(eigs.max()) if Lam is None else float(Lam)
+    lam, Lam = float(eigs.min()), float(eigs.max())
     if b21 <= 0.0:
         raise InvalidOperator(f"singular-term coefficient must be positive, got {b21}")
     b1, b2 = bc.beta0
@@ -195,11 +173,38 @@ def rotate_coefficients(
     return RotatedCoefficients(atilde=atilde, obliqueness=eps, b21=b21)
 
 
-def _m_coefficient(
+def m1_coefficient(
+    barrier: MillerBarrier, bc: ObliqueBC, rc: RotatedCoefficients
+) -> float:
+    """Coefficient c with M(0) v_a = c r^(a-1) on the lateral boundary.
+
+    Negative c certifies the untilted boundary inequality; that sign holds
+    for small degrees whenever beta1 and beta2 share a sign.
+    """
+    return m2_coefficient(barrier, bc, rc, 0.0)
+
+
+def m2_coefficient(
     barrier: MillerBarrier, bc: ObliqueBC, rc: RotatedCoefficients, tilt: float
 ) -> float:
+    """Coefficient of the tilted operator M(tilt) v_a, in units of r^(a-1).
+
+    Preconditions: tilt >= 0, nu1 + tilt nu2 > 0, and beta2 - tilt beta1
+    keeps the sign of beta2.  tilt = 0 is `m1_coefficient`.
+    """
+    if bc.beta0[1] == 0.0:
+        raise DegenerateBC("beta2 = 0: the boundary operator is degenerate")
+    if tilt < 0.0:
+        raise InvalidTilt(f"tilt must be nonnegative, got {tilt}")
     b1, b2 = bc.beta0
     n1, n2 = bc.nu
+    if tilt > 0.0:
+        if n1 + tilt * n2 <= 0.0:
+            raise InvalidTilt(f"nu1 + tilt nu2 = {n1 + tilt * n2} is not positive")
+        if (b2 - tilt * b1) * b2 <= 0.0:
+            raise InvalidTilt(
+                f"beta2 - tilt beta1 = {b2 - tilt * b1} changes the sign of beta2"
+            )
     t1, t2 = bc.tau
     eps = bc.obliqueness
     a = barrier.alpha
@@ -216,44 +221,6 @@ def _m_coefficient(
         - eps * fp
         - (1.0 / eps) * q * (b1 / rc.a11) * rc.b21 * f / math.sin(theta0)
     )
-
-
-def m1_coefficient(
-    barrier: MillerBarrier, bc: ObliqueBC, rc: RotatedCoefficients
-) -> float:
-    """Coefficient c with M(0) v_a = c r^(a-1) on the lateral boundary.
-
-    Negative c certifies the untilted boundary inequality; that sign holds
-    for small degrees whenever beta1 and beta2 share a sign.
-    """
-    if bc.beta0[1] == 0.0:
-        raise DegenerateBC("beta2 = 0: the boundary operator is degenerate")
-    return _m_coefficient(barrier, bc, rc, 0.0)
-
-
-def m2_coefficient(
-    barrier: MillerBarrier, bc: ObliqueBC, rc: RotatedCoefficients, tilt: float
-) -> float:
-    """Coefficient of the tilted operator M(tilt) v_a, in units of r^(a-1).
-
-    Preconditions: tilt >= 0, nu1 + tilt nu2 > 0, and beta2 - tilt beta1
-    keeps the sign of beta2.  tilt = 0 reduces to `m1_coefficient` exactly
-    (same code path).
-    """
-    if bc.beta0[1] == 0.0:
-        raise DegenerateBC("beta2 = 0: the boundary operator is degenerate")
-    if tilt < 0.0:
-        raise InvalidTilt(f"tilt must be nonnegative, got {tilt}")
-    b1, b2 = bc.beta0
-    n1, n2 = bc.nu
-    if tilt > 0.0:
-        if n1 + tilt * n2 <= 0.0:
-            raise InvalidTilt(f"nu1 + tilt nu2 = {n1 + tilt * n2} is not positive")
-        if (b2 - tilt * b1) * b2 <= 0.0:
-            raise InvalidTilt(
-                f"beta2 - tilt beta1 = {b2 - tilt * b1} changes the sign of beta2"
-            )
-    return _m_coefficient(barrier, bc, rc, tilt)
 
 
 def max_admissible_tilt(

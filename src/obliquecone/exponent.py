@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
-from .legendre import legendre_dp1_dz, legendre_p, legendre_p1, legendre_p_many
+from .legendre import (
+    legendre_dp1_dz,
+    legendre_dp_dz,
+    legendre_p,
+    legendre_p1,
+    legendre_p_many,
+)
 
 #: Lower edge of the exponent search window; excludes the trivial root a = 0.
 ALPHA_MIN = 1e-3
@@ -179,34 +185,15 @@ def critical_exponent(geom: ConeGeometry, bc: ObliqueBC) -> Optional[float]:
     return root
 
 
-def _neumann(geom: ConeGeometry, alpha, p=legendre_p):
-    """W(theta0, .) written out in terms of P at three degrees.
-
-    It is (P^1_a)'(z) at z = cos theta0 by the order-1 derivative identities;
-    `alpha` and `p` pair up as in `_angular_factors`.
-    """
-    z = geom.z0
-    p0, p1, p2 = p(alpha, z), p(alpha + 1.0, z), p(alpha + 2.0, z)
-    one_m_z2 = 1.0 - z * z
-    return (
-        alpha * (alpha + 2.0) * (z * p1 - p2) - (alpha + 1.0) ** 2 * z * (z * p0 - p1)
-    ) / one_m_z2 ** 1.5
-
-
 def neumann_mismatch(geom: ConeGeometry, alpha: float) -> float:
-    """W(theta0, a) = (P^1_a)'(cos theta0), via the order-1 derivative identity.
+    """W(theta0, a) = (P^1_a)'(cos theta0), from `legendre_dp1_dz`.
 
     Zero means the first non-axisymmetric separable mode satisfies the
     homogeneous Neumann condition on the lateral boundary.
     """
     if not (0.0 <= alpha <= 1.0 + 1e-12):
         raise DomainError(f"degree must lie in [0, 1], got {alpha}")
-    return _neumann(geom, alpha)
-
-
-def _neumann_profile(geom: ConeGeometry, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized W(theta0, .) over an array of degrees."""
-    return _neumann(geom, np.asarray(alphas, dtype=float), legendre_p_many)
+    return legendre_dp1_dz(alpha, geom.z0)
 
 
 def neumann_exponent(geom: ConeGeometry) -> float:
@@ -219,7 +206,7 @@ def neumann_exponent(geom: ConeGeometry) -> float:
     BracketError is raised when the scan finds no sign change.
     """
     alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
-    profile = _neumann_profile(geom, alphas)
+    profile = legendre_dp1_dz(alphas, geom.z0)
     roots = _bracketed_roots(
         lambda a: neumann_mismatch(geom, a), alphas, profile, ROOT_XTOL
     )
@@ -265,6 +252,20 @@ class SeparableSolution:
             return legendre_p(self.alpha, z)
         return legendre_p1(self.alpha, z)
 
+    def profile_deriv(self, theta: float) -> float:
+        """d/dtheta of the profile, -sin(theta) (P^m_a)'(cos theta).
+
+        Where cos(theta) rounds to 1 the derivative identities are singular;
+        there P_a'(1) = a(a+1)/2 gives the leading terms, -sin(theta) a(a+1)/2
+        for m = 0 and -a(a+1)/2 for m = 1.
+        """
+        z = math.cos(theta)
+        if z == 1.0:
+            half_slope = self.alpha * (self.alpha + 1.0) / 2.0
+            return -math.sin(theta) * half_slope if self.m == 0 else -half_slope
+        dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
+        return -math.sin(theta) * dz(self.alpha, z)
+
     def profile_array(self, thetas: np.ndarray) -> np.ndarray:
         return np.array([self.profile(float(t)) for t in np.asarray(thetas)])
 
@@ -274,10 +275,10 @@ def separable_eval(
 ) -> tuple[float, tuple[float, float]]:
     """Value and (y1, y2)-gradient of the separable solution at (r, theta[, phi]).
 
-    For m = 0 the gradient components are r^(a-1) U1(theta, a) and
-    r^(a-1) U2(theta, a); the second tends to 0 on the axis.  For m = 1 the
-    in-plane gradient of the profile is returned, scaled by the azimuthal
-    factor.
+    With F the profile, the gradient is the in-plane polar formula
+    r^(a-1) (a cos t F - sin t F', a sin t F + cos t F'), scaled by the
+    azimuthal factor.  For m = 0 it is r^(a-1) (U1(t, a), U2(t, a)); on the
+    axis F' takes its limit from `SeparableSolution.profile_deriv`.
     """
     r, theta = float(point[0]), float(point[1])
     phi = float(point[2]) if len(point) > 2 else 0.0
@@ -287,23 +288,12 @@ def separable_eval(
         raise DomainError(f"polar angle must lie in [0, {THETA0_MAX:.4f}), got {theta}")
     a = sol.alpha
     az = sol.azimuthal(phi)
-    if sol.m == 0:
-        value = r ** a * legendre_p(a, math.cos(theta))
-        if theta == 0.0:
-            # U1(0, a) = (2a+1) - (a+1) = a and U2 -> 0 on the axis
-            return value, (a * r ** (a - 1.0), 0.0)
-        return value, (r ** (a - 1.0) * u1(theta, a), r ** (a - 1.0) * u2(theta, a))
-    z = math.cos(theta)
-    g = legendre_p1(a, z)
-    value = r ** a * g * az
-    if theta == 0.0:
-        # d/dtheta of P^1_a(cos theta) at 0 equals -P_a'(1) = -a(a+1)/2
-        gp = -a * (a + 1.0) / 2.0
-        return 0.0, (0.0, r ** (a - 1.0) * gp * az)
-    gp = -math.sin(theta) * legendre_dp1_dz(a, z)
-    g1 = r ** (a - 1.0) * (a * math.cos(theta) * g - math.sin(theta) * gp) * az
-    g2 = r ** (a - 1.0) * (a * math.sin(theta) * g + math.cos(theta) * gp) * az
-    return value, (g1, g2)
+    f, fp = sol.profile(theta), sol.profile_deriv(theta)
+    ct, st = math.cos(theta), math.sin(theta)
+    return r ** a * f * az, (
+        r ** (a - 1.0) * (a * ct * f - st * fp) * az,
+        r ** (a - 1.0) * (a * st * f + ct * fp) * az,
+    )
 
 
 @dataclass(frozen=True, slots=True)

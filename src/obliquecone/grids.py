@@ -12,8 +12,8 @@ from .geometry import THETA0_MAX
 #: Default radial grading ratio of the vertex-clustered grid.
 DEFAULT_GRADING = 1.05
 
-#: Default inner-radius fraction of the vertex-clustered grid.
-DEFAULT_RMIN_FRACTION = 1e-3
+#: Inner radius of the vertex-clustered default grid on [r_min, 1].
+DEFAULT_R_MIN = 1e-3
 
 _FLOAT_FMT = "{:.17g}"
 
@@ -68,17 +68,12 @@ class SectorGrid:
 
     @classmethod
     def default(
-        cls,
-        theta0: float,
-        r_max: float = 1.0,
-        n_r: int = 64,
-        n_theta: int = 48,
-        m: int = 0,
+        cls, theta0: float, n_r: int = 64, n_theta: int = 48, m: int = 0
     ) -> "SectorGrid":
-        """Vertex-clustered default: r_min = 1e-3 r_max, grading 1.05."""
+        """Vertex-clustered default on [1e-3, 1], grading 1.05."""
         return cls(
-            r_min=DEFAULT_RMIN_FRACTION * r_max,
-            r_max=r_max,
+            r_min=DEFAULT_R_MIN,
+            r_max=1.0,
             n_r=n_r,
             n_theta=n_theta,
             theta0=theta0,

@@ -21,6 +21,14 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError
 
+#: Central-difference step of `samples_from_function`, relative to the
+#: distance to the vertex (its square root for second derivatives).
+FD_SCALE = 1e-6
+
+#: Geometric shells per decade of radius and rays of `sector_sample_points`.
+SHELLS_PER_DECADE = 6
+SAMPLE_RAYS = 7
+
 
 @dataclass(frozen=True)
 class HolderSpec:
@@ -79,18 +87,8 @@ class HolderSamples:
         return np.hypot(self.points[:, 0], self.points[:, 1])
 
     def derivative_magnitudes(self, order: int) -> np.ndarray:
-        """|D^j u| per sample: value, gradient 2-norm, Hessian Frobenius norm."""
-        if order == 0:
-            return np.abs(self.values)
-        if order == 1:
-            if self.gradients is None:
-                raise DomainError("gradient samples required for order 1")
-            return np.hypot(self.gradients[:, 0], self.gradients[:, 1])
-        if order == 2:
-            if self.hessians is None:
-                raise DomainError("hessian samples required for order 2")
-            return np.sqrt((self.hessians ** 2).sum(axis=(1, 2)))
-        raise DomainError(f"derivative order {order} not supported")
+        """|D^j u| per sample: the 2-norm of each `derivative_table` row."""
+        return np.sqrt((self.derivative_table(order) ** 2).sum(axis=1))
 
     def derivative_table(self, order: int) -> np.ndarray:
         """Flattened D^j u rows used for pairwise differences."""
@@ -111,7 +109,6 @@ def samples_from_function(
     fn: Callable[[float, float], float],
     points: np.ndarray,
     derivatives: int = 0,
-    fd_scale: float = 1e-6,
 ) -> HolderSamples:
     """Sample fn (and optionally FD derivatives) at the given (y1, y2) points.
 
@@ -124,13 +121,13 @@ def samples_from_function(
     if derivatives >= 1:
         grads = np.empty((len(pts), 2))
         for idx, p in enumerate(pts):
-            h = fd_scale * math.hypot(p[0], p[1])
+            h = FD_SCALE * math.hypot(p[0], p[1])
             grads[idx, 0] = (fn(p[0] + h, p[1]) - fn(p[0] - h, p[1])) / (2 * h)
             grads[idx, 1] = (fn(p[0], p[1] + h) - fn(p[0], p[1] - h)) / (2 * h)
     if derivatives >= 2:
         hess = np.empty((len(pts), 2, 2))
         for idx, p in enumerate(pts):
-            h = (fd_scale ** 0.5) * math.hypot(p[0], p[1])
+            h = (FD_SCALE ** 0.5) * math.hypot(p[0], p[1])
             f00 = fn(p[0], p[1])
             hess[idx, 0, 0] = (fn(p[0] + h, p[1]) - 2 * f00 + fn(p[0] - h, p[1])) / (h * h)
             hess[idx, 1, 1] = (fn(p[0], p[1] + h) - 2 * f00 + fn(p[0], p[1] - h)) / (h * h)
@@ -144,20 +141,14 @@ def samples_from_function(
     return HolderSamples(points=pts, values=vals, gradients=grads, hessians=hess)
 
 
-def sector_sample_points(
-    theta0: float,
-    r_min: float,
-    r_max: float = 1.0,
-    per_decade: int = 6,
-    n_theta: int = 7,
-) -> np.ndarray:
+def sector_sample_points(theta0: float, r_min: float, r_max: float = 1.0) -> np.ndarray:
     """Vertex-clustered (y1, y2) sample points: geometric shells times rays."""
     if not (0.0 < r_min < r_max):
         raise DomainError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-    n_shells = max(2, int(round(per_decade * math.log10(r_max / r_min))) + 1)
+    n_shells = max(2, int(round(SHELLS_PER_DECADE * math.log10(r_max / r_min))) + 1)
     radii = np.geomspace(r_min, r_max, n_shells)
-    thetas = np.linspace(0.0, theta0, n_theta)
-    pts = np.empty((n_shells * n_theta, 2))
+    thetas = np.linspace(0.0, theta0, SAMPLE_RAYS)
+    pts = np.empty((n_shells * SAMPLE_RAYS, 2))
     idx = 0
     for r in radii:
         for t in thetas:
@@ -174,8 +165,6 @@ def _pair_quotients(samples: HolderSamples, k: int, alpha: float, wexp: float) -
     diff = np.sqrt(((table[iu] - table[ju]) ** 2).sum(axis=1))
     d = samples.vertex_distances()
     dmin = np.minimum(d[iu], d[ju])
-    if wexp == 0.0:
-        return diff / sep ** alpha
     return dmin ** wexp * diff / sep ** alpha
 
 
@@ -198,7 +187,7 @@ def weighted_sup_norm(samples: HolderSamples, k: int, beta: float) -> float:
     for j in range(k + 1):
         wexp = max(j + beta, 0.0)
         mags = samples.derivative_magnitudes(j)
-        total += float((d ** wexp * mags).max() if wexp > 0.0 else mags.max())
+        total += float((d ** wexp * mags).max())
     return total
 
 

@@ -164,14 +164,25 @@ def legendre_p1(alpha: float, z: float) -> float:
     return -math.sqrt(1.0 - z * z) * legendre_dp_dz(alpha, z)
 
 
-def legendre_dp1_dz(alpha: float, z: float) -> float:
-    """d/dz of P^1_a via (P^1_a)'(z) = (-a P^1_{a+1}(z) + (a+1) z P^1_a(z))/(1-z^2)."""
+def legendre_dp1_dz(alpha, z: float):
+    """d/dz of P^1_a, written out in terms of P at the degrees a, a+1 and a+2.
+
+    It follows from P^1_a = -(1-z^2)^(1/2) P_a' and the derivative identity
+    of `legendre_dp_dz`.  `alpha` is a float, or an array of degrees, which
+    goes through `legendre_p_many`.  The identity is singular at z = 1, so
+    that point is rejected.
+    """
     if z == 1.0:
         raise DomainError("derivative identity is singular at z = 1")
-    _check_args(alpha, z)
+    if np.ndim(alpha) == 0:
+        p = legendre_p
+    else:
+        p, alpha = legendre_p_many, np.asarray(alpha, dtype=float)
+    p0, p1, p2 = p(alpha, z), p(alpha + 1.0, z), p(alpha + 2.0, z)
+    one_m_z2 = 1.0 - z * z
     return (
-        -alpha * legendre_p1(alpha + 1.0, z) + (alpha + 1.0) * z * legendre_p1(alpha, z)
-    ) / (1.0 - z * z)
+        alpha * (alpha + 2.0) * (z * p1 - p2) - (alpha + 1.0) ** 2 * z * (z * p0 - p1)
+    ) / one_m_z2 ** 1.5
 
 
 def legendre_dp_dalpha(alpha: float, z: float, h: float = DEGREE_STEP) -> float:

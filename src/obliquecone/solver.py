@@ -49,6 +49,11 @@ if TYPE_CHECKING:
 #: Target for the verified linear-solve residual: tol * ||rhs||_inf + tol.
 SOLVE_TOL = 1e-12
 
+#: Fewest samples `fit_exponent` fits, and the number of radii it samples a
+#: callable at.
+FIT_MIN_SAMPLES = 10
+FIT_SAMPLES = 32
+
 _EdgeData = Union[float, Sequence[float], Callable[[float, float], float]]
 
 
@@ -282,7 +287,8 @@ def solve_dirichlet(
         b[interior] = -_edge_values(rhs, rr[interior], tt[interior])
 
     node = np.arange(nr * nt).reshape(nr, nt)
-    edges = {"r_min": node[0], "r_max": node[-1], "cone": node[:, -1]}
+    # the radial edges come last, so the corner nodes take their data
+    edges = {"cone": node[:, -1], "r_min": node[0], "r_max": node[-1]}
     if oblique_s is not None:
         del edges["cone"]
     for name, k in edges.items():
@@ -398,15 +404,13 @@ def fit_exponent(
     source: Union[DiscreteField, Callable[[float, float], float]],
     theta: float,
     window: tuple[float, float],
-    min_samples: int = 10,
-    n_samples: int = 32,
 ) -> tuple[float, FitDiagnostics]:
     """Least-squares slope of log|u| against log r along the ray theta = const.
 
     For a DiscreteField the ray snaps to the nearest theta column and uses
     the grid's own radial nodes inside the window; for a callable,
-    `n_samples` geometrically spaced radii are used.  Raises DegenerateFit
-    when the window holds fewer than `min_samples` points, contains sign
+    FIT_SAMPLES geometrically spaced radii are used.  Raises DegenerateFit
+    when the window holds fewer than FIT_MIN_SAMPLES points, contains sign
     changes, or touches near-zero values.
     """
     r_lo, r_hi = window
@@ -418,11 +422,11 @@ def fit_exponent(
         rs = source.grid.r[mask]
         us = source.values[mask, jstar]
     else:
-        rs = np.geomspace(r_lo, r_hi, max(n_samples, min_samples))
+        rs = np.geomspace(r_lo, r_hi, FIT_SAMPLES)
         us = np.array([source(float(r), float(theta)) for r in rs])
-    if len(rs) < min_samples:
+    if len(rs) < FIT_MIN_SAMPLES:
         raise DegenerateFit(
-            f"window {window} holds {len(rs)} samples, need {min_samples}"
+            f"window {window} holds {len(rs)} samples, need {FIT_MIN_SAMPLES}"
         )
     umax = np.abs(us).max()
     if umax == 0.0 or np.abs(us).min() < 1e-13 * umax:

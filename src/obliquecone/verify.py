@@ -59,14 +59,29 @@ def _run(suite: str, name: str, fn: Callable[[], tuple[bool, str]]) -> CheckResu
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def admissible_grid(n_theta0: int = 20, n_s: int = 20) -> list[tuple[float, float]]:
+#: Rows of theta0 and columns of s in `admissible_grid`.
+ADMISSIBLE_GRID_SIZE = 20
+
+#: Central-difference step of the Cartesian FD oracles, relative to r.
+FD_STEP_SCALE = 1e-5
+
+
+def admissible_grid() -> list[tuple[float, float]]:
     """(theta0, s) grid spanning the validated admissible region."""
     pairs = []
-    for theta0 in np.linspace(0.25, 2.7, n_theta0):
+    for theta0 in np.linspace(0.25, 2.7, ADMISSIBLE_GRID_SIZE):
         lo, hi = -math.pi + theta0, theta0
-        for t in np.linspace(0.05, 0.95, n_s):
+        for t in np.linspace(0.05, 0.95, ADMISSIBLE_GRID_SIZE):
             pairs.append((float(theta0), float(lo + t * (hi - lo))))
     return pairs
+
+
+def _grids(theta0: float, m: int = 0) -> list[SectorGrid]:
+    """The refinement study's square grids on [0.25, 1] x [0, theta0]."""
+    return [
+        SectorGrid(r_min=0.25, r_max=1.0, n_r=n, n_theta=n, theta0=theta0, m=m)
+        for n in (25, 49, 97)
+    ]
 
 
 def _separable(p, alpha: float):
@@ -85,36 +100,34 @@ def _central_difference(u, y1: float, y2: float, d1: float, d2: float, h: float)
 
 
 def _fd_boundary_residual(
-    p, geom: ConeGeometry, direction, alpha: float, radii, step_scale: float
+    p, geom: ConeGeometry, direction, alpha: float, radii
 ) -> float:
     """max over radii of |direction . D u| / r^(a-1) at the lateral boundary
-    for u = r^a p(a, cos t), with central differences of step step_scale * r
+    for u = r^a p(a, cos t), with central differences of step FD_STEP_SCALE * r
     along the Cartesian axes."""
     u = _separable(p, alpha)
     d1, d2 = direction
     worst = 0.0
     for r in radii:
         y1, y2 = r * math.cos(geom.theta0), r * math.sin(geom.theta0)
-        h = step_scale * r
+        h = FD_STEP_SCALE * r
         g1 = _central_difference(u, y1, y2, 1.0, 0.0, h)
         g2 = _central_difference(u, y1, y2, 0.0, 1.0, h)
         worst = max(worst, abs(d1 * g1 + d2 * g2) / r ** (alpha - 1.0))
     return worst
 
 
-def fd_oblique_residual(
-    geom: ConeGeometry, s: float, alpha: float, radii, step_scale: float = 1e-5
-) -> float:
+def fd_oblique_residual(geom: ConeGeometry, s: float, alpha: float, radii) -> float:
     """max over radii of |beta0 . D u_a| / r^(a-1) at the lateral boundary,
     with central finite differences of u_a in Cartesian coordinates."""
     beta0 = (math.cos(s), math.sin(s))
-    return _fd_boundary_residual(legendre_p, geom, beta0, alpha, radii, step_scale)
+    return _fd_boundary_residual(legendre_p, geom, beta0, alpha, radii)
 
 
 def fd_neumann_residual(geom: ConeGeometry, alpha: float, radii) -> float:
     """max |nu . D profile| / r^(a-1) for the m = 1 mode r^a P^1_a(cos t)."""
     nu = (math.sin(geom.theta0), -math.cos(geom.theta0))
-    return _fd_boundary_residual(legendre_p1, geom, nu, alpha, radii, 1e-5)
+    return _fd_boundary_residual(legendre_p1, geom, nu, alpha, radii)
 
 
 #: Branches of (theta0, s) where a critical exponent is guaranteed.
@@ -213,7 +226,7 @@ def run_special_checks() -> list[CheckResult]:
         _run(suite, "integer_degree_polynomials", _check_integer_degrees),
         _run(suite, "three_term_recurrence", _check_recurrence),
         _run(suite, "dz_identity_vs_richardson", _check_dz_identity),
-        _run(suite, "series_vs_quadrature", _check_quadrature),
+        _run(suite, "kernel_vs_quadrature", _check_quadrature),
         _run(suite, "degree_derivative_identity", _check_degree_derivative_identity),
     ]
 
@@ -401,16 +414,23 @@ def run_exponent_checks() -> list[CheckResult]:
 
 _BARRIER_THETAS = (math.pi / 3.0, 2.0 * math.pi / 3.0, 3.0 * math.pi / 4.0)
 
+#: Oblique angles per quadrant of `barrier_regime_angles`.
+BARRIER_REGIME_COUNT = 10
 
-def barrier_regime_angles(theta0: float, count: int = 8) -> list[float]:
+
+def barrier_regime_angles(theta0: float) -> list[float]:
     """Oblique angles with cos(s) sin(s) > 0, kept at a margin from the
     quadrant edges where the untilted coefficient loses its sign for fixed
     degree."""
     q = min(theta0, math.pi / 2.0)
-    angles = [0.1 * q + t * 0.7 * q for t in np.linspace(0.0, 1.0, count)]
+    angles = [
+        0.1 * q + t * 0.7 * q for t in np.linspace(0.0, 1.0, BARRIER_REGIME_COUNT)
+    ]
     if theta0 < math.pi / 2.0:
         lo, hi = -math.pi + theta0, -math.pi / 2.0
-        angles += [lo + t * (hi - lo) for t in np.linspace(0.1, 0.9, count)]
+        angles += [
+            lo + t * (hi - lo) for t in np.linspace(0.1, 0.9, BARRIER_REGIME_COUNT)
+        ]
     return [float(s) for s in angles]
 
 
@@ -440,7 +460,7 @@ def _check_m1_sign_grid() -> tuple[bool, str]:
     for theta0 in np.linspace(0.35, 2.5, 20):
         geom = ConeGeometry(theta0=float(theta0))
         b = bar.build_barrier(geom, 0.05)
-        for s in barrier_regime_angles(float(theta0), count=10)[:20]:
+        for s in barrier_regime_angles(float(theta0)):
             bc = ObliqueBC.for_cone(geom, s)
             rc = bar.rotate_coefficients(np.eye(2), bc)
             val = bar.m1_coefficient(b, bc, rc)
@@ -514,11 +534,7 @@ def _check_tilt() -> tuple[bool, str]:
 def _check_barrier_harmonicity() -> tuple[bool, str]:
     geom = ConeGeometry(theta0=2.0 * math.pi / 3.0)
     sol = exp_mod.SeparableSolution(alpha=0.05, m=0)
-    grids = [
-        SectorGrid(r_min=0.25, r_max=1.0, n_r=n, n_theta=n, theta0=geom.theta0)
-        for n in (25, 49, 97)
-    ]
-    study = sol_mod.residual_convergence(sol, grids)
+    study = sol_mod.residual_convergence(sol, _grids(geom.theta0))
     order = study.observed_order
     return 1.7 <= order <= 2.3, f"observed order = {order:.3f}"
 
@@ -559,13 +575,6 @@ def run_barrier_checks() -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # solver suite
 # ---------------------------------------------------------------------------
-
-def _grids(theta0: float, sizes=(25, 49, 97), r_min: float = 0.25, m: int = 0):
-    return [
-        SectorGrid(r_min=r_min, r_max=1.0, n_r=n, n_theta=n, theta0=theta0, m=m)
-        for n in sizes
-    ]
-
 
 def _check_residual_orders() -> tuple[bool, str]:
     theta0 = 2.0 * math.pi / 3.0

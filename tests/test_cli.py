@@ -11,6 +11,165 @@ from obliquecone.geometry import ConeGeometry
 from obliquecone.verify import CheckResult
 
 
+#: Stdout of `barrier-check` and `exponent --neumann`, byte for byte: the
+#: barrier's c*, m1 and m2 and the Neumann root and mismatch must not move.
+STDOUT_PINS = {
+    'barrier-check --theta0 1.0471975511965976 --s 0.5': (
+        'theta0: 1.0471975511965976\n'
+        's: 0.5\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 1\n'
+        'cstar: 0.98495180842281249\n'
+        'm1_coefficient: -3.4964695239668089\n'
+        'tilt: 0.5\n'
+        'm2_coefficient: -29.771149244024983\n'
+    ),
+    'barrier-check --theta0 1.0471975511965976 --s 0.5 --json': (
+        '{"schema_version": 1, "theta0": 1.0471975511965976, "s": 0.5, '
+        '"alpha": 0.05, "alpha0": 1.0, "cstar": 0.9849518084228125, '
+        '"m1_coefficient": -3.496469523966809, "tilt": 0.5, '
+        '"m2_coefficient": -29.771149244024983}\n'
+    ),
+    'barrier-check --theta0 1.0471975511965976 --s 0.5 --tilt 0.01': (
+        'theta0: 1.0471975511965976\n'
+        's: 0.5\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 1\n'
+        'cstar: 0.98495180842281249\n'
+        'm1_coefficient: -3.4964695239668089\n'
+        'tilt: 0.01\n'
+        'm2_coefficient: -3.5418388114090957\n'
+    ),
+    'barrier-check --theta0 1.0471975511965976 --s 0.5 --tilt 0.01 --json': (
+        '{"schema_version": 1, "theta0": 1.0471975511965976, "s": 0.5, '
+        '"alpha": 0.05, "alpha0": 1.0, "cstar": 0.9849518084228125, '
+        '"m1_coefficient": -3.496469523966809, "tilt": 0.01, '
+        '"m2_coefficient": -3.5418388114090957}\n'
+    ),
+    'barrier-check --theta0 2.0943951023931953 --s 0.5': (
+        'theta0: 2.0943951023931953\n'
+        's: 0.5\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 0.60150930939653746\n'
+        'cstar: 0.92833619839577786\n'
+        'm1_coefficient: -1.6963586288452799\n'
+        'tilt: 0.5\n'
+        'm2_coefficient: -27.031907943771238\n'
+    ),
+    'barrier-check --theta0 2.0943951023931953 --s 0.5 --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "s": 0.5, '
+        '"alpha": 0.05, "alpha0": 0.6015093093965375, '
+        '"cstar": 0.9283361983957779, "m1_coefficient": -1.6963586288452799, '
+        '"tilt": 0.5, "m2_coefficient": -27.031907943771238}\n'
+    ),
+    'barrier-check --theta0 2.0943951023931953 --s 0.5 --tilt 0.01': (
+        'theta0: 2.0943951023931953\n'
+        's: 0.5\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 0.60150930939653746\n'
+        'cstar: 0.92833619839577786\n'
+        'm1_coefficient: -1.6963586288452799\n'
+        'tilt: 0.01\n'
+        'm2_coefficient: -1.7401062912953611\n'
+    ),
+    'barrier-check --theta0 2.0943951023931953 --s 0.5 --tilt 0.01 --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "s": 0.5, '
+        '"alpha": 0.05, "alpha0": 0.6015093093965375, '
+        '"cstar": 0.9283361983957779, "m1_coefficient": -1.6963586288452799, '
+        '"tilt": 0.01, "m2_coefficient": -1.740106291295361}\n'
+    ),
+    'barrier-check --theta0 2.356194490192345 --s 0.5': (
+        'theta0: 2.3561944901923448\n'
+        's: 0.5\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 0.46309856175337261\n'
+        'cstar: 0.90114460121066708\n'
+        'm1_coefficient: -1.6808221418483371\n'
+        'tilt: 0.5\n'
+        'm2_coefficient: -31.495242120369689\n'
+    ),
+    'barrier-check --theta0 2.356194490192345 --s 0.5 --json': (
+        '{"schema_version": 1, "theta0": 2.356194490192345, "s": 0.5, '
+        '"alpha": 0.05, "alpha0": 0.4630985617533726, '
+        '"cstar": 0.9011446012106671, "m1_coefficient": -1.6808221418483371, '
+        '"tilt": 0.5, "m2_coefficient": -31.49524212036969}\n'
+    ),
+    'barrier-check --theta0 2.356194490192345 --s 0.5 --tilt 0.01': (
+        'theta0: 2.3561944901923448\n'
+        's: 0.5\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 0.46309856175337261\n'
+        'cstar: 0.90114460121066708\n'
+        'm1_coefficient: -1.6808221418483371\n'
+        'tilt: 0.01\n'
+        'm2_coefficient: -1.7323036062978532\n'
+    ),
+    'barrier-check --theta0 2.356194490192345 --s 0.5 --tilt 0.01 --json': (
+        '{"schema_version": 1, "theta0": 2.356194490192345, "s": 0.5, '
+        '"alpha": 0.05, "alpha0": 0.4630985617533726, '
+        '"cstar": 0.9011446012106671, "m1_coefficient": -1.6808221418483371, '
+        '"tilt": 0.01, "m2_coefficient": -1.7323036062978532}\n'
+    ),
+    'exponent --theta0 2.0944 --neumann': (
+        'theta0: 2.0943999999999998\n'
+        'mode: 1\n'
+        'exponent: 0.85631285351565434\n'
+        'mismatch_at_root: 1.9879329561470965e-13\n'
+    ),
+    'exponent --theta0 2.0944 --neumann --json': (
+        '{"schema_version": 1, "theta0": 2.0944, "mode": 1, '
+        '"exponent": 0.8563128535156543, '
+        '"mismatch_at_root": 1.9879329561470965e-13}\n'
+    ),
+    'exponent --theta0 3.08 --neumann': (
+        'theta0: 3.0800000000000001\n'
+        'mode: 1\n'
+        'exponent: 0.99809675929312736\n'
+        'mismatch_at_root: 1.3600957586414353e-09\n'
+    ),
+    'exponent --theta0 3.08 --neumann --json': (
+        '{"schema_version": 1, "theta0": 3.08, "mode": 1, '
+        '"exponent": 0.9980967592931274, '
+        '"mismatch_at_root": 1.3600957586414353e-09}\n'
+    ),
+}
+
+#: Every check `verify --suite all` runs, in the order it prints them.
+VERIFY_IDS = (
+    "special.value_at_one",
+    "special.integer_degree_polynomials",
+    "special.three_term_recurrence",
+    "special.dz_identity_vs_richardson",
+    "special.kernel_vs_quadrature",
+    "special.degree_derivative_identity",
+    "exponent.endpoint_identities",
+    "exponent.slope_fd_matches_closed_form",
+    "exponent.critical_angle_closed_form",
+    "exponent.roots_in_guaranteed_branches",
+    "exponent.no_root_in_barrier_regime",
+    "exponent.gradient_consistency",
+    "exponent.neumann_identities",
+    "exponent.neumann_roots",
+    "exponent.classification",
+    "exponent.axisymmetric_reduction",
+    "barrier.invariants_certified",
+    "barrier.profile_limit_small_degree",
+    "barrier.untilted_coefficient_negative",
+    "barrier.closed_form_vs_directional_fd",
+    "barrier.tilt_collapse_and_search",
+    "barrier.barrier_harmonicity_order",
+    "barrier.coefficient_rotation",
+    "solver.residual_convergence_orders",
+    "solver.m_matrix_default_grids",
+    "solver.m_matrix_stress_grid",
+    "solver.dirichlet_constant_exact",
+    "solver.discrete_comparison_minimum",
+    "solver.oblique_solve_order",
+    "solver.fit_exponent_recovery",
+    "solver.holder_estimator_checks",
+)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -288,7 +447,22 @@ class TestPhaseMap:
         assert code == 2
 
 
+class TestStdoutPins:
+    @pytest.mark.parametrize("argv", sorted(STDOUT_PINS))
+    def test_stdout_bytes(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert code == 0
+        assert out == STDOUT_PINS[argv]
+
+
 class TestVerifyCommand:
+    def test_all_suites_print_the_pinned_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == f"{len(VERIFY_IDS)}/{len(VERIFY_IDS)} checks passed"
+        assert tuple(line.split()[1] for line in lines[:-1]) == VERIFY_IDS
+
     def test_special_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "special")
         assert code == 0

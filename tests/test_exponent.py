@@ -29,7 +29,12 @@ from obliquecone.exponent import (
     u2,
 )
 from obliquecone.geometry import ConeGeometry, ObliqueBC
-from obliquecone.legendre import legendre_p, legendre_p1, legendre_p_quadrature
+from obliquecone.legendre import (
+    legendre_dp1_dz,
+    legendre_p,
+    legendre_p1,
+    legendre_p_quadrature,
+)
 
 THETA_GRID = np.linspace(0.3, 2.7, 9)
 
@@ -284,6 +289,13 @@ class TestNeumann:
             closed = (1.0 - math.cos(theta0)) / math.sin(theta0) ** 3
             assert fd == pytest.approx(closed, abs=1e-4)
 
+    @pytest.mark.parametrize("theta0", [1.0, 2 * math.pi / 3, 3.08])
+    def test_mismatch_is_the_p1_derivative(self, theta0):
+        geom = ConeGeometry(theta0=theta0)
+        for alpha in np.linspace(0.0, 1.0, 11):
+            alpha = float(alpha)
+            assert neumann_mismatch(geom, alpha) == legendre_dp1_dz(alpha, geom.z0)
+
     def test_half_space_exponent_is_one(self):
         geom = ConeGeometry(theta0=math.pi / 2)
         assert neumann_exponent(geom) == pytest.approx(1.0, abs=1e-8)
@@ -333,6 +345,36 @@ class TestSeparableEval:
             assert value == pytest.approx(r * math.cos(theta), abs=1e-14)
             assert grad[0] == pytest.approx(1.0, abs=1e-12)
             assert grad[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_m0_gradient_is_the_angular_factors(self):
+        for alpha in np.linspace(0.05, 1.0, 9):
+            alpha = float(alpha)
+            sol = SeparableSolution(alpha=alpha, m=0)
+            for r in (0.5, 1.0, 2.0):
+                for theta in np.linspace(0.05, 3.09, 25):
+                    theta = float(theta)
+                    _, grad = separable_eval(sol, (r, theta))
+                    scaled = r ** (alpha - 1.0)
+                    for got, u in zip(
+                        grad, (scaled * u1(theta, alpha), scaled * u2(theta, alpha))
+                    ):
+                        assert abs(got - u) <= 1e-12 * max(1.0, abs(u))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_profile_deriv_matches_finite_differences(self, m):
+        sol = SeparableSolution(alpha=0.7, m=m)
+        h = 1e-5
+        for theta in (0.3, 1.2, 2.5):
+            fd = (sol.profile(theta + h) - sol.profile(theta - h)) / (2 * h)
+            assert sol.profile_deriv(theta) == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-9])
+    def test_profile_deriv_on_the_axis(self, theta):
+        # cos(1e-9) rounds to 1, where the derivative identities are singular
+        slope = SeparableSolution(alpha=0.7, m=0).profile_deriv(theta)
+        assert slope == pytest.approx(-theta * 0.7 * 1.7 / 2, abs=1e-20)
+        slope = SeparableSolution(alpha=0.7, m=1).profile_deriv(theta)
+        assert slope == pytest.approx(-0.7 * 1.7 / 2, abs=1e-15)
 
     def test_axis_gradient_component_vanishes(self):
         sol = SeparableSolution(alpha=0.6, m=0)

@@ -16,6 +16,7 @@ from obliquecone.errors import DomainError
 from obliquecone.geometry import THETA0_MAX
 from obliquecone.legendre import (
     DEGREE_MAX,
+    legendre_dp1_dz,
     legendre_dp_dalpha,
     legendre_dp_dz,
     legendre_p,
@@ -190,6 +191,34 @@ class TestDerivatives:
     def test_p1_vanishes_at_one_by_continuity(self):
         assert legendre_p1(0.7, 1.0) == 0.0
         assert legendre_p1(0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.85, 1.0])
+    def test_dp1_dz_matches_mpmath(self, alpha):
+        # mpmath's own P^1 in the order-1 identity (DLMF 14.10.5)
+        # (1 - z^2) (P^1_a)' = (a + 1) z P^1_a - a P^1_{a+1}, at 30 digits
+        for theta in np.linspace(0.01, 3.09, 12):
+            z = math.cos(float(theta))
+            with mpmath.workdps(30):
+                x = mpmath.mpf(z)
+                want = float(
+                    (
+                        (alpha + 1) * x * mpmath.legenp(alpha, 1, x, type=2)
+                        - alpha * mpmath.legenp(alpha + 1, 1, x, type=2)
+                    )
+                    / (1 - x * x)
+                )
+            got = legendre_dp1_dz(alpha, z)
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_dp1_dz_array_matches_scalar(self):
+        alphas = np.linspace(0.05, 1.0, 9)
+        for z in (-0.95, 0.3):
+            got = legendre_dp1_dz(alphas, z)
+            assert got.tolist() == [legendre_dp1_dz(float(a), z) for a in alphas]
+
+    def test_dp1_dz_rejects_argument_one(self):
+        with pytest.raises(DomainError):
+            legendre_dp1_dz(0.5, 1.0)
 
 
 class TestDegreeDerivative:

@@ -243,6 +243,13 @@ class TestSolveDirichlet:
         field = solve_dirichlet(grid, {"r_min": 2.0, "r_max": 2.0, "cone": 2.0})
         assert np.abs(field.values - 2.0).max() <= 1e-10
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_corner_nodes_take_the_radial_data(self, m):
+        grid = SectorGrid(r_min=0.5, r_max=1.0, n_r=5, n_theta=5, theta0=THETA0, m=m)
+        field = solve_dirichlet(grid, {"r_min": 1.0, "r_max": 2.0, "cone": 7.0})
+        cone = field.values[:, -1]
+        np.testing.assert_allclose(cone, [1.0, 7.0, 7.0, 7.0, 2.0], rtol=0.0, atol=1e-12)
+
     def test_manufactured_quadratic_with_source(self):
         # u = r^2 solves L u = 6 exactly for the discrete operator too:
         # 3-point stencils are exact on quadratics and the angular part
