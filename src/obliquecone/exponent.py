@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError
 from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
@@ -44,6 +45,10 @@ ROOT_XTOL = 1e-12
 
 #: |W(theta0, 1)| at or below this counts as the endpoint root a = 1.
 NEUMANN_ENDPOINT_TOL = 1e-12
+
+#: Polar angle below which the m = 1 profile derivative comes from the
+#: hypergeometric form of P^1_a, at argument sin^2(theta/2) <= 0.23.
+M1_AXIS_CUTOFF = 1.0
 
 # Regime labels
 REGULAR_BARRIER = "REGULAR_BARRIER"
@@ -255,16 +260,25 @@ class SeparableSolution:
     def profile_deriv(self, theta: float) -> float:
         """d/dtheta of the profile, -sin(theta) (P^m_a)'(cos theta).
 
-        Where cos(theta) rounds to 1 the derivative identities are singular;
-        there P_a'(1) = a(a+1)/2 gives the leading terms, -sin(theta) a(a+1)/2
-        for m = 0 and -a(a+1)/2 for m = 1.
+        The identity of `legendre_dp1_dz` cancels as cos(theta) -> 1, so for
+        m = 1 below M1_AXIS_CUTOFF the derivative is that of
+        P^1_a(cos t) = -sin(t) a(a+1)/2 F(1-a, a+2; 2; sin^2(t/2)).  For
+        m = 0, where cos(theta) rounds to 1 the identity is singular and
+        P_a'(1) = a(a+1)/2 gives the leading term -sin(theta) a(a+1)/2.
         """
+        a = self.alpha
+        if self.m == 1 and theta < M1_AXIS_CUTOFF:
+            x = math.sin(0.5 * theta) ** 2
+            st = math.sin(theta)
+            return -0.5 * a * (a + 1.0) * float(
+                math.cos(theta) * hyp2f1(1.0 - a, a + 2.0, 2.0, x)
+                + 0.25 * st * st * (1.0 - a) * (a + 2.0) * hyp2f1(2.0 - a, a + 3.0, 3.0, x)
+            )
         z = math.cos(theta)
         if z == 1.0:
-            half_slope = self.alpha * (self.alpha + 1.0) / 2.0
-            return -math.sin(theta) * half_slope if self.m == 0 else -half_slope
+            return -math.sin(theta) * (a * (a + 1.0) / 2.0)
         dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
-        return -math.sin(theta) * dz(self.alpha, z)
+        return -math.sin(theta) * dz(a, z)
 
     def profile_array(self, thetas: np.ndarray) -> np.ndarray:
         return np.array([self.profile(float(t)) for t in np.asarray(thetas)])

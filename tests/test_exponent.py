@@ -6,6 +6,7 @@ of the analytic code paths they validate.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from obliquecone.errors import BracketError, DomainError
 from obliquecone.exponent import (
     AXIS_CONTINUOUS,
     IRREGULAR,
+    M1_AXIS_CUTOFF,
     REGULAR_BARRIER,
     UNKNOWN,
     SeparableSolution,
@@ -367,6 +369,23 @@ class TestSeparableEval:
         for theta in (0.3, 1.2, 2.5):
             fd = (sol.profile(theta + h) - sol.profile(theta - h)) / (2 * h)
             assert sol.profile_deriv(theta) == pytest.approx(fd, rel=1e-8)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_m1_profile_deriv_matches_mpmath(self, alpha):
+        # d/dt P^1_a(cos t) differentiated by mpmath at 30 digits; the last
+        # two angles sit on either side of the cutoff
+        below = math.nextafter(M1_AXIS_CUTOFF, 0.0)
+        sol = SeparableSolution(alpha=alpha, m=1)
+        for theta in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, below, M1_AXIS_CUTOFF):
+            with mpmath.workdps(30):
+                want = float(
+                    mpmath.diff(
+                        lambda t: mpmath.legenp(alpha, 1, mpmath.cos(t), type=2),
+                        mpmath.mpf(theta),
+                    )
+                )
+            got = sol.profile_deriv(theta)
+            assert abs(got - want) <= 1e-12 * abs(want), (theta, got, want)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-9])
     def test_profile_deriv_on_the_axis(self, theta):

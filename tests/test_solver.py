@@ -1,11 +1,16 @@
 """Finite-difference harness: grids, residuals, solves, fits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from obliquecone.errors import DegenerateFit, DomainError
+import obliquecone
+from obliquecone.errors import DegenerateFit, DomainError, SingularSystem
 from obliquecone.exponent import SeparableSolution, critical_exponent, neumann_exponent
 from obliquecone.geometry import ConeGeometry, ObliqueBC
 from obliquecone import solver
@@ -14,6 +19,7 @@ from obliquecone.solver import (
     ROW_DIRICHLET,
     ROW_INTERIOR,
     ROW_OBLIQUE,
+    SOLVE_TOL,
     MMatrixReport,
     MMatrixViolation,
     _assemble,
@@ -124,6 +130,32 @@ def reference_assemble(grid, oblique_s):
     A = sp.csr_matrix((vals, (rows, cols)), shape=(nr * nt, nr * nt))
     A.sum_duplicates()
     return A, kind
+
+
+def reference_solve(grid, data, rhs, oblique_s):
+    """Sparse LU solve of the row-equilibrated reference system.
+
+    Returns (u, A_eq, b_eq).  Rows are scaled to unit max magnitude, as in
+    `solve_dirichlet`; without it SuperLU loses 1e-6 relative at 129^2 and
+    1e-3 at 257^2 on `SectorGrid.default`.  Every Dirichlet node but the
+    m = 1 axis takes `data`.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    A, kind = reference_assemble(grid, oblique_s)
+    b = np.zeros(A.shape[0])
+    for i, r in enumerate(grid.r.tolist()):
+        for j, t in enumerate(grid.theta.tolist()):
+            k = grid.index(i, j)
+            if kind[k] == ROW_INTERIOR:
+                b[k] = -rhs(r, t)
+            elif kind[k] == ROW_DIRICHLET and (i in (0, grid.n_r - 1) or j > 0):
+                b[k] = data(r, t)
+    row_max = abs(A).max(axis=1).toarray().ravel()
+    A_eq = (sp.diags(1.0 / row_max) @ A).tocsc()
+    b_eq = b / row_max
+    return spla.spsolve(A_eq, b_eq), A_eq, b_eq
 
 
 def reference_m_matrix(grid, A, kind):
@@ -328,6 +360,109 @@ class TestSolveDirichlet:
         grid = SectorGrid.default(THETA0, n_r=12, n_theta=8)
         with pytest.raises(DomainError):
             solve_dirichlet(grid, {"r_min": 0.0, "r_max": 0.0}, oblique_s=THETA0 + 0.1)
+
+
+def _solver_grids():
+    for m in (0, 1):
+        for oblique_s in (None, 1.2, -0.9):
+            for grading in (1.0, 1.05):
+                for shape in ((7, 6), (12, 9)):
+                    grid = SectorGrid(
+                        r_min=0.05, r_max=1.0, n_r=shape[0], n_theta=shape[1],
+                        theta0=2.0, grading=grading, m=m,
+                    )
+                    yield pytest.param(
+                        grid, oblique_s, id=f"m{m}-{oblique_s}-{grading}-{shape}"
+                    )
+    yield pytest.param(RADIAL_STRESS, None, id="radial-stress")
+    yield pytest.param(RADIAL_STRESS, 1.9, id="radial-stress-oblique")
+    yield pytest.param(
+        SectorGrid(r_min=0.3, r_max=1.0, n_r=8, n_theta=10, theta0=3.05, m=1), None,
+        id="angular-stress",
+    )
+    for m in (0, 1):
+        for oblique_s in (None, 1.2):
+            for shape in ((3, 7), (7, 3), (3, 3)):
+                grid = SectorGrid(
+                    r_min=0.3, r_max=1.0, n_r=shape[0], n_theta=shape[1],
+                    theta0=2.0, m=m,
+                )
+                yield pytest.param(grid, oblique_s, id=f"small-m{m}-{oblique_s}-{shape}")
+    yield pytest.param(
+        SectorGrid(r_min=0.05, r_max=1.0, n_r=129, n_theta=129, theta0=2.0, m=0), 1.8,
+        id="129-m0-oblique",
+    )
+    yield pytest.param(
+        SectorGrid.default(THETA0, n_r=129, n_theta=129, m=1), None,
+        id="129-m1-dirichlet",
+    )
+
+
+class TestTensorSolve:
+    @pytest.mark.parametrize("grid,oblique_s", list(_solver_grids()))
+    def test_matches_sparse_lu(self, grid, oblique_s):
+        data = lambda r, t: math.cos(2.0 * r) + t * r
+        rhs = lambda r, t: r * math.sin(t) - 1.0
+        edges = {"r_min": data, "r_max": data}
+        if oblique_s is None:
+            edges["cone"] = data
+        u = solve_dirichlet(grid, edges, rhs=rhs, oblique_s=oblique_s).values.ravel()
+        ref, A_eq, b_eq = reference_solve(grid, data, rhs, oblique_s)
+        assert np.abs(u - ref).max() <= 1e-11 * np.abs(ref).max()
+        # the refinement certificate, against the reference system
+        resid = np.abs(b_eq - A_eq @ u).max()
+        assert resid <= SOLVE_TOL * np.abs(b_eq).max() + SOLVE_TOL
+
+    def test_refinement_failure_names_stage_and_grid(self, monkeypatch):
+        monkeypatch.setattr(solver, "SOLVE_TOL", 0.0)
+        grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=12, n_theta=9, theta0=2.0)
+        with pytest.raises(SingularSystem) as err:
+            solve_dirichlet(grid, {"r_min": 1.0, "r_max": 2.0}, oblique_s=1.2)
+        assert str(err.value).startswith("refinement failed: linear-solve residual")
+        assert str(err.value).endswith(
+            "grid (n_r, n_theta, m, theta0, oblique_s) = (12, 9, 0, 2.0, 1.2)"
+        )
+
+    def test_zero_eigenvalue_sum_names_the_eigendecomposition(self, monkeypatch):
+        def zero_spectrum(diag, sub, sup):
+            eye = np.eye(len(diag))
+            return np.zeros(len(diag)), eye, eye
+
+        monkeypatch.setattr(solver, "_eigen", zero_spectrum)
+        grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=7, n_theta=6, theta0=2.0, m=1)
+        with pytest.raises(SingularSystem, match="^eigendecomposition failed") as err:
+            solve_dirichlet(grid, {"r_min": 1.0, "r_max": 2.0, "cone": 0.0})
+        assert "(7, 6, 1, 2.0, None)" in str(err.value)
+
+    def test_singular_schur_complement_names_its_stage(self, monkeypatch):
+        # the assembly gets the true oblique weights, the solver zeros, so
+        # the Schur complement in the cone values is the zero matrix
+        weights = solver._oblique_weights
+        calls = []
+
+        def zero_after_assembly(grid, s, first):
+            calls.append(s)
+            w = weights(grid, s, first)
+            return w if len(calls) == 1 else tuple(0.0 * x for x in w)
+
+        monkeypatch.setattr(solver, "_oblique_weights", zero_after_assembly)
+        grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=7, n_theta=6, theta0=2.0)
+        with pytest.raises(SingularSystem, match="^cone Schur complement failed") as err:
+            solve_dirichlet(grid, {"r_min": 1.0, "r_max": 2.0}, oblique_s=1.2)
+        assert "(7, 6, 0, 2.0, 1.2)" in str(err.value)
+
+    def test_import_loads_no_sparse_or_dense_linear_algebra(self):
+        src = str(Path(obliquecone.__file__).resolve().parents[1])
+        code = (
+            "import sys, obliquecone; print(' '.join(m for m in "
+            "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert out.stdout.strip() == ""
 
 
 class TestAssembly:
