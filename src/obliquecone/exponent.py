@@ -46,8 +46,8 @@ ROOT_XTOL = 1e-12
 #: |W(theta0, 1)| at or below this counts as the endpoint root a = 1.
 NEUMANN_ENDPOINT_TOL = 1e-12
 
-#: Polar angle below which the m = 1 profile derivative comes from the
-#: hypergeometric form of P^1_a, at argument sin^2(theta/2) <= 0.23.
+#: Polar angle below which the profile derivative comes from the
+#: hypergeometric forms of P_a and P^1_a, at argument sin^2(theta/2) <= 0.23.
 M1_AXIS_CUTOFF = 1.0
 
 # Regime labels
@@ -260,23 +260,22 @@ class SeparableSolution:
     def profile_deriv(self, theta: float) -> float:
         """d/dtheta of the profile, -sin(theta) (P^m_a)'(cos theta).
 
-        The identity of `legendre_dp1_dz` cancels as cos(theta) -> 1, so for
-        m = 1 below M1_AXIS_CUTOFF the derivative is that of
-        P^1_a(cos t) = -sin(t) a(a+1)/2 F(1-a, a+2; 2; sin^2(t/2)).  For
-        m = 0, where cos(theta) rounds to 1 the identity is singular and
-        P_a'(1) = a(a+1)/2 gives the leading term -sin(theta) a(a+1)/2.
+        The identities of `legendre_dp_dz` and `legendre_dp1_dz` cancel as
+        cos(theta) -> 1, so below M1_AXIS_CUTOFF the derivative comes from
+        the hypergeometric forms P_a'(cos t) = a(a+1)/2 F(1-a, a+2; 2; x) and
+        P^1_a(cos t) = -sin(t) a(a+1)/2 F(1-a, a+2; 2; x), x = sin^2(t/2).
         """
         a = self.alpha
-        if self.m == 1 and theta < M1_AXIS_CUTOFF:
+        if theta < M1_AXIS_CUTOFF:
             x = math.sin(0.5 * theta) ** 2
             st = math.sin(theta)
+            if self.m == 0:
+                return -0.5 * a * (a + 1.0) * st * float(hyp2f1(1.0 - a, a + 2.0, 2.0, x))
             return -0.5 * a * (a + 1.0) * float(
                 math.cos(theta) * hyp2f1(1.0 - a, a + 2.0, 2.0, x)
                 + 0.25 * st * st * (1.0 - a) * (a + 2.0) * hyp2f1(2.0 - a, a + 3.0, 3.0, x)
             )
         z = math.cos(theta)
-        if z == 1.0:
-            return -math.sin(theta) * (a * (a + 1.0) / 2.0)
         dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
         return -math.sin(theta) * dz(a, z)
 

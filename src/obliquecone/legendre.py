@@ -12,10 +12,13 @@ through the compiled ufunc `scipy.special.hyp2f1`.  For z < Z_SWITCH that
 ufunc goes over to its 1 - x transformation, which loses up to four digits
 at degrees just below an integer, so there the non-integer degrees are
 summed from the connection formula around z = -1 (`_connection_series`)
-instead.  Both branches serve the scalar and the vectorised entry points
-alike.  The connection series sums a number of terms fixed in advance, so
-no accepted argument can fail to converge.  Degrees above DEGREE_MAX, where
-both branches lose accuracy for z < 0, are rejected.
+instead.  Each degree is evaluated on exactly one of the two branches, and
+both serve the scalar and the vectorised entry points alike: a scalar
+degree is summed in Python floats, an array in numpy, with the same
+operations in the same order, so both give the same bits.  The connection
+series sums a number of terms fixed in advance, so no accepted argument can
+fail to converge.  Degrees above DEGREE_MAX, where both branches lose
+accuracy for z < 0, are rejected.
 
 An independent quadrature oracle (`legendre_p_quadrature`) is provided for
 cross-validation only; nothing in the evaluation path depends on it.
@@ -82,36 +85,57 @@ def _connection_series(alpha, y: float):
     exact, so a degree close to an integer keeps its full accuracy.  For
     k >= a every ratio |t_{k+1} y / t_k| is at most y, so past the largest
     degree the terms shrink at least like y^k; y < 0.1 on this branch.
+
+    A scalar degree, passed with y as Python floats, is summed in Python
+    floats and an array elementwise in numpy; both run the same operations
+    in the same order, so a degree gets the same bits either way.
     """
-    n = np.round(alpha)
+    scalar = not isinstance(alpha, np.ndarray)
+    n = float(round(alpha)) if scalar else np.round(alpha)
     sign = 1.0 - 2.0 * (n % 2.0)
     sin_a = sign * np.sin(np.pi * (alpha - n)) / np.pi
     cos_a = sign * np.cos(np.pi * (alpha - n))
     # psi(k+1), psi(1+a-k) and psi(1+a+k), advanced by psi(w+1) = psi(w) + 1/w
     psi_k, psi_lo = psi(1.0), psi(1.0 + alpha)
+    if scalar:
+        sin_a, cos_a, psi_k, psi_lo = float(sin_a), float(cos_a), float(psi_k), float(psi_lo)
     psi_hi = psi_lo
     log_y = math.log(y)
     t, total = 1.0, 0.0
-    n_terms = math.ceil(max(float(np.max(alpha)), 0.0)) + math.ceil(_LOG_TAIL / log_y)
-    for k in range(n_terms):
+    top = alpha if scalar else float(np.max(alpha))
+    n_terms = math.ceil(max(top, 0.0)) + math.ceil(_LOG_TAIL / log_y)
+    # k counts in floats: int-float operands cost a third of the scalar sum
+    k = 0.0
+    for _ in range(n_terms):
+        k1 = k + 1.0
         total = total + t * (cos_a - sin_a * (2.0 * psi_k - psi_lo - psi_hi - log_y))
-        t = t * ((k - alpha) * (k + alpha + 1.0) / ((k + 1.0) * (k + 1.0)) * y)
-        psi_k = psi_k + 1.0 / (k + 1.0)
+        t = t * ((k - alpha) * (k + alpha + 1.0) / (k1 * k1) * y)
+        psi_k = psi_k + 1.0 / k1
         psi_lo = psi_lo + 1.0 / (k - alpha)
         psi_hi = psi_hi + 1.0 / (alpha + k + 1.0)
+        k = k1
     return total
 
 
 def _kernel(alpha, z: float):
-    """P_a(z) for a float or an array of degrees; arguments are not checked."""
-    p = hyp2f1(-alpha, alpha + 1.0, 1.0, 0.5 * (1.0 - z))
+    """P_a(z) for a float or an array of degrees; arguments are not checked.
+
+    Each degree is evaluated on exactly one branch.  At or above Z_SWITCH that
+    is hyp2f1; below it the integer degrees stay with hyp2f1, which sums
+    their terminating polynomial, and only the others go to the series.
+    """
+    x = 0.5 * (1.0 - z)
     if z >= Z_SWITCH:
-        return p
-    # integer degrees stay with hyp2f1, which sums their terminating polynomial
+        return hyp2f1(-alpha, alpha + 1.0, 1.0, x)
     y = 0.5 * (1.0 + z)
-    frac = abs(alpha - np.round(alpha)) > _INTEGER_TOL
-    if np.ndim(alpha) == 0:
-        return _connection_series(alpha, y) if frac else p
+    if not isinstance(alpha, np.ndarray):
+        if abs(alpha - round(alpha)) > _INTEGER_TOL:
+            return _connection_series(alpha, y)
+        return hyp2f1(-alpha, alpha + 1.0, 1.0, x)
+    frac = np.abs(alpha - np.round(alpha)) > _INTEGER_TOL
+    whole = alpha[~frac]
+    p = np.empty_like(alpha)
+    p[~frac] = hyp2f1(-whole, whole + 1.0, 1.0, x)
     if frac.any():
         p[frac] = _connection_series(alpha[frac], y)
     return p
@@ -123,7 +147,7 @@ def legendre_p(alpha: float, z: float) -> float:
     Raises DomainError outside the accepted domain.
     """
     _check_args(alpha, z)
-    return float(_kernel(alpha, z))
+    return float(_kernel(float(alpha), float(z)))
 
 
 def legendre_p_many(alphas: np.ndarray, z: float) -> np.ndarray:

@@ -370,22 +370,32 @@ class TestSeparableEval:
             fd = (sol.profile(theta + h) - sol.profile(theta - h)) / (2 * h)
             assert sol.profile_deriv(theta) == pytest.approx(fd, rel=1e-8)
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
-    def test_m1_profile_deriv_matches_mpmath(self, alpha):
-        # d/dt P^1_a(cos t) differentiated by mpmath at 30 digits; the last
+    @staticmethod
+    def assert_profile_deriv_matches_mpmath(alpha, m):
+        # d/dt P^m_a(cos t) differentiated by mpmath at 30 digits; the last
         # two angles sit on either side of the cutoff
         below = math.nextafter(M1_AXIS_CUTOFF, 0.0)
-        sol = SeparableSolution(alpha=alpha, m=1)
+        sol = SeparableSolution(alpha=alpha, m=m)
         for theta in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, below, M1_AXIS_CUTOFF):
             with mpmath.workdps(30):
                 want = float(
                     mpmath.diff(
-                        lambda t: mpmath.legenp(alpha, 1, mpmath.cos(t), type=2),
+                        lambda t: mpmath.legenp(alpha, m, mpmath.cos(t), type=2),
                         mpmath.mpf(theta),
                     )
                 )
             got = sol.profile_deriv(theta)
             assert abs(got - want) <= 1e-12 * abs(want), (theta, got, want)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_m1_profile_deriv_matches_mpmath(self, alpha):
+        self.assert_profile_deriv_matches_mpmath(alpha, 1)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0])
+    def test_m0_profile_deriv_matches_mpmath(self, alpha):
+        # the identity of legendre_dp_dz divides by 1 - z^2, which cancels
+        # near the axis
+        self.assert_profile_deriv_matches_mpmath(alpha, 0)
 
     @pytest.mark.parametrize("theta", [0.0, 1e-9])
     def test_profile_deriv_on_the_axis(self, theta):

@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obliquecone import legendre
 from obliquecone.errors import DomainError
 from obliquecone.geometry import THETA0_MAX
 from obliquecone.legendre import (
+    _INTEGER_TOL,
     DEGREE_MAX,
+    Z_SWITCH,
     legendre_dp1_dz,
     legendre_dp_dalpha,
     legendre_dp_dz,
@@ -155,6 +158,50 @@ def test_near_integer_degrees_match_mpmath(z, n, delta):
 def test_tiny_degrees(alpha):
     # P_a = 1 + O(a log(1 + z)) as a -> 0
     assert abs(legendre_p(alpha, -0.998) - 1.0) <= 1e-15
+
+
+# integers, degrees within 1e-19 of 0, degrees 1e-15 off an integer, the
+# domain ends -1 and DEGREE_MAX, and generic degrees
+MIXED_DEGREES = np.array(
+    [-1.0, 0.0, 1.0, 2.0, 3.0, DEGREE_MAX, 1e-19, -1e-19, 5e-20]
+    + [1.0 + 1e-15, 2.0 - 1e-15, 3.0 + 1e-15, -1.0 + 1e-15, 1e-15]
+    + [-0.5, 0.3, 0.7, 1.25, 2.999, 3.5]
+)
+BELOW_SWITCH = [-0.81, -0.95, -0.9985]
+
+
+class TestOneBranchPerDegree:
+    @pytest.mark.parametrize("z", [-0.79] + BELOW_SWITCH)
+    def test_vectorized_equals_scalar_bit_for_bit(self, z):
+        got = legendre_p_many(MIXED_DEGREES, z)
+        want = np.array([legendre_p(float(a), z) for a in MIXED_DEGREES])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("z", [-0.79] + BELOW_SWITCH)
+    def test_scalar_results_are_python_floats(self, z):
+        for a in MIXED_DEGREES:
+            got = legendre_p(float(a), z)
+            assert type(got) is float
+            from_numpy = legendre_p(np.float64(a), np.float64(z))
+            assert type(from_numpy) is float
+            assert np.float64(got).tobytes() == np.float64(from_numpy).tobytes()
+
+    @pytest.mark.parametrize("z", BELOW_SWITCH)
+    def test_hyp2f1_sees_only_integer_degrees_below_the_switch(self, monkeypatch, z):
+        assert z < Z_SWITCH
+        seen, real = [], legendre.hyp2f1
+
+        def spy(a, b, c, x):
+            seen.append(-np.asarray(a, dtype=float))
+            return real(a, b, c, x)
+
+        monkeypatch.setattr(legendre, "hyp2f1", spy)
+        legendre_p_many(MIXED_DEGREES, z)
+        for a in MIXED_DEGREES:
+            legendre_p(float(a), z)
+        degrees = np.concatenate([np.ravel(d) for d in seen])
+        assert degrees.size > 0
+        assert np.all(np.abs(degrees - np.round(degrees)) <= _INTEGER_TOL)
 
 
 class TestDerivatives:
