@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .exponent import SeparableSolution, _bracketed_roots
 from .geometry import ConeGeometry, ObliqueBC
-from .legendre import legendre_p, legendre_p_many
+from .legendre import legendre_p
 
 #: Floor of the dyadic tilt search.
 TILT_FLOOR = 1e-6
@@ -66,11 +67,9 @@ def alpha0(geom: ConeGeometry) -> float:
     P_0 = 1 > 0 and a -> P_a(cos theta0) is continuous, so the first zero is
     bracketed by a sign scan and pinned by bisection.
     """
-    z = geom.z0
+    p = partial(legendre_p, z=geom.z0)
     alphas = np.linspace(1e-6, 1.0, ALPHA0_SCAN_POINTS)
-    roots = _bracketed_roots(
-        lambda a: legendre_p(a, z), alphas, legendre_p_many(alphas, z), ALPHA0_XTOL
-    )
+    roots = _bracketed_roots(p, alphas, p(alphas), ALPHA0_XTOL)
     return roots[0] if roots else 1.0
 
 

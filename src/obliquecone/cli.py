@@ -21,7 +21,7 @@ from . import barrier as bar
 from . import exponent as exp_mod
 from .errors import ObliqueConeError
 from .geometry import ConeGeometry, ObliqueBC
-from .verify import run_suite
+from .verify import SUITE_NAMES, run_suite
 
 SCHEMA_VERSION = 1
 
@@ -32,6 +32,24 @@ def _fmt(x: float) -> str:
 
 def _radians(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
+
+
+def _emit(payload: dict, as_json: bool) -> int:
+    """Print a payload as one JSON line, or as `key: value` lines without the
+    schema version; a missing value prints as `absent`."""
+    if as_json:
+        print(json.dumps(payload))
+        return 0
+    for key, value in payload.items():
+        if key == "schema_version":
+            continue
+        if value is None:
+            print(f"{key}: absent")
+        elif isinstance(value, float):
+            print(f"{key}: {_fmt(value)}")
+        else:
+            print(f"{key}: {value}")
+    return 0
 
 
 def _witness_digest(witnesses) -> str:
@@ -195,19 +213,7 @@ def cmd_exponent(args: argparse.Namespace) -> int:
                 None if root is None else exp_mod.boundary_mismatch(geom, root, s)
             ),
         }
-    if args.json:
-        print(json.dumps(payload))
-        return 0
-    for key, value in payload.items():
-        if key == "schema_version":
-            continue
-        if value is None:
-            print(f"{key}: absent")
-        elif isinstance(value, float):
-            print(f"{key}: {_fmt(value)}")
-        else:
-            print(f"{key}: {value}")
-    return 0
+    return _emit(payload, args.json)
 
 
 def cmd_barrier_check(args: argparse.Namespace) -> int:
@@ -235,14 +241,7 @@ def cmd_barrier_check(args: argparse.Namespace) -> int:
         tilt = bar.max_admissible_tilt(bc, barrier, rc)
         payload["tilt"] = tilt
         payload["m2_coefficient"] = bar.m2_coefficient(barrier, bc, rc, tilt)
-    if args.json:
-        print(json.dumps(payload))
-        return 0
-    for key, value in payload.items():
-        if key == "schema_version":
-            continue
-        print(f"{key}: {_fmt(value) if isinstance(value, float) else value}")
-    return 0
+    return _emit(payload, args.json)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a module invariant suite")
     p.add_argument(
         "--suite",
-        choices=("special", "exponent", "barrier", "solver", "all"),
+        choices=(*SUITE_NAMES, "all"),
         default="all",
     )
     p.set_defaults(func=cmd_verify)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -26,13 +27,7 @@ from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError
 from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
-from .legendre import (
-    legendre_dp1_dz,
-    legendre_dp_dz,
-    legendre_p,
-    legendre_p1,
-    legendre_p_many,
-)
+from .legendre import legendre_dp1_dz, legendre_dp_dz, legendre_p, legendre_p1
 
 #: Lower edge of the exponent search window; excludes the trivial root a = 0.
 ALPHA_MIN = 1e-3
@@ -64,14 +59,13 @@ def _check_theta_alpha(theta: float, alpha: float) -> None:
         raise DomainError(f"degree must lie in [0, 2], got {alpha}")
 
 
-def _angular_factors(theta: float, alpha, p=legendre_p):
+def _angular_factors(theta: float, alpha):
     """(U1, U2) at polar angle theta from P_a and P_{a+1} at cos theta.
 
-    `alpha` is a float with p = legendre_p, or an array of degrees with
-    p = legendre_p_many; the formulas are the same for both.
+    `alpha` is a float or an array of degrees, as for `legendre_p`.
     """
     z, st = math.cos(theta), math.sin(theta)
-    p0, p1 = p(alpha, z), p(alpha + 1.0, z)
+    p0, p1 = legendre_p(alpha, z), legendre_p(alpha + 1.0, z)
     f1 = (2.0 * alpha + 1.0) * z * p0 - (alpha + 1.0) * p1
     f2 = st * (alpha - (alpha + 1.0) * z * z / (st * st)) * p0 + (alpha + 1.0) * (
         z / st
@@ -94,8 +88,9 @@ def u2(theta: float, alpha: float) -> float:
     return _angular_factors(theta, alpha)[1]
 
 
-def _mismatch(geom: ConeGeometry, s: float, alpha, p=legendre_p):
-    f1, f2 = _angular_factors(geom.theta0, alpha, p)
+def _mismatch(geom: ConeGeometry, s: float, alpha):
+    """B(theta0, ., s) at a float or an array of degrees, arguments unchecked."""
+    f1, f2 = _angular_factors(geom.theta0, alpha)
     return math.cos(s) * f1 + math.sin(s) * f2
 
 
@@ -106,11 +101,6 @@ def boundary_mismatch(geom: ConeGeometry, alpha: float, s: float) -> float:
     """
     _check_theta_alpha(geom.theta0, alpha)
     return _mismatch(geom, s, alpha)
-
-
-def _mismatch_profile(geom: ConeGeometry, s: float, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized B(theta0, ., s) over an array of degrees."""
-    return _mismatch(geom, s, np.asarray(alphas, dtype=float), legendre_p_many)
 
 
 def slope_at_zero(geom: ConeGeometry, s: float) -> float:
@@ -168,12 +158,8 @@ def critical_exponent_scan(
     a = 0 is excluded by ALPHA_MIN.
     """
     alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
-    roots = _bracketed_roots(
-        lambda a: boundary_mismatch(geom, a, bc.s),
-        alphas,
-        _mismatch_profile(geom, bc.s, alphas),
-        ROOT_XTOL,
-    )
+    mismatch = partial(_mismatch, geom, bc.s)
+    roots = _bracketed_roots(mismatch, alphas, mismatch(alphas), ROOT_XTOL)
     if not roots:
         return None, 0
     return roots[0], len(roots)
@@ -211,10 +197,9 @@ def neumann_exponent(geom: ConeGeometry) -> float:
     BracketError is raised when the scan finds no sign change.
     """
     alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
-    profile = legendre_dp1_dz(alphas, geom.z0)
-    roots = _bracketed_roots(
-        lambda a: neumann_mismatch(geom, a), alphas, profile, ROOT_XTOL
-    )
+    mismatch = partial(legendre_dp1_dz, z=geom.z0)
+    profile = mismatch(alphas)
+    roots = _bracketed_roots(mismatch, alphas, profile, ROOT_XTOL)
     if roots:
         return roots[0]
     if abs(profile[-1]) <= NEUMANN_ENDPOINT_TOL:

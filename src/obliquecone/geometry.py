@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidOperator
-from .legendre import Z_CUTOFF
 
 #: Largest admissible opening angle; cos(THETA0_MAX) stays above the Legendre
-#: kernel's argument cutoff -1 + Z_CUTOFF.
+#: kernel's argument cutoff -1 + Z_CUTOFF, so every admissible cone evaluates.
 THETA0_MAX = math.pi - 0.045
 
 
@@ -32,10 +31,6 @@ class ConeGeometry:
         if not (0.0 < self.theta0 < THETA0_MAX):
             raise DomainError(
                 f"opening angle must lie in (0, {THETA0_MAX:.4f}), got {self.theta0}"
-            )
-        if math.cos(self.theta0) < -1.0 + Z_CUTOFF:
-            raise DomainError(
-                f"cos(theta0) = {math.cos(self.theta0)} below the kernel cutoff"
             )
         if not self.R > 0.0:
             raise DomainError(f"outer radius must be positive, got {self.R}")
@@ -96,8 +91,7 @@ class ObliqueBC:
     @property
     def obliqueness(self) -> float:
         """eps = beta0 . nu = sin(theta0 - s)."""
-        b1, b2 = math.cos(self.s), math.sin(self.s)
-        n1, n2 = math.sin(self.theta0), -math.cos(self.theta0)
+        (b1, b2), (n1, n2) = self.beta0, self.nu
         return b1 * n1 + b2 * n2
 
 

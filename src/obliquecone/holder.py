@@ -48,10 +48,6 @@ class HolderSpec:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"exponent must lie in (0, 1], got {self.alpha}")
 
-    @property
-    def weight_exponent(self) -> float:
-        return max(self.k + self.alpha + self.beta, 0.0)
-
 
 @dataclass(frozen=True)
 class HolderSamples:

@@ -141,11 +141,15 @@ def _kernel(alpha, z: float):
     return p
 
 
-def legendre_p(alpha: float, z: float) -> float:
+def legendre_p(alpha: float | np.ndarray, z: float) -> float | np.ndarray:
     """Legendre function P_a(z), degree a in [-1, DEGREE_MAX], z in (-1+1e-3, 1].
 
-    Raises DomainError outside the accepted domain.
+    `alpha` is a float, or an ndarray of degrees, which goes through
+    `legendre_p_many`; so callers pass either and never choose between the
+    two.  Raises DomainError outside the accepted domain.
     """
+    if isinstance(alpha, np.ndarray):
+        return legendre_p_many(alpha, z)
     _check_args(alpha, z)
     return float(_kernel(float(alpha), float(z)))
 
@@ -170,7 +174,6 @@ def legendre_dp_dz(alpha: float, z: float) -> float:
     """
     if z == 1.0:
         raise DomainError("derivative identity is singular at z = 1")
-    _check_args(alpha, z)
     return (alpha + 1.0) * (z * legendre_p(alpha, z) - legendre_p(alpha + 1.0, z)) / (
         1.0 - z * z
     )
@@ -192,17 +195,14 @@ def legendre_dp1_dz(alpha, z: float):
     """d/dz of P^1_a, written out in terms of P at the degrees a, a+1 and a+2.
 
     It follows from P^1_a = -(1-z^2)^(1/2) P_a' and the derivative identity
-    of `legendre_dp_dz`.  `alpha` is a float, or an array of degrees, which
-    goes through `legendre_p_many`.  The identity is singular at z = 1, so
-    that point is rejected.
+    of `legendre_dp_dz`.  `alpha` is a float or an array of degrees, as for
+    `legendre_p`.  The identity is singular at z = 1, so that point is
+    rejected.
     """
     if z == 1.0:
         raise DomainError("derivative identity is singular at z = 1")
-    if np.ndim(alpha) == 0:
-        p = legendre_p
-    else:
-        p, alpha = legendre_p_many, np.asarray(alpha, dtype=float)
-    p0, p1, p2 = p(alpha, z), p(alpha + 1.0, z), p(alpha + 2.0, z)
+    p0 = legendre_p(alpha, z)
+    p1, p2 = legendre_p(alpha + 1.0, z), legendre_p(alpha + 2.0, z)
     one_m_z2 = 1.0 - z * z
     return (
         alpha * (alpha + 2.0) * (z * p1 - p2) - (alpha + 1.0) ** 2 * z * (z * p0 - p1)

@@ -219,18 +219,6 @@ def _check_degree_derivative_identity() -> tuple[bool, str]:
     return worst <= 1e-5, f"max degree-derivative identity residual = {worst:.3e}"
 
 
-def run_special_checks() -> list[CheckResult]:
-    suite = "special"
-    return [
-        _run(suite, "value_at_one", _check_value_at_one),
-        _run(suite, "integer_degree_polynomials", _check_integer_degrees),
-        _run(suite, "three_term_recurrence", _check_recurrence),
-        _run(suite, "dz_identity_vs_richardson", _check_dz_identity),
-        _run(suite, "kernel_vs_quadrature", _check_quadrature),
-        _run(suite, "degree_derivative_identity", _check_degree_derivative_identity),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # exponent suite
 # ---------------------------------------------------------------------------
@@ -392,22 +380,6 @@ def _check_reduction() -> tuple[bool, str]:
     return True, "identity and scaled-identity reductions exact for n=3,4,5"
 
 
-def run_exponent_checks() -> list[CheckResult]:
-    suite = "exponent"
-    return [
-        _run(suite, "endpoint_identities", _check_endpoints),
-        _run(suite, "slope_fd_matches_closed_form", _check_slope),
-        _run(suite, "critical_angle_closed_form", _check_critical_angle),
-        _run(suite, "roots_in_guaranteed_branches", _check_guaranteed_roots),
-        _run(suite, "no_root_in_barrier_regime", _check_no_root_in_barrier_regime),
-        _run(suite, "gradient_consistency", _check_gradient_consistency),
-        _run(suite, "neumann_identities", _check_neumann_identities),
-        _run(suite, "neumann_roots", _check_neumann_roots),
-        _run(suite, "classification", _check_classification),
-        _run(suite, "axisymmetric_reduction", _check_reduction),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # barrier suite
 # ---------------------------------------------------------------------------
@@ -559,19 +531,6 @@ def _check_rotation_cases() -> tuple[bool, str]:
     return True, "identity, unit-diagonal and direct-product cases"
 
 
-def run_barrier_checks() -> list[CheckResult]:
-    suite = "barrier"
-    return [
-        _run(suite, "invariants_certified", _check_barrier_invariants),
-        _run(suite, "profile_limit_small_degree", _check_barrier_small_degree_limit),
-        _run(suite, "untilted_coefficient_negative", _check_m1_sign_grid),
-        _run(suite, "closed_form_vs_directional_fd", _check_m1_closed_vs_fd),
-        _run(suite, "tilt_collapse_and_search", _check_tilt),
-        _run(suite, "barrier_harmonicity_order", _check_barrier_harmonicity),
-        _run(suite, "coefficient_rotation", _check_rotation_cases),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # solver suite
 # ---------------------------------------------------------------------------
@@ -708,35 +667,53 @@ def _check_holder_behaviour() -> tuple[bool, str]:
     )
 
 
-def run_solver_checks() -> list[CheckResult]:
-    suite = "solver"
-    return [
-        _run(suite, "residual_convergence_orders", _check_residual_orders),
-        _run(suite, "m_matrix_default_grids", _check_m_matrix_default),
-        _run(suite, "m_matrix_stress_grid", _check_m_matrix_stress),
-        _run(suite, "dirichlet_constant_exact", _check_dirichlet_constant),
-        _run(suite, "discrete_comparison_minimum", _check_comparison_minimum),
-        _run(suite, "oblique_solve_order", _check_oblique_solve_order),
-        _run(suite, "fit_exponent_recovery", _check_fit_recovery),
-        _run(suite, "holder_estimator_checks", _check_holder_behaviour),
-    ]
+#: Every check as (suite, name, check), in the order `run_suite("all")` runs them.
+CHECKS: tuple[tuple[str, str, Callable[[], tuple[bool, str]]], ...] = (
+    ("special", "value_at_one", _check_value_at_one),
+    ("special", "integer_degree_polynomials", _check_integer_degrees),
+    ("special", "three_term_recurrence", _check_recurrence),
+    ("special", "dz_identity_vs_richardson", _check_dz_identity),
+    ("special", "kernel_vs_quadrature", _check_quadrature),
+    ("special", "degree_derivative_identity", _check_degree_derivative_identity),
+    ("exponent", "endpoint_identities", _check_endpoints),
+    ("exponent", "slope_fd_matches_closed_form", _check_slope),
+    ("exponent", "critical_angle_closed_form", _check_critical_angle),
+    ("exponent", "roots_in_guaranteed_branches", _check_guaranteed_roots),
+    ("exponent", "no_root_in_barrier_regime", _check_no_root_in_barrier_regime),
+    ("exponent", "gradient_consistency", _check_gradient_consistency),
+    ("exponent", "neumann_identities", _check_neumann_identities),
+    ("exponent", "neumann_roots", _check_neumann_roots),
+    ("exponent", "classification", _check_classification),
+    ("exponent", "axisymmetric_reduction", _check_reduction),
+    ("barrier", "invariants_certified", _check_barrier_invariants),
+    ("barrier", "profile_limit_small_degree", _check_barrier_small_degree_limit),
+    ("barrier", "untilted_coefficient_negative", _check_m1_sign_grid),
+    ("barrier", "closed_form_vs_directional_fd", _check_m1_closed_vs_fd),
+    ("barrier", "tilt_collapse_and_search", _check_tilt),
+    ("barrier", "barrier_harmonicity_order", _check_barrier_harmonicity),
+    ("barrier", "coefficient_rotation", _check_rotation_cases),
+    ("solver", "residual_convergence_orders", _check_residual_orders),
+    ("solver", "m_matrix_default_grids", _check_m_matrix_default),
+    ("solver", "m_matrix_stress_grid", _check_m_matrix_stress),
+    ("solver", "dirichlet_constant_exact", _check_dirichlet_constant),
+    ("solver", "discrete_comparison_minimum", _check_comparison_minimum),
+    ("solver", "oblique_solve_order", _check_oblique_solve_order),
+    ("solver", "fit_exponent_recovery", _check_fit_recovery),
+    ("solver", "holder_estimator_checks", _check_holder_behaviour),
+)
 
-
-SUITES: dict[str, Callable[[], list[CheckResult]]] = {
-    "special": run_special_checks,
-    "exponent": run_exponent_checks,
-    "barrier": run_barrier_checks,
-    "solver": run_solver_checks,
-}
+#: Suite names in the order of CHECKS.
+SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one named suite, or all of them in a fixed order."""
-    if name == "all":
-        results: list[CheckResult] = []
-        for key in ("special", "exponent", "barrier", "solver"):
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+    """Run one named suite, or all of them ("all") in the order of CHECKS."""
+    if name != "all" and name not in SUITE_NAMES:
+        raise KeyError(
+            f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)} or 'all'"
+        )
+    return [
+        _run(suite, check_name, check)
+        for suite, check_name, check in CHECKS
+        if name in (suite, "all")
+    ]

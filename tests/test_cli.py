@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -8,11 +9,14 @@ import pytest
 from obliquecone.cli import main
 from obliquecone.exponent import boundary_mismatch
 from obliquecone.geometry import ConeGeometry
-from obliquecone.verify import CheckResult
+from obliquecone.verify import CheckResult, run_suite
 
 
-#: Stdout of `barrier-check` and `exponent --neumann`, byte for byte: the
-#: barrier's c*, m1 and m2 and the Neumann root and mismatch must not move.
+#: Stdout of `barrier-check`, `exponent` and `classify`, byte for byte: the
+#: barrier's c*, m1 and m2, the Neumann and oblique roots with their
+#: mismatches, and the labels and witnesses of one cell per regime must not
+#: move.  theta0 = 2.8 puts the boundary below Z_SWITCH, so its cells run the
+#: connection series.
 STDOUT_PINS = {
     'barrier-check --theta0 1.0471975511965976 --s 0.5': (
         'theta0: 1.0471975511965976\n'
@@ -132,7 +136,160 @@ STDOUT_PINS = {
         '"exponent": 0.9980967592931274, '
         '"mismatch_at_root": 1.3600957586414353e-09}\n'
     ),
+    'classify --theta0 1.0471975511965976 --s 0': (
+        'theta0: 1.0471975511965976\n'
+        's: 0\n'
+        'label: AXIS_CONTINUOUS\n'
+        's0: -1.0471975511965979\n'
+        'witness slope_at_zero: 1 (tolerance 0)\n'
+        'witness critical_angle_s0: -1.0471975511965979 (tolerance 1e-10)\n'
+        'witness cos_s_sin_s: 0 (tolerance 0)\n'
+        'witness sign_change_count: 0 (tolerance 0)\n'
+    ),
+    'classify --theta0 1.0471975511965976 --s 0 --json': (
+        '{"schema_version": 1, "theta0": 1.0471975511965976, "s": 0.0, '
+        '"label": "AXIS_CONTINUOUS", "critical_exponent": null, '
+        '"s0": -1.0471975511965979, "witnesses": [{"name": "slope_at_zero", '
+        '"value": 1.0, "tolerance": 0.0}, {"name": "critical_angle_s0", '
+        '"value": -1.0471975511965979, "tolerance": 1e-10}, '
+        '{"name": "cos_s_sin_s", "value": 0.0, "tolerance": 0.0}, '
+        '{"name": "sign_change_count", "value": 0.0, "tolerance": 0.0}]}\n'
+    ),
+    'classify --theta0 1.0471975511965976 --s 0.6': (
+        'theta0: 1.0471975511965976\n'
+        's: 0.59999999999999998\n'
+        'label: REGULAR_BARRIER\n'
+        's0: -1.0471975511965979\n'
+        'witness slope_at_zero: 1.1513320989201981 (tolerance 0)\n'
+        'witness critical_angle_s0: -1.0471975511965979 (tolerance 1e-10)\n'
+        'witness cos_s_sin_s: 0.4660195429836132 (tolerance 0)\n'
+        'witness sign_change_count: 0 (tolerance 0)\n'
+    ),
+    'classify --theta0 1.0471975511965976 --s 0.6 --json': (
+        '{"schema_version": 1, "theta0": 1.0471975511965976, "s": 0.6, '
+        '"label": "REGULAR_BARRIER", "critical_exponent": null, '
+        '"s0": -1.0471975511965979, "witnesses": [{"name": "slope_at_zero", '
+        '"value": 1.151332098920198, "tolerance": 0.0}, '
+        '{"name": "critical_angle_s0", "value": -1.0471975511965979, '
+        '"tolerance": 1e-10}, {"name": "cos_s_sin_s", '
+        '"value": 0.4660195429836132, "tolerance": 0.0}, '
+        '{"name": "sign_change_count", "value": 0.0, "tolerance": 0.0}]}\n'
+    ),
+    'classify --theta0 2.0943951023931953 --s -0.3': (
+        'theta0: 2.0943951023931953\n'
+        's: -0.29999999999999999\n'
+        'label: UNKNOWN\n'
+        's0: -0.52359877559829893\n'
+        'witness slope_at_zero: 0.4434804765249114 (tolerance 0)\n'
+        'witness critical_angle_s0: -0.52359877559829893 (tolerance 1e-10)\n'
+        'witness cos_s_sin_s: -0.28232123669751763 (tolerance 0)\n'
+        'witness sign_change_count: 0 (tolerance 0)\n'
+    ),
+    'classify --theta0 2.0943951023931953 --s -0.3 --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "s": -0.3, '
+        '"label": "UNKNOWN", "critical_exponent": null, '
+        '"s0": -0.5235987755982989, "witnesses": [{"name": "slope_at_zero", '
+        '"value": 0.4434804765249114, "tolerance": 0.0}, '
+        '{"name": "critical_angle_s0", "value": -0.5235987755982989, '
+        '"tolerance": 1e-10}, {"name": "cos_s_sin_s", '
+        '"value": -0.28232123669751763, "tolerance": 0.0}, '
+        '{"name": "sign_change_count", "value": 0.0, "tolerance": 0.0}]}\n'
+    ),
+    'classify --theta0 2.0943951023931953 --s 1.8': (
+        'theta0: 2.0943951023931953\n'
+        's: 1.8\n'
+        'label: IRREGULAR\n'
+        'critical_exponent: 0.85112746747410517\n'
+        's0: -0.52359877559829893\n'
+        'witness slope_at_zero: 1.4595514808185284 (tolerance 0)\n'
+        'witness critical_angle_s0: -0.52359877559829893 (tolerance 1e-10)\n'
+        'witness cos_s_sin_s: -0.22126022164742623 (tolerance 0)\n'
+        'witness sign_change_count: 1 (tolerance 0)\n'
+        'witness critical_exponent: 0.85112746747410517'
+        ' (tolerance 9.9999999999999998e-13)\n'
+        'witness boundary_mismatch_at_root: -3.3650859876388495e-13 (tolerance 1e-10)\n'
+    ),
+    'classify --theta0 2.0943951023931953 --s 1.8 --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "s": 1.8, '
+        '"label": "IRREGULAR", "critical_exponent": 0.8511274674741052, '
+        '"s0": -0.5235987755982989, "witnesses": [{"name": "slope_at_zero", '
+        '"value": 1.4595514808185284, "tolerance": 0.0}, '
+        '{"name": "critical_angle_s0", "value": -0.5235987755982989, '
+        '"tolerance": 1e-10}, {"name": "cos_s_sin_s", '
+        '"value": -0.22126022164742623, "tolerance": 0.0}, '
+        '{"name": "sign_change_count", "value": 1.0, "tolerance": 0.0}, '
+        '{"name": "critical_exponent", "value": 0.8511274674741052, '
+        '"tolerance": 1e-12}, {"name": "boundary_mismatch_at_root", '
+        '"value": -3.3650859876388495e-13, "tolerance": 1e-10}]}\n'
+    ),
+    'classify --theta0 2.8 --s 2.0': (
+        'theta0: 2.7999999999999998\n'
+        's: 2\n'
+        'label: IRREGULAR\n'
+        'critical_exponent: 0.90312436214212433\n'
+        's0: -0.17079632679489665\n'
+        'witness slope_at_zero: 4.8558539069759696 (tolerance 0)\n'
+        'witness critical_angle_s0: -0.17079632679489665 (tolerance 1e-10)\n'
+        'witness cos_s_sin_s: -0.37840124765396416 (tolerance 0)\n'
+        'witness sign_change_count: 1 (tolerance 0)\n'
+        'witness critical_exponent: 0.90312436214212433'
+        ' (tolerance 9.9999999999999998e-13)\n'
+        'witness boundary_mismatch_at_root: -1.5948353748740374e-12 (tolerance 1e-10)\n'
+    ),
+    'classify --theta0 2.8 --s 2.0 --json': (
+        '{"schema_version": 1, "theta0": 2.8, "s": 2.0, '
+        '"label": "IRREGULAR", "critical_exponent": 0.9031243621421243, '
+        '"s0": -0.17079632679489665, "witnesses": [{"name": "slope_at_zero", '
+        '"value": 4.85585390697597, "tolerance": 0.0}, '
+        '{"name": "critical_angle_s0", "value": -0.17079632679489665, '
+        '"tolerance": 1e-10}, {"name": "cos_s_sin_s", '
+        '"value": -0.37840124765396416, "tolerance": 0.0}, '
+        '{"name": "sign_change_count", "value": 1.0, "tolerance": 0.0}, '
+        '{"name": "critical_exponent", "value": 0.9031243621421243, '
+        '"tolerance": 1e-12}, {"name": "boundary_mismatch_at_root", '
+        '"value": -1.5948353748740374e-12, "tolerance": 1e-10}]}\n'
+    ),
+    'exponent --theta0 1.0471975511965976 --s 0.6': (
+        'theta0: 1.0471975511965976\n'
+        's: 0.59999999999999998\n'
+        'mode: 0\n'
+        'exponent: absent\n'
+        'mismatch_at_root: absent\n'
+    ),
+    'exponent --theta0 1.0471975511965976 --s 0.6 --json': (
+        '{"schema_version": 1, "theta0": 1.0471975511965976, "s": 0.6, '
+        '"mode": 0, "exponent": null, "mismatch_at_root": null}\n'
+    ),
+    'exponent --theta0 2.0943951023931953 --s 1.8': (
+        'theta0: 2.0943951023931953\n'
+        's: 1.8\n'
+        'mode: 0\n'
+        'exponent: 0.85112746747410517\n'
+        'mismatch_at_root: -3.3650859876388495e-13\n'
+    ),
+    'exponent --theta0 2.0943951023931953 --s 1.8 --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "s": 1.8, '
+        '"mode": 0, "exponent": 0.8511274674741052, '
+        '"mismatch_at_root": -3.3650859876388495e-13}\n'
+    ),
+    'exponent --theta0 2.8 --s 2.0': (
+        'theta0: 2.7999999999999998\n'
+        's: 2\n'
+        'mode: 0\n'
+        'exponent: 0.90312436214212433\n'
+        'mismatch_at_root: -1.5948353748740374e-12\n'
+    ),
+    'exponent --theta0 2.8 --s 2.0 --json': (
+        '{"schema_version": 1, "theta0": 2.8, "s": 2.0, "mode": 0, '
+        '"exponent": 0.9031243621421243, '
+        '"mismatch_at_root": -1.5948353748740374e-12}\n'
+    ),
 }
+
+#: sha256 of the CSV `phase-map --theta0-lo 0.2 --theta0-hi 3.09
+#: --theta0-count 20 --s-count 20` writes: every label, root and witness
+#: digest of a sweep that reaches the connection series and theta0 = 3.09.
+PHASE_MAP_SHA256 = "c43fd2c41992c7889fe116a3acab5942da533275f970bddfab6d413f799a43e9"
 
 #: Every check `verify --suite all` runs, in the order it prints them.
 VERIFY_IDS = (
@@ -310,6 +467,15 @@ class TestPhaseMap:
         assert code1 == code2 == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_csv_bytes_of_a_20_by_20_sweep(self, capsys, tmp_path):
+        path = tmp_path / "map.csv"
+        code, _, _ = run_cli(
+            capsys, "phase-map", "--theta0-lo", "0.2", "--theta0-hi", "3.09",
+            "--theta0-count", "20", "--s-count", "20", "--output", str(path),
+        )
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PHASE_MAP_SHA256
+
     def test_csv_shape_and_header(self, capsys, tmp_path):
         path = tmp_path / "map.csv"
         code, _, _ = run_cli(capsys, *self.ARGS, "--output", str(path))
@@ -462,6 +628,15 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert lines[-1] == f"{len(VERIFY_IDS)}/{len(VERIFY_IDS)} checks passed"
         assert tuple(line.split()[1] for line in lines[:-1]) == VERIFY_IDS
+
+    @pytest.mark.parametrize("suite", ["special", "exponent", "barrier", "solver"])
+    def test_single_suite_runs_its_slice_in_order(self, suite):
+        got = tuple(f"{r.suite}.{r.name}" for r in run_suite(suite))
+        assert got == tuple(i for i in VERIFY_IDS if i.startswith(suite + "."))
+
+    def test_unknown_suite_raises_key_error(self):
+        with pytest.raises(KeyError, match="unknown suite 'nope'"):
+            run_suite("nope")
 
     def test_special_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "special")

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from obliquecone.errors import DomainError, InvalidOperator
-from obliquecone.geometry import ConeGeometry, ObliqueBC, reduce_to_axisymmetric
+from obliquecone.geometry import (
+    THETA0_MAX,
+    ConeGeometry,
+    ObliqueBC,
+    reduce_to_axisymmetric,
+)
+from obliquecone.legendre import Z_CUTOFF, legendre_p
 
 
 class TestConeGeometry:
@@ -20,6 +26,13 @@ class TestConeGeometry:
     def test_rejects_bad_opening_angle(self, theta0):
         with pytest.raises(DomainError):
             ConeGeometry(theta0=theta0)
+
+    def test_widest_cone_stays_inside_the_kernel_cutoff(self):
+        # ConeGeometry checks only theta0 < THETA0_MAX; that bound alone keeps
+        # cos(theta0) a valid kernel argument
+        assert math.cos(THETA0_MAX) > -1.0 + Z_CUTOFF
+        geom = ConeGeometry(theta0=math.nextafter(THETA0_MAX, 0.0))
+        assert math.isfinite(legendre_p(0.5, geom.z0))
 
     def test_rejects_bad_radius_and_dimension(self):
         with pytest.raises(DomainError):

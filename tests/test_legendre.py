@@ -4,7 +4,9 @@ Derived expectations follow the quadrature oracle, mpmath and Richardson
 finite differences, all independent of the hypergeometric evaluation path.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -100,6 +102,8 @@ class TestLegendreP:
         with pytest.raises(DomainError):
             legendre_p_many(np.array([0.5, 27.51]), -0.709)
         with pytest.raises(DomainError):
+            legendre_p(np.array([0.5, 27.51]), -0.709)
+        with pytest.raises(DomainError):
             legendre_p(math.nextafter(DEGREE_MAX, math.inf), 0.2)
         assert legendre_p(DEGREE_MAX, 1.0) == 1.0
 
@@ -176,6 +180,7 @@ class TestOneBranchPerDegree:
         got = legendre_p_many(MIXED_DEGREES, z)
         want = np.array([legendre_p(float(a), z) for a in MIXED_DEGREES])
         assert got.tobytes() == want.tobytes()
+        assert legendre_p(MIXED_DEGREES, z).tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("z", [-0.79] + BELOW_SWITCH)
     def test_scalar_results_are_python_floats(self, z):
@@ -223,6 +228,12 @@ class TestDerivatives:
     def test_dz_rejects_argument_one(self):
         with pytest.raises(DomainError):
             legendre_dp_dz(0.5, 1.0)
+
+    @pytest.mark.parametrize("alpha,z", [(-1.5, 0.2), (3.5, 0.2), (0.5, -0.9999)])
+    def test_dz_rejects_arguments_its_kernel_calls_reject(self, alpha, z):
+        # a = 3.5 is accepted itself, but the identity also needs P_{a+1}
+        with pytest.raises(DomainError):
+            legendre_dp_dz(alpha, z)
 
     def test_p1_explicit_low_degrees(self):
         for z in np.linspace(-0.9, 0.99, 15):
@@ -290,3 +301,20 @@ class TestDegreeDerivative:
             legendre_dp_dalpha(-1.0, 0.3, h=1e-5)
         with pytest.raises(DomainError):
             legendre_dp_dalpha(0.5, 0.3, h=0.0)
+
+
+def test_only_the_kernel_imports_legendre_p_many():
+    # callers pass float or array degrees to legendre_p; choosing between the
+    # scalar and the array path stays inside legendre.py
+    package = Path(legendre.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "legendre.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.alias) and node.name == "legendre_p_many") or (
+                isinstance(node, ast.Attribute) and node.attr == "legendre_p_many"
+            ):
+                importers.append(path.name)
+    assert importers == []
