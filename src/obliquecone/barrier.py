@@ -92,19 +92,20 @@ def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
     if not (0.0 < barrier.cstar <= 1.0):
         raise InvalidAlpha(f"boundary value c* = {barrier.cstar} not in (0, 1]")
     thetas = np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS)
-    values = np.array([barrier.profile(float(t)) for t in thetas])
+    values = barrier.profile(thetas)
     if values.min() < barrier.cstar - 1e-12 or values.max() > 1.0 + 1e-12:
         raise InvalidAlpha(
             f"profile leaves [c*, 1]: range [{values.min()}, {values.max()}]"
         )
-    derivs = np.array([barrier.profile_deriv(float(t)) for t in thetas[1:]])
+    derivs = barrier.profile_deriv(thetas[1:])
     if derivs.max() >= 0.0:
         raise InvalidAlpha("profile derivative is not strictly negative on (0, theta0]")
     # F(h) = 1 - a(a+1) h^2/4 + O(h^4): the one-sided quotient D(h) carries an
     # O(h) truncation error, which the Richardson combination 2 D(h/2) - D(h)
     # cancels
     h = 1e-4
-    d_h, d_half = ((barrier.profile(step) - 1.0) / step for step in (h, 0.5 * h))
+    steps = np.array([h, 0.5 * h])
+    d_h, d_half = (barrier.profile(steps) - 1.0) / steps
     slope0 = 2.0 * d_half - d_h
     if abs(slope0) > 1e-8:
         raise InvalidAlpha(f"profile derivative at 0 is {slope0}, not 0 to 1e-8")

@@ -27,7 +27,7 @@ from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError
 from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
-from .legendre import legendre_dp1_dz, legendre_dp_dz, legendre_p, legendre_p1
+from .legendre import _libm, legendre_dp1_dz, legendre_dp_dz, legendre_p, legendre_p1
 
 #: Lower edge of the exponent search window; excludes the trivial root a = 0.
 ALPHA_MIN = 1e-3
@@ -235,37 +235,52 @@ class SeparableSolution:
             return 1.0
         return self.c * math.sin(phi) + self.d * math.cos(phi)
 
-    def profile(self, theta: float) -> float:
-        """Angular profile P^m_a(cos theta)."""
-        z = math.cos(theta)
+    def profile(self, theta):
+        """Angular profile P^m_a(cos theta) at an angle or an ndarray of angles.
+
+        An ndarray of angles goes through the kernel as one array and equals
+        the scalar loop bit for bit.
+        """
+        # a Python float angle, the hot case, skips _libm's ndarray test
+        z = math.cos(theta) if type(theta) is float else _libm(math.cos, theta)
         if self.m == 0:
             return legendre_p(self.alpha, z)
         return legendre_p1(self.alpha, z)
 
-    def profile_deriv(self, theta: float) -> float:
+    def profile_deriv(self, theta):
         """d/dtheta of the profile, -sin(theta) (P^m_a)'(cos theta).
 
-        The identities of `legendre_dp_dz` and `legendre_dp1_dz` cancel as
-        cos(theta) -> 1, so below M1_AXIS_CUTOFF the derivative comes from
-        the hypergeometric forms P_a'(cos t) = a(a+1)/2 F(1-a, a+2; 2; x) and
+        `theta` is an angle or an ndarray of angles.  The identities of
+        `legendre_dp_dz` and `legendre_dp1_dz` cancel as cos(theta) -> 1, so
+        below M1_AXIS_CUTOFF the derivative comes from the hypergeometric
+        forms P_a'(cos t) = a(a+1)/2 F(1-a, a+2; 2; x) and
         P^1_a(cos t) = -sin(t) a(a+1)/2 F(1-a, a+2; 2; x), x = sin^2(t/2).
         """
-        a = self.alpha
+        if isinstance(theta, np.ndarray):
+            near = theta < M1_AXIS_CUTOFF
+            deriv = np.empty(theta.shape)
+            deriv[near] = self._deriv_near_axis(theta[near])
+            deriv[~near] = self._deriv_off_axis(theta[~near])
+            return deriv
         if theta < M1_AXIS_CUTOFF:
-            x = math.sin(0.5 * theta) ** 2
-            st = math.sin(theta)
-            if self.m == 0:
-                return -0.5 * a * (a + 1.0) * st * float(hyp2f1(1.0 - a, a + 2.0, 2.0, x))
-            return -0.5 * a * (a + 1.0) * float(
-                math.cos(theta) * hyp2f1(1.0 - a, a + 2.0, 2.0, x)
-                + 0.25 * st * st * (1.0 - a) * (a + 2.0) * hyp2f1(2.0 - a, a + 3.0, 3.0, x)
-            )
-        z = math.cos(theta)
-        dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
-        return -math.sin(theta) * dz(a, z)
+            return float(self._deriv_near_axis(theta))
+        return self._deriv_off_axis(theta)
 
-    def profile_array(self, thetas: np.ndarray) -> np.ndarray:
-        return np.array([self.profile(float(t)) for t in np.asarray(thetas)])
+    def _deriv_near_axis(self, theta):
+        a = self.alpha
+        x = _libm(lambda t: math.sin(0.5 * t) ** 2, theta)
+        st = _libm(math.sin, theta)
+        f = hyp2f1(1.0 - a, a + 2.0, 2.0, x)
+        if self.m == 0:
+            return -0.5 * a * (a + 1.0) * st * f
+        return -0.5 * a * (a + 1.0) * (
+            _libm(math.cos, theta) * f
+            + 0.25 * st * st * (1.0 - a) * (a + 2.0) * hyp2f1(2.0 - a, a + 3.0, 3.0, x)
+        )
+
+    def _deriv_off_axis(self, theta):
+        dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
+        return -_libm(math.sin, theta) * dz(self.alpha, _libm(math.cos, theta))
 
 
 def separable_eval(

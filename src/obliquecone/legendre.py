@@ -12,13 +12,14 @@ through the compiled ufunc `scipy.special.hyp2f1`.  For z < Z_SWITCH that
 ufunc goes over to its 1 - x transformation, which loses up to four digits
 at degrees just below an integer, so there the non-integer degrees are
 summed from the connection formula around z = -1 (`_connection_series`)
-instead.  Each degree is evaluated on exactly one of the two branches, and
-both serve the scalar and the vectorised entry points alike: a scalar
-degree is summed in Python floats, an array in numpy, with the same
-operations in the same order, so both give the same bits.  The connection
-series sums a number of terms fixed in advance, so no accepted argument can
-fail to converge.  Degrees above DEGREE_MAX, where both branches lose
-accuracy for z < 0, are rejected.
+instead.  Each (degree, argument) pair is evaluated on exactly one of the
+two branches, and both serve the scalar and the vectorised entry points
+alike: one degree at one argument is summed in Python floats, an array of
+degrees or of arguments in numpy, with the same operations in the same
+order, so both give the same bits.  The connection series sums a number of
+terms fixed in advance, so no accepted argument can fail to converge.
+Degrees above DEGREE_MAX, where both branches lose accuracy for z < 0, are
+rejected.
 
 An independent quadrature oracle (`legendre_p_quadrature`) is provided for
 cross-validation only; nothing in the evaluation path depends on it.
@@ -58,20 +59,29 @@ DEGREE_STEP = 1e-5
 DEGREE_MAX = 4.0
 
 
-def _check_z(z: float) -> None:
-    if not (-1.0 + Z_CUTOFF < z <= 1.0):
-        raise DomainError(
-            f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}"
-        )
-
-
 def _check_args(alpha: float, z: float) -> None:
     if not (-1.0 <= alpha <= DEGREE_MAX):
         raise DomainError(f"degree must lie in [-1, {DEGREE_MAX}], got {alpha}")
-    _check_z(z)
+    if not (-1.0 + Z_CUTOFF < z <= 1.0):
+        raise DomainError(f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}")
 
 
-def _connection_series(alpha, y: float):
+def _libm(f, x):
+    """f(x) at a float, or at each element of an ndarray through the same
+    Python-float call, so an ndarray gets the bits of the scalar loop on every
+    platform: numpy's vectorised sin, cos and power need not match libm.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return f(x)
+
+
+def _at(v, mask: np.ndarray):
+    """The elements of an ndarray under a mask; a float stands for them all."""
+    return v[mask] if isinstance(v, np.ndarray) else v
+
+
+def _connection_series(alpha, y):
     """P_a(z) for a non-integer degree, or an array of them, about z = -1.
 
     With y = (1 + z)/2 and t_k = (-a)_k (a+1)_k / (k!)^2, the c = a + b case
@@ -87,8 +97,11 @@ def _connection_series(alpha, y: float):
     degree the terms shrink at least like y^k; y < 0.1 on this branch.
 
     A scalar degree, passed with y as Python floats, is summed in Python
-    floats and an array elementwise in numpy; both run the same operations
-    in the same order, so a degree gets the same bits either way.
+    floats, and an array of degrees at one y, or one degree at an array of y,
+    elementwise in numpy; all run the same operations in the same order, so
+    a pair gets the same bits either way.  An array of degrees sums the term
+    count of its largest degree; an array of y gives each y its own log y and
+    term count, as a scalar y has.
     """
     scalar = not isinstance(alpha, np.ndarray)
     n = float(round(alpha)) if scalar else np.round(alpha)
@@ -100,16 +113,24 @@ def _connection_series(alpha, y: float):
     if scalar:
         sin_a, cos_a, psi_k, psi_lo = float(sin_a), float(cos_a), float(psi_k), float(psi_lo)
     psi_hi = psi_lo
-    log_y = math.log(y)
+    top = math.ceil(max(alpha if scalar else float(np.max(alpha)), 0.0))
+    if isinstance(y, np.ndarray):
+        # math.log per argument, as a scalar y takes it: np.log differs from
+        # it in the last bit of some arguments
+        log_y = _libm(math.log, y)
+        n_terms = top + np.ceil(_LOG_TAIL / log_y)
+        # y_k = 0 past an argument's own term count zeroes its later terms
+        steps = [np.where(j < n_terms, y, 0.0) for j in range(1, int(n_terms.max()) + 1)]
+    else:
+        log_y = math.log(y)
+        steps = [y] * (top + math.ceil(_LOG_TAIL / log_y))
     t, total = 1.0, 0.0
-    top = alpha if scalar else float(np.max(alpha))
-    n_terms = math.ceil(max(top, 0.0)) + math.ceil(_LOG_TAIL / log_y)
     # k counts in floats: int-float operands cost a third of the scalar sum
     k = 0.0
-    for _ in range(n_terms):
+    for y_k in steps:
         k1 = k + 1.0
         total = total + t * (cos_a - sin_a * (2.0 * psi_k - psi_lo - psi_hi - log_y))
-        t = t * ((k - alpha) * (k + alpha + 1.0) / (k1 * k1) * y)
+        t = t * ((k - alpha) * (k + alpha + 1.0) / (k1 * k1) * y_k)
         psi_k = psi_k + 1.0 / k1
         psi_lo = psi_lo + 1.0 / (k - alpha)
         psi_hi = psi_hi + 1.0 / (alpha + k + 1.0)
@@ -117,96 +138,123 @@ def _connection_series(alpha, y: float):
     return total
 
 
-def _kernel(alpha, z: float):
-    """P_a(z) for a float or an array of degrees; arguments are not checked.
+def _kernel(alpha: float, z: float):
+    """P_a(z) at one degree and one argument, both floats and unchecked.
 
-    Each degree is evaluated on exactly one branch.  At or above Z_SWITCH that
-    is hyp2f1; below it the integer degrees stay with hyp2f1, which sums
-    their terminating polynomial, and only the others go to the series.
+    At or above Z_SWITCH that is hyp2f1; below it the integer degrees stay
+    with hyp2f1, which sums their terminating polynomial, and only the others
+    go to the series.
     """
     x = 0.5 * (1.0 - z)
-    if z >= Z_SWITCH:
+    if z >= Z_SWITCH or abs(alpha - round(alpha)) <= _INTEGER_TOL:
         return hyp2f1(-alpha, alpha + 1.0, 1.0, x)
-    y = 0.5 * (1.0 + z)
-    if not isinstance(alpha, np.ndarray):
-        if abs(alpha - round(alpha)) > _INTEGER_TOL:
-            return _connection_series(alpha, y)
+    return _connection_series(alpha, 0.5 * (1.0 + z))
+
+
+def _kernel_many(alpha, z) -> np.ndarray:
+    """`_kernel` over an ndarray of degrees or of arguments, the other a float.
+
+    Each pair takes the branch `_kernel` gives it, so hyp2f1 and the series
+    each see only their own pairs.
+    """
+    x = 0.5 * (1.0 - z)
+    below = z < Z_SWITCH
+    # a float z is a Python bool here, which np.any takes microseconds to read
+    if below is False or not np.any(below):
         return hyp2f1(-alpha, alpha + 1.0, 1.0, x)
-    frac = np.abs(alpha - np.round(alpha)) > _INTEGER_TOL
-    whole = alpha[~frac]
-    p = np.empty_like(alpha)
-    p[~frac] = hyp2f1(-whole, whole + 1.0, 1.0, x)
-    if frac.any():
-        p[frac] = _connection_series(alpha[frac], y)
+    series = below & (np.abs(alpha - np.round(alpha)) > _INTEGER_TOL)
+    rest = ~series
+    p = np.empty(series.shape)
+    a = _at(alpha, rest)
+    p[rest] = hyp2f1(-a, a + 1.0, 1.0, _at(x, rest))
+    if series.any():
+        p[series] = _connection_series(_at(alpha, series), _at(0.5 * (1.0 + z), series))
     return p
 
 
-def legendre_p(alpha: float | np.ndarray, z: float) -> float | np.ndarray:
+def legendre_p(alpha, z):
     """Legendre function P_a(z), degree a in [-1, DEGREE_MAX], z in (-1+1e-3, 1].
 
-    `alpha` is a float, or an ndarray of degrees, which goes through
-    `legendre_p_many`; so callers pass either and never choose between the
-    two.  Raises DomainError outside the accepted domain.
+    `alpha` and `z` are floats, or one of them is an ndarray, which goes
+    through `legendre_p_many`; so callers pass either and never choose
+    between the two.  Raises DomainError outside the accepted domain.
     """
-    if isinstance(alpha, np.ndarray):
+    # a Python float z, the hot case, skips the slower ndarray test
+    if isinstance(alpha, np.ndarray) or type(z) is not float and isinstance(z, np.ndarray):
         return legendre_p_many(alpha, z)
     _check_args(alpha, z)
     return float(_kernel(float(alpha), float(z)))
 
 
-def legendre_p_many(alphas: np.ndarray, z: float) -> np.ndarray:
-    """Vectorized `legendre_p` over an array of degrees at a fixed argument.
+def legendre_p_many(alphas, z) -> np.ndarray:
+    """Vectorized `legendre_p`: an array of degrees at a float argument, or a
+    float degree at an ndarray of arguments.
 
-    Used by the root-scan paths; element by element it equals the scalar
-    evaluation.
+    Element by element it equals the scalar evaluation bit for bit.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if not np.all((alphas >= -1.0) & (alphas <= DEGREE_MAX)):
-        raise DomainError(f"degrees must lie in [-1, {DEGREE_MAX}]")
-    _check_z(z)
-    return _kernel(alphas, z)
+    # the float is checked as it is, the ndarray through its first element
+    # outside the domain, if any
+    if isinstance(z, np.ndarray):
+        if isinstance(alphas, np.ndarray):
+            raise DomainError("pass an ndarray of degrees or of arguments, not both")
+        alphas, z = float(alphas), z.astype(float)
+        inside = (-1.0 + Z_CUTOFF < z) & (z <= 1.0)
+        _check_args(alphas, 1.0 if inside.all() else z[~inside][0])
+    else:
+        alphas, z = np.asarray(alphas, dtype=float), float(z)
+        inside = (-1.0 <= alphas) & (alphas <= DEGREE_MAX)
+        _check_args(0.0 if inside.all() else alphas[~inside][0], z)
+    return _kernel_many(alphas, z)
 
 
-def legendre_dp_dz(alpha: float, z: float) -> float:
+def legendre_dp_dz(alpha, z):
     """dP_a/dz via the identity P_a'(z) = (a+1)(z P_a(z) - P_{a+1}(z))/(1-z^2).
 
-    The denominator vanishes at z = 1, so that point is rejected.
+    `alpha` and `z` are as for `legendre_p`.  The denominator vanishes at
+    z = 1, so that point is rejected.
     """
-    if z == 1.0:
+    if z == 1.0 if type(z) is float else np.any(z == 1.0):
         raise DomainError("derivative identity is singular at z = 1")
     return (alpha + 1.0) * (z * legendre_p(alpha, z) - legendre_p(alpha + 1.0, z)) / (
         1.0 - z * z
     )
 
 
-def legendre_p1(alpha: float, z: float) -> float:
+def legendre_p1(alpha, z):
     """Associated Legendre function P^1_a(z) = -(1-z^2)^(1/2) dP_a/dz.
 
-    At z = 1 the square-root factor vanishes faster than the derivative
-    grows, so 0 is returned by continuity.
+    `alpha` and `z` are as for `legendre_p`.  At z = 1 the square-root factor
+    vanishes faster than the derivative grows, so 0 is returned there by
+    continuity.  The derivative is taken first: its kernel calls reject
+    every argument outside the domain before the square root sees it.
     """
-    _check_args(alpha, z)
+    if isinstance(z, np.ndarray):
+        p1 = np.zeros(z.shape)
+        inner = z != 1.0
+        zi = z[inner]
+        p1[inner] = legendre_dp_dz(alpha, zi) * -np.sqrt(1.0 - zi * zi)
+        return p1
     if z == 1.0:
-        return 0.0
-    return -math.sqrt(1.0 - z * z) * legendre_dp_dz(alpha, z)
+        # P_a(1) = 1, and legendre_p rejects a degree outside the domain
+        return 0.0 * legendre_p(alpha, z)
+    return legendre_dp_dz(alpha, z) * -math.sqrt(1.0 - z * z)
 
 
-def legendre_dp1_dz(alpha, z: float):
+def legendre_dp1_dz(alpha, z):
     """d/dz of P^1_a, written out in terms of P at the degrees a, a+1 and a+2.
 
     It follows from P^1_a = -(1-z^2)^(1/2) P_a' and the derivative identity
-    of `legendre_dp_dz`.  `alpha` is a float or an array of degrees, as for
-    `legendre_p`.  The identity is singular at z = 1, so that point is
-    rejected.
+    of `legendre_dp_dz`.  `alpha` and `z` are as for `legendre_p`.  The
+    identity is singular at z = 1, so that point is rejected.
     """
-    if z == 1.0:
+    if z == 1.0 if type(z) is float else np.any(z == 1.0):
         raise DomainError("derivative identity is singular at z = 1")
     p0 = legendre_p(alpha, z)
     p1, p2 = legendre_p(alpha + 1.0, z), legendre_p(alpha + 2.0, z)
     one_m_z2 = 1.0 - z * z
     return (
         alpha * (alpha + 2.0) * (z * p1 - p2) - (alpha + 1.0) ** 2 * z * (z * p0 - p1)
-    ) / one_m_z2 ** 1.5
+    ) / _libm(lambda w: w ** 1.5, one_m_z2)
 
 
 def legendre_dp_dalpha(alpha: float, z: float, h: float = DEGREE_STEP) -> float:

@@ -157,7 +157,7 @@ def laplacian_residual(
     if sol.m != grid.m:
         raise DomainError(f"solution mode {sol.m} does not match grid mode {grid.m}")
     A, kind = _assemble(grid, None)
-    U = np.outer(grid.r ** sol.alpha, sol.profile_array(grid.theta))
+    U = np.outer(grid.r ** sol.alpha, sol.profile(grid.theta))
     res = np.where(kind == ROW_INTERIOR, -(A @ U.ravel()), 0.0)
     field = DiscreteField(grid=grid, values=res.reshape(U.shape))
     return field, field.max_norm()

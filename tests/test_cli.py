@@ -291,40 +291,68 @@ STDOUT_PINS = {
 #: digest of a sweep that reaches the connection series and theta0 = 3.09.
 PHASE_MAP_SHA256 = "c43fd2c41992c7889fe116a3acab5942da533275f970bddfab6d413f799a43e9"
 
-#: Every check `verify --suite all` runs, in the order it prints them.
-VERIFY_IDS = (
-    "special.value_at_one",
-    "special.integer_degree_polynomials",
-    "special.three_term_recurrence",
-    "special.dz_identity_vs_richardson",
-    "special.kernel_vs_quadrature",
-    "special.degree_derivative_identity",
-    "exponent.endpoint_identities",
-    "exponent.slope_fd_matches_closed_form",
-    "exponent.critical_angle_closed_form",
-    "exponent.roots_in_guaranteed_branches",
-    "exponent.no_root_in_barrier_regime",
-    "exponent.gradient_consistency",
-    "exponent.neumann_identities",
-    "exponent.neumann_roots",
-    "exponent.classification",
-    "exponent.axisymmetric_reduction",
-    "barrier.invariants_certified",
-    "barrier.profile_limit_small_degree",
-    "barrier.untilted_coefficient_negative",
-    "barrier.closed_form_vs_directional_fd",
-    "barrier.tilt_collapse_and_search",
-    "barrier.barrier_harmonicity_order",
-    "barrier.coefficient_rotation",
-    "solver.residual_convergence_orders",
-    "solver.m_matrix_default_grids",
-    "solver.m_matrix_stress_grid",
-    "solver.dirichlet_constant_exact",
-    "solver.discrete_comparison_minimum",
-    "solver.oblique_solve_order",
-    "solver.fit_exponent_recovery",
-    "solver.holder_estimator_checks",
-)
+#: Every check `verify --suite all` runs, in the order it prints them, with
+#: its detail string byte for byte; the timings are not pinned.
+VERIFY_DETAILS = {
+    "special.value_at_one": "max |P_a(1) - 1| = 0.000e+00",
+    "special.integer_degree_polynomials": (
+        "max deviation from explicit polynomials = 6.661e-16"
+    ),
+    "special.three_term_recurrence": "max three-term recurrence residual = 4.996e-15",
+    "special.dz_identity_vs_richardson": (
+        "max relative gap identity vs Richardson = 1.104e-10"
+    ),
+    "special.kernel_vs_quadrature": "max kernel-vs-quadrature gap = 7.772e-16",
+    "special.degree_derivative_identity": (
+        "max degree-derivative identity residual = 1.252e-10"
+    ),
+    "exponent.endpoint_identities": (
+        "|B(.,0,.)| <= 2.48e-16, |B(.,1,.) - cos s| <= 1.67e-15"
+    ),
+    "exponent.slope_fd_matches_closed_form": "max |FD slope - V| = 3.107e-05",
+    "exponent.critical_angle_closed_form": "max |s0 - bisected root of V| = 4.998e-13",
+    "exponent.roots_in_guaranteed_branches": (
+        "roots 0.851127, 0.336856, 0.255747, 0.501239, 0.447298"
+    ),
+    "exponent.no_root_in_barrier_regime": "no sign change for 5 pairs",
+    "exponent.gradient_consistency": "max relative gradient gap = 4.364e-10",
+    "exponent.neumann_identities": (
+        "|W(.,0)| <= 7.87e-15, |W(.,1)-cot| <= 7.11e-15, slope gap <= 4.80e-05"
+    ),
+    "exponent.neumann_roots": (
+        "half-space root 0.9999999999995346, obtuse roots interior"
+    ),
+    "exponent.classification": "4 labelled cases and determinism",
+    "exponent.axisymmetric_reduction": (
+        "identity and scaled-identity reductions exact for n=3,4,5"
+    ),
+    "barrier.invariants_certified": (
+        "c*(1.047)=0.984952; c*(2.094)=0.928336; c*(2.356)=0.901145"
+    ),
+    "barrier.profile_limit_small_degree": "sup |F - 1| = 1.921e-04 at degree 1e-4",
+    "barrier.untilted_coefficient_negative": "m1 < 0 at 310 sign-regime nodes",
+    "barrier.closed_form_vs_directional_fd": (
+        "max relative closed-form vs FD gap = 2.572e-10"
+    ),
+    "barrier.tilt_collapse_and_search": (
+        "tilt(1.047,0.5)=0.5; tilt(2.094,0.4)=0.25; tilt(1.047,-1.8)=1"
+    ),
+    "barrier.barrier_harmonicity_order": "observed order = 1.735",
+    "barrier.coefficient_rotation": "identity, unit-diagonal and direct-product cases",
+    "solver.residual_convergence_orders": "1.0/m0: 1.93; 0.6/m0: 1.75; 0.856/m1: 1.86",
+    "solver.m_matrix_default_grids": "default grids pass for modes 0 and 1",
+    "solver.m_matrix_stress_grid": "42 radial and 6 angular violations reported",
+    "solver.dirichlet_constant_exact": "constant solve max error = 2.127e-13",
+    "solver.discrete_comparison_minimum": (
+        "minima 1.00e-01 (Dirichlet), 1.12e-01 (oblique)"
+    ),
+    "solver.oblique_solve_order": "oblique-solve error order = 2.016",
+    "solver.fit_exponent_recovery": "pure-power slope gap = 1.665e-16",
+    "solver.holder_estimator_checks": (
+        "product lhs/rhs = 0.963/1.59, interpolation constant = 0.315"
+    ),
+}
+VERIFY_IDS = tuple(VERIFY_DETAILS)
 
 
 def run_cli(capsys, *argv):
@@ -628,6 +656,10 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert lines[-1] == f"{len(VERIFY_IDS)}/{len(VERIFY_IDS)} checks passed"
         assert tuple(line.split()[1] for line in lines[:-1]) == VERIFY_IDS
+
+    def test_every_check_keeps_its_pinned_detail(self):
+        got = {f"{r.suite}.{r.name}": r.detail for r in run_suite("all")}
+        assert got == VERIFY_DETAILS
 
     @pytest.mark.parametrize("suite", ["special", "exponent", "barrier", "solver"])
     def test_single_suite_runs_its_slice_in_order(self, suite):

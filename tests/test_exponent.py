@@ -4,12 +4,15 @@ Finite-difference oracles are implemented locally so they stay independent
 of the analytic code paths they validate.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+from obliquecone import exponent
 from obliquecone.errors import BracketError, DomainError
 from obliquecone.exponent import (
     AXIS_CONTINUOUS,
@@ -397,6 +400,32 @@ class TestSeparableEval:
         # near the axis
         self.assert_profile_deriv_matches_mpmath(alpha, 0)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_profile_of_an_array_equals_the_scalar_loop(self, m):
+        # bit for bit, profile_deriv included, on grids that cross
+        # M1_AXIS_CUTOFF and, past theta = 2.498, Z_SWITCH
+        for alpha in (0.013, 0.3, 0.62, 0.8563132551458703, 1.0):
+            sol = SeparableSolution(alpha=alpha, m=m)
+            for theta0 in np.linspace(0.2, 3.09, 12):
+                thetas = np.linspace(0.0 if m == 0 else 1e-3, theta0, 97)
+                want = np.array([sol.profile(float(t)) for t in thetas])
+                assert sol.profile(thetas).tobytes() == want.tobytes()
+                want = np.array([sol.profile_deriv(float(t)) for t in thetas])
+                assert sol.profile_deriv(thetas).tobytes() == want.tobytes()
+
+    def test_profile_deriv_of_an_array_near_the_axis(self):
+        # the last three angles are where numpy's square of sin(t/2) and
+        # libm's pow differ in a bit that reaches the derivative
+        for m in (0, 1):
+            sol = SeparableSolution(alpha=0.7, m=m)
+            thetas = np.array(
+                [0.0, 1e-9, M1_AXIS_CUTOFF, 2.0, 0.5967482140486617, 0.8842664973389067,
+                 0.9240356117947824]
+            )
+            want = [sol.profile_deriv(float(t)) for t in thetas]
+            assert sol.profile_deriv(thetas).tolist() == want
+            assert sol.profile(thetas).tolist() == [sol.profile(float(t)) for t in thetas]
+
     @pytest.mark.parametrize("theta", [0.0, 1e-9])
     def test_profile_deriv_on_the_axis(self, theta):
         # cos(1e-9) rounds to 1, where the derivative identities are singular
@@ -532,3 +561,22 @@ class TestClassification:
         geom = ConeGeometry(theta0=theta0)
         report = classify_regime(geom, ObliqueBC.for_cone(geom, 1.0))
         assert report.label == REGULAR_BARRIER
+
+
+def test_no_module_loops_profile_over_angles():
+    # an angular profile over a grid is one array call to profile or
+    # profile_deriv, never a comprehension of scalar calls
+    package = Path(exponent.__file__).parent
+    loops = []
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for comp in (n for n in ast.walk(tree) if isinstance(n, comprehensions)):
+            for node in ast.walk(comp):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("profile", "profile_deriv"):
+                    loops.append(f"{path.name}:{node.lineno}")
+    assert loops == []

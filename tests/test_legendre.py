@@ -209,6 +209,101 @@ class TestOneBranchPerDegree:
         assert np.all(np.abs(degrees - np.round(degrees)) <= _INTEGER_TOL)
 
 
+#: Arguments on both sides of Z_SWITCH, down to the cutoff, and z = 1.
+ARGUMENTS = np.concatenate(
+    [np.linspace(-0.9989, 1.0, 401), [-0.79, -0.8, -0.81, -0.95, -0.9985, 1.0]]
+)
+
+
+class TestOneBranchPerArgument:
+    @pytest.mark.parametrize("alpha", MIXED_DEGREES)
+    def test_vectorized_equals_scalar_bit_for_bit(self, alpha):
+        got = legendre_p(alpha, ARGUMENTS)
+        want = np.array([legendre_p(alpha, float(z)) for z in ARGUMENTS])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "alpha,z",
+        [
+            # P_a vanishes close by, so the terms a longer count would add
+            # (the one of z = -0.8001) reach its last bit
+            (0.13307692307692306, -0.9988623685980739),
+            (0.1376923076923077, -0.9985322833445707),
+            # np.log(y) differs from math.log(y) in the last bit here
+            (-0.27433493245300333, -0.9925472408680399),
+            (0.7129681353931066, -0.8777394862621504),
+            (3.6330653470773706, -0.8634684058520326),
+        ],
+    )
+    def test_each_argument_keeps_its_own_log_and_term_count(self, alpha, z):
+        zs = np.array([z, -0.8001])
+        want = [legendre_p(alpha, z), legendre_p(alpha, -0.8001)]
+        assert legendre_p(alpha, zs).tolist() == want
+
+    def test_hyp2f1_sees_only_integer_degrees_below_the_switch(self, monkeypatch):
+        seen, real = [], legendre.hyp2f1
+
+        def spy(a, b, c, x):
+            degrees, xs = np.broadcast_arrays(-np.asarray(a, dtype=float), x)
+            seen.append(degrees[xs > 0.5 * (1.0 - Z_SWITCH)])
+            return real(a, b, c, x)
+
+        monkeypatch.setattr(legendre, "hyp2f1", spy)
+        for alpha in MIXED_DEGREES:
+            legendre_p(alpha, ARGUMENTS)
+        degrees = np.concatenate(seen)
+        assert degrees.size > 0
+        assert np.all(np.abs(degrees - np.round(degrees)) <= _INTEGER_TOL)
+
+    @pytest.mark.parametrize("bad", [-0.9995, 1.0 + 1e-12, math.nan])
+    def test_rejects_any_argument_outside_the_domain(self, bad):
+        zs = np.array([0.3, bad, -0.5])
+        for f in (legendre_p, legendre_p1, legendre_dp_dz, legendre_dp1_dz):
+            with pytest.raises(DomainError):
+                f(0.5, zs)
+        with pytest.raises(DomainError):
+            legendre_p(4.5, np.array([0.3]))
+
+    def test_empty_and_both_arrays(self):
+        assert legendre_p(0.5, np.array([])).shape == (0,)
+        with pytest.raises(DomainError):
+            legendre_p(np.array([0.3, 0.5]), np.array([0.2, 0.4]))
+
+    @pytest.mark.parametrize("f", [legendre_dp_dz, legendre_p1, legendre_dp1_dz])
+    def test_derivatives_equal_the_scalar_loop(self, f):
+        zs = ARGUMENTS[ARGUMENTS < 1.0]
+        for alpha in (0.05, 0.5, 0.85, 1.0, 2.0 - 1e-15):
+            got = f(alpha, zs)
+            want = np.array([f(alpha, float(z)) for z in zs])
+            assert got.tobytes() == want.tobytes()
+
+    def test_argument_one_element_wise(self):
+        zs = np.array([0.2, 1.0, -0.9])
+        got = legendre_p1(0.7, zs)
+        assert got[1] == 0.0
+        assert got[[0, 2]].tolist() == [legendre_p1(0.7, 0.2), legendre_p1(0.7, -0.9)]
+        for f in (legendre_dp_dz, legendre_dp1_dz):
+            with pytest.raises(DomainError):
+                f(0.7, zs)
+
+
+class TestArrayOfDegrees:
+    def test_p1_evaluates_an_array_of_degrees(self):
+        # an ndarray of degrees evaluates element by element, or raises
+        # DomainError, as for legendre_p
+        alphas = np.array([0.3, 0.5])
+        got = legendre_p1(alphas, 0.2)
+        assert got.tolist() == [legendre_p1(0.3, 0.2), legendre_p1(0.5, 0.2)]
+        assert legendre_p1(alphas, 1.0).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("z", [0.2, 1.0])
+    def test_p1_rejects_a_degree_outside_the_domain(self, z):
+        with pytest.raises(DomainError):
+            legendre_p1(np.array([0.3, 4.5]), z)
+        with pytest.raises(DomainError):
+            legendre_p1(-1.5, z)
+
+
 class TestDerivatives:
     def test_dz_of_degree_one(self):
         assert legendre_dp_dz(1.0, 0.4) == pytest.approx(1.0, abs=1e-13)

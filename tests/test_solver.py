@@ -304,7 +304,7 @@ class TestSolveDirichlet:
         errs, hs = [], []
         for n in (17, 33, 65):
             grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=n, n_theta=n, theta0=theta0)
-            exact = np.outer(grid.r ** root, sol.profile_array(grid.theta))
+            exact = np.outer(grid.r ** root, sol.profile(grid.theta))
             data = lambda r, t: r ** root * sol.profile(t)
             field = solve_dirichlet(grid, {"r_min": data, "r_max": data}, oblique_s=s)
             errs.append(np.abs(field.values - exact).max())
@@ -319,7 +319,7 @@ class TestSolveDirichlet:
         errs, hs = [], []
         for n in (17, 33, 65):
             grid = SectorGrid(r_min=0.25, r_max=1.0, n_r=n, n_theta=n, theta0=THETA0, m=1)
-            exact = np.outer(grid.r ** root, sol.profile_array(grid.theta))
+            exact = np.outer(grid.r ** root, sol.profile(grid.theta))
             data = lambda r, t: r ** root * sol.profile(t)
             field = solve_dirichlet(grid, {"r_min": data, "r_max": data, "cone": data})
             errs.append(np.abs(field.values - exact).max())
@@ -487,7 +487,7 @@ class TestAssembly:
         sol = SeparableSolution(alpha=0.7, m=1)
         field, _ = laplacian_residual(sol, grid)
         A, kind = reference_assemble(grid, None)
-        U = np.outer(grid.r ** sol.alpha, sol.profile_array(grid.theta)).ravel()
+        U = np.outer(grid.r ** sol.alpha, sol.profile(grid.theta)).ravel()
         expected = np.where(kind == ROW_INTERIOR, -(A @ U), 0.0)
         np.testing.assert_array_equal(field.values.ravel(), expected)
 
