@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DegenerateBC,
+    DomainError,
     InvalidAlpha,
     InvalidOperator,
     InvalidTilt,
@@ -190,8 +191,11 @@ def m2_coefficient(
     """Coefficient of the tilted operator M(tilt) v_a, in units of r^(a-1).
 
     Preconditions: tilt >= 0, nu1 + tilt nu2 > 0, and beta2 - tilt beta1
-    keeps the sign of beta2.  tilt = 0 is `m1_coefficient`.
+    keeps the sign of beta2.  tilt = 0 is `m1_coefficient`.  The barrier and
+    bc must belong to the same cone; F(theta0) is then the barrier's c*.
     """
+    if bc.theta0 != barrier.theta0:
+        raise DomainError(f"bc built for theta0 = {bc.theta0}, barrier for {barrier.theta0}")
     if bc.beta0[1] == 0.0:
         raise DegenerateBC("beta2 = 0: the boundary operator is degenerate")
     if tilt < 0.0:
@@ -209,7 +213,7 @@ def m2_coefficient(
     eps = bc.obliqueness
     a = barrier.alpha
     theta0 = bc.theta0
-    f = barrier.profile(theta0)
+    f = barrier.cstar
     fp = barrier.profile_deriv(theta0)
     beta_dot_tau = b1 * t1 + b2 * t2
     q = (n1 + tilt * n2) / (b2 - tilt * b1)

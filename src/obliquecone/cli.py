@@ -107,7 +107,7 @@ def _sweep_values(args: argparse.Namespace) -> list[tuple[float, float, bool]]:
     cells: list[tuple[float, float, bool]] = []
     for theta0 in theta0s:
         theta0 = float(theta0)
-        lo, hi = -math.pi + theta0, theta0
+        lo, hi = ConeGeometry(theta0=theta0).admissible_s_interval()
         inset = 1e-9 * (hi - lo)
         for t in np.linspace(args.s_lo, args.s_hi, args.s_count):
             if args.s_mode == "fraction":
@@ -223,7 +223,7 @@ def cmd_barrier_check(args: argparse.Namespace) -> int:
     bc = ObliqueBC.for_cone(geom, s)
     threshold = bar.alpha0(geom)
     barrier = bar.build_barrier(geom, args.alpha)
-    rc = bar.rotate_coefficients(np.eye(2), bc, b21=float(geom.n - 2))
+    rc = bar.rotate_coefficients(np.eye(2), bc)
     m1 = bar.m1_coefficient(barrier, bc, rc)
     payload = {
         "schema_version": SCHEMA_VERSION,

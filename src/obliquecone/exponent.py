@@ -12,7 +12,8 @@ but not C^1 solution, and its existence is governed by the slope
 V(theta0, s) = dB/da at a = 0 and the endpoint value B(theta0, 1, s) = cos s.
 This module evaluates these functions, root-finds critical exponents and
 critical oblique angles, and classifies the regularity regime of a given
-(theta0, s) pair.
+(theta0, s) pair.  U1, U2, B and the Neumann mismatch W take a float or an
+ndarray of degrees; an ndarray gives the scalar loop's values bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError
 from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
-from .legendre import _libm, legendre_dp1_dz, legendre_dp_dz, legendre_p, legendre_p1
+from .legendre import (
+    _check_range, _libm, legendre_dp1_dz, legendre_dp_dz, legendre_p, legendre_p1
+)
 
 #: Lower edge of the exponent search window; excludes the trivial root a = 0.
 ALPHA_MIN = 1e-3
@@ -52,11 +55,10 @@ AXIS_CONTINUOUS = "AXIS_CONTINUOUS"
 UNKNOWN = "UNKNOWN"
 
 
-def _check_theta_alpha(theta: float, alpha: float) -> None:
+def _check_theta_alpha(theta: float, alpha) -> None:
     if not (0.0 < theta < THETA0_MAX):
         raise DomainError(f"polar angle must lie in (0, {THETA0_MAX:.4f}), got {theta}")
-    if not (0.0 <= alpha <= 2.0):
-        raise DomainError(f"degree must lie in [0, 2], got {alpha}")
+    _check_range(alpha, 0.0, 2.0, "degree")
 
 
 def _angular_factors(theta: float, alpha):
@@ -73,13 +75,13 @@ def _angular_factors(theta: float, alpha):
     return f1, f2
 
 
-def u1(theta: float, alpha: float) -> float:
+def u1(theta: float, alpha):
     """Angular factor of d(u_a)/dy1: (2a+1) cos t P_a(cos t) - (a+1) P_{a+1}(cos t)."""
     _check_theta_alpha(theta, alpha)
     return _angular_factors(theta, alpha)[0]
 
 
-def u2(theta: float, alpha: float) -> float:
+def u2(theta: float, alpha):
     """Angular factor of d(u_a)/dy2.
 
     sin t (a - (a+1) cos^2 t / sin^2 t) P_a(cos t) + (a+1) (cos t / sin t) P_{a+1}(cos t).
@@ -94,7 +96,7 @@ def _mismatch(geom: ConeGeometry, s: float, alpha):
     return math.cos(s) * f1 + math.sin(s) * f2
 
 
-def boundary_mismatch(geom: ConeGeometry, alpha: float, s: float) -> float:
+def boundary_mismatch(geom: ConeGeometry, alpha, s: float):
     """B(theta0, a, s) = cos(s) U1 + sin(s) U2 at the lateral boundary.
 
     Zero means u_a satisfies beta0 . Du = 0 on the cone edge.
@@ -157,6 +159,8 @@ def critical_exponent_scan(
     Returns (None, 0) when the scan finds no sign change; the trivial root at
     a = 0 is excluded by ALPHA_MIN.
     """
+    if bc.theta0 != geom.theta0:
+        raise DomainError(f"bc built for theta0 = {bc.theta0}, cone has {geom.theta0}")
     alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
     mismatch = partial(_mismatch, geom, bc.s)
     roots = _bracketed_roots(mismatch, alphas, mismatch(alphas), ROOT_XTOL)
@@ -176,14 +180,13 @@ def critical_exponent(geom: ConeGeometry, bc: ObliqueBC) -> Optional[float]:
     return root
 
 
-def neumann_mismatch(geom: ConeGeometry, alpha: float) -> float:
+def neumann_mismatch(geom: ConeGeometry, alpha):
     """W(theta0, a) = (P^1_a)'(cos theta0), from `legendre_dp1_dz`.
 
     Zero means the first non-axisymmetric separable mode satisfies the
     homogeneous Neumann condition on the lateral boundary.
     """
-    if not (0.0 <= alpha <= 1.0 + 1e-12):
-        raise DomainError(f"degree must lie in [0, 1], got {alpha}")
+    _check_range(alpha, 0.0, 1.0 + 1e-12, "degree")
     return legendre_dp1_dz(alpha, geom.z0)
 
 

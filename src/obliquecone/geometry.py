@@ -16,26 +16,22 @@ THETA0_MAX = math.pi - 0.045
 
 @dataclass(frozen=True)
 class ConeGeometry:
-    """Circular cone of opening angle theta0 and outer radius R in R^n.
+    """Circular cone in R^3 of opening angle theta0.
 
     theta0 is the polar angle of the lateral boundary measured from the
     symmetry axis; the axisymmetric reduction works on the plane sector
-    {(r, theta): 0 < r < R, 0 <= theta < theta0}.
+    {(r, theta): r > 0, 0 <= theta < theta0}.  ObliqueBC and SectorGrid
+    validate their theta0 here, and `admissible_s_interval` is the one
+    definition of the oblique angles that point into the cone.
     """
 
     theta0: float
-    R: float = 1.0
-    n: int = 3
 
     def __post_init__(self) -> None:
         if not (0.0 < self.theta0 < THETA0_MAX):
             raise DomainError(
                 f"opening angle must lie in (0, {THETA0_MAX:.4f}), got {self.theta0}"
             )
-        if not self.R > 0.0:
-            raise DomainError(f"outer radius must be positive, got {self.R}")
-        if not (isinstance(self.n, int) and self.n >= 3):
-            raise DomainError(f"ambient dimension must be an integer >= 3, got {self.n}")
 
     @property
     def z0(self) -> float:
@@ -60,7 +56,7 @@ class ObliqueBC:
     theta0: float
 
     def __post_init__(self) -> None:
-        lo, hi = -math.pi + self.theta0, self.theta0
+        lo, hi = ConeGeometry(theta0=self.theta0).admissible_s_interval()
         if not (lo < self.s < hi):
             raise DomainError(
                 f"oblique angle s = {self.s} outside the admissible interval "

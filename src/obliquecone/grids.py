@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import THETA0_MAX
+from .geometry import ConeGeometry
 
 #: Default radial grading ratio of the vertex-clustered grid.
 DEFAULT_GRADING = 1.05
@@ -40,27 +41,29 @@ class SectorGrid:
     theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r_min < self.r_max):
+        ConeGeometry(theta0=self.theta0)
+        if not (0.0 < self.r_min < self.r_max < math.inf):
             raise DomainError(
-                f"need 0 < r_min < r_max, got ({self.r_min}, {self.r_max})"
+                f"need 0 < r_min < r_max < inf, got ({self.r_min}, {self.r_max})"
             )
-        if self.n_r < 3 or self.n_theta < 3:
-            raise DomainError(
-                f"need at least 3 nodes per direction, got ({self.n_r}, {self.n_theta})"
-            )
-        if not (0.0 < self.theta0 < THETA0_MAX):
-            raise DomainError(f"opening angle {self.theta0} out of range")
-        if self.grading < 1.0:
-            raise DomainError(f"grading must be >= 1, got {self.grading}")
+        counts = (self.n_r, self.n_theta)
+        if not all(isinstance(n, (int, np.integer)) and n >= 3 for n in counts):
+            raise DomainError(f"need integer node counts >= 3, got {counts}")
+        if not (1.0 <= self.grading < math.inf):
+            raise DomainError(f"grading must be finite and >= 1, got {self.grading}")
         if self.m not in (0, 1):
             raise DomainError(f"mode must be 0 or 1, got {self.m}")
         if self.grading == 1.0:
             r = np.linspace(self.r_min, self.r_max, self.n_r)
         else:
-            steps = self.grading ** np.arange(self.n_r - 1)
-            steps *= (self.r_max - self.r_min) / steps.sum()
+            # a grading whose power overflows gives NaN steps, rejected below
+            with np.errstate(over="ignore", invalid="ignore"):
+                steps = self.grading ** np.arange(self.n_r - 1)
+                steps *= (self.r_max - self.r_min) / steps.sum()
             r = self.r_min + np.concatenate(([0.0], np.cumsum(steps)))
             r[-1] = self.r_max
+        if not np.all(np.diff(r) > 0.0):
+            raise DomainError(f"radial nodes at grading {self.grading} do not increase")
         object.__setattr__(self, "r", r)
         object.__setattr__(
             self, "theta", np.linspace(0.0, self.theta0, self.n_theta)

@@ -66,6 +66,16 @@ def _check_args(alpha: float, z: float) -> None:
         raise DomainError(f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}")
 
 
+def _check_range(x, lo: float, hi: float, name: str) -> None:
+    """DomainError unless lo <= x <= hi for the float x or each element of the
+    ndarray x, naming x or the first element that fails (NaN fails)."""
+    if isinstance(x, np.ndarray):
+        outside = x[~((lo <= x) & (x <= hi))]
+        x = float(outside[0]) if outside.size else lo
+    if not lo <= x <= hi:
+        raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got {x}")
+
+
 def _libm(f, x):
     """f(x) at a float, or at each element of an ndarray through the same
     Python-float call, so an ndarray gets the bits of the scalar loop on every
@@ -257,17 +267,15 @@ def legendre_dp1_dz(alpha, z):
     ) / _libm(lambda w: w ** 1.5, one_m_z2)
 
 
-def legendre_dp_dalpha(alpha: float, z: float, h: float = DEGREE_STEP) -> float:
+def legendre_dp_dalpha(alpha, z: float, h: float = DEGREE_STEP):
     """Central finite difference of P_a(z) in the degree, error O(h^2).
 
-    Requires alpha - h >= -1 so both stencil points stay in the domain.
+    `alpha` is a float or an ndarray of degrees.  Requires alpha - h >= -1 so
+    both stencil points stay in the domain.
     """
     if h <= 0.0:
         raise DomainError(f"degree step must be positive, got {h}")
-    if alpha - h < -1.0:
-        raise DomainError(
-            f"degree step {h} leaves the domain: alpha - h = {alpha - h} < -1"
-        )
+    _check_range(alpha - h, -1.0, math.inf, f"with the degree step {h}, alpha - h")
     return (legendre_p(alpha + h, z) - legendre_p(alpha - h, z)) / (2.0 * h)
 
 

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import DegenerateFit, DomainError, SingularSystem
 from .exponent import SeparableSolution
+from .geometry import ObliqueBC
 from .grids import DiscreteField, SectorGrid
 
 if TYPE_CHECKING:
@@ -402,10 +403,8 @@ def solve_dirichlet(
     missing = required - set(boundary_values)
     if missing:
         raise DomainError(f"missing boundary data for edges: {sorted(missing)}")
-    if oblique_s is not None and not (
-        -math.pi + grid.theta0 < oblique_s < grid.theta0
-    ):
-        raise DomainError(f"oblique angle {oblique_s} is not admissible")
+    if oblique_s is not None:
+        ObliqueBC(s=oblique_s, theta0=grid.theta0)
 
     A, kind = _assemble(grid, oblique_s)
     nr, nt = grid.n_r, grid.n_theta

@@ -70,7 +70,7 @@ def admissible_grid() -> list[tuple[float, float]]:
     """(theta0, s) grid spanning the validated admissible region."""
     pairs = []
     for theta0 in np.linspace(0.25, 2.7, ADMISSIBLE_GRID_SIZE):
-        lo, hi = -math.pi + theta0, theta0
+        lo, hi = ConeGeometry(theta0=float(theta0)).admissible_s_interval()
         for t in np.linspace(0.05, 0.95, ADMISSIBLE_GRID_SIZE):
             pairs.append((float(theta0), float(lo + t * (hi - lo))))
     return pairs
@@ -252,7 +252,7 @@ def _check_critical_angle() -> tuple[bool, str]:
     for theta0 in np.linspace(0.25, 2.7, 100):
         geom = ConeGeometry(theta0=float(theta0))
         slope = partial(exp_mod.slope_at_zero, geom)
-        ends = np.array([-math.pi + geom.theta0, 0.0])
+        ends = np.array([geom.admissible_s_interval()[0], 0.0])
         roots = exp_mod._bracketed_roots(
             slope, ends, np.array([slope(e) for e in ends]), 1e-12
         )
@@ -399,7 +399,7 @@ def barrier_regime_angles(theta0: float) -> list[float]:
         0.1 * q + t * 0.7 * q for t in np.linspace(0.0, 1.0, BARRIER_REGIME_COUNT)
     ]
     if theta0 < math.pi / 2.0:
-        lo, hi = -math.pi + theta0, -math.pi / 2.0
+        lo, hi = ConeGeometry(theta0=theta0).admissible_s_interval()[0], -math.pi / 2
         angles += [
             lo + t * (hi - lo) for t in np.linspace(0.1, 0.9, BARRIER_REGIME_COUNT)
         ]
@@ -447,13 +447,12 @@ def _check_m1_closed_vs_fd() -> tuple[bool, str]:
     worst = 0.0
     tested = 0
     while tested < 10:
-        theta0 = float(rng.uniform(0.4, 2.6))
-        lo, hi = -math.pi + theta0, theta0
+        geom = ConeGeometry(theta0=float(rng.uniform(0.4, 2.6)))
+        lo, hi = geom.admissible_s_interval()
         s = float(rng.uniform(lo + 0.1, hi - 0.1))
         if math.cos(s) * math.sin(s) <= 0.01:
             continue
         alpha = float(rng.uniform(0.01, 0.06))
-        geom = ConeGeometry(theta0=theta0)
         b = bar.build_barrier(geom, alpha)
         bc = ObliqueBC.for_cone(geom, s)
         rc = bar.rotate_coefficients(np.eye(2), bc)

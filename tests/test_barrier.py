@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from obliquecone import barrier as barrier_module
 from obliquecone.barrier import (
+    TILT_FLOOR,
     alpha0,
     build_barrier,
     m1_coefficient,
@@ -15,6 +17,7 @@ from obliquecone.barrier import (
 )
 from obliquecone.errors import (
     DegenerateBC,
+    DomainError,
     InvalidAlpha,
     InvalidOperator,
     InvalidTilt,
@@ -157,6 +160,25 @@ def make_setup(theta0, s, alpha):
 
 
 class TestBoundaryCoefficients:
+    def test_barrier_of_another_cone_is_rejected(self):
+        # unchecked, m1 reads -3.80 here: F and F' of the theta0 = 2 cone
+        # combined with the geometry of the theta0 = 1 edge
+        _, bc, _, rc = make_setup(1.0, 0.5, 0.05)
+        other = build_barrier(ConeGeometry(theta0=2.0), 0.05)
+        for call in (
+            lambda: m1_coefficient(other, bc, rc),
+            lambda: m2_coefficient(other, bc, rc, 0.25),
+            lambda: max_admissible_tilt(bc, other, rc),
+        ):
+            with pytest.raises(DomainError, match="barrier"):
+                call()
+
+    @pytest.mark.parametrize("theta0", [0.4, math.pi / 3, 2.0, 3 * math.pi / 4, 3.0])
+    def test_cstar_is_the_profile_at_the_edge(self, theta0):
+        # m2_coefficient reads F(theta0) as c*; both are the same kernel call
+        b = build_barrier(ConeGeometry(theta0=theta0), 0.05)
+        assert b.cstar == b.profile(theta0)
+
     def test_small_degree_limit(self):
         # with F -> 1 and F' -> 0 only the zero-order term survives
         theta0, s = 2.0, 0.5
@@ -263,6 +285,22 @@ class TestMaxAdmissibleTilt:
         tilt = max_admissible_tilt(bc, b, rc)
         assert tilt >= 1e-6
         assert m2_coefficient(b, bc, rc, tilt) < 0.0
+
+    def test_floor_reached_raises(self, monkeypatch):
+        # a negative untilted coefficient and a positive one at every tilt:
+        # the search halves down to the floor and gives up there
+        _, bc, b, rc = make_setup(math.pi / 3, 0.5, 0.05)
+        tried = []
+
+        def stub(barrier_, bc_, rc_, tilt):
+            tried.append(tilt)
+            return -1.0 if tilt == 0.0 else 1.0
+
+        monkeypatch.setattr(barrier_module, "m2_coefficient", stub)
+        with pytest.raises(NoAdmissibleTilt, match="floor"):
+            max_admissible_tilt(bc, b, rc)
+        assert tried[0] == 0.0 and tried[1] == 1.0
+        assert min(tried[1:]) >= TILT_FLOOR > 0.5 * min(tried[1:])
 
     def test_requires_negative_untilted_coefficient(self):
         # s in the irregular branch flips the zero-order sign

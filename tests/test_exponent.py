@@ -142,6 +142,48 @@ class TestBoundaryMismatch:
         assert boundary_mismatch(geom, alpha, s) == pytest.approx(fd, abs=1e-6)
 
 
+class TestArraysOfDegrees:
+    """u1, u2, boundary_mismatch and neumann_mismatch over an ndarray of
+    degrees: the scalar loop bit for bit, or DomainError naming the first
+    degree outside the range."""
+
+    DEGREES = np.concatenate((np.linspace(0.0, 2.0, 41), [1e-3, 0.999999999, 1.5 + 1e-12]))
+
+    # 2.9 puts cos(theta) below the kernel's series switch
+    @pytest.mark.parametrize("theta", [0.3, 1.2, 2 * math.pi / 3, 2.9])
+    def test_angular_factors_equal_the_scalar_loop(self, theta):
+        for fn in (u1, u2):
+            loop = np.array([fn(theta, float(a)) for a in self.DEGREES])
+            np.testing.assert_array_equal(fn(theta, self.DEGREES), loop)
+
+    @pytest.mark.parametrize("theta0,s", [(0.7, -2.0), (2 * math.pi / 3, 1.8), (2.9, 0.4)])
+    def test_boundary_mismatch_equals_the_scalar_loop(self, theta0, s):
+        geom = ConeGeometry(theta0=theta0)
+        loop = np.array([boundary_mismatch(geom, float(a), s) for a in self.DEGREES])
+        np.testing.assert_array_equal(boundary_mismatch(geom, self.DEGREES, s), loop)
+
+    @pytest.mark.parametrize("theta0", [1.0, 2 * math.pi / 3, 3.08])
+    def test_neumann_mismatch_equals_the_scalar_loop(self, theta0):
+        geom = ConeGeometry(theta0=theta0)
+        alphas = self.DEGREES[self.DEGREES <= 1.0]
+        loop = np.array([neumann_mismatch(geom, float(a)) for a in alphas])
+        np.testing.assert_array_equal(neumann_mismatch(geom, alphas), loop)
+
+    def test_first_bad_degree_is_named(self):
+        geom = ConeGeometry(theta0=2.0)
+        for call in (
+            lambda a: u1(1.0, a),
+            lambda a: u2(1.0, a),
+            lambda a: boundary_mismatch(geom, a, 0.5),
+        ):
+            with pytest.raises(DomainError, match=r"got 2\.5$"):
+                call(np.array([0.5, 2.5, -0.1]))
+            with pytest.raises(DomainError, match="got nan"):
+                call(np.array([0.5, np.nan]))
+        with pytest.raises(DomainError, match=r"got 1\.5$"):
+            neumann_mismatch(geom, np.array([0.2, 1.5, 3.0]))
+
+
 class TestSlopeAndCriticalAngle:
     @pytest.mark.parametrize("theta0", THETA_GRID)
     def test_slope_endpoint_values(self, theta0):
@@ -542,6 +584,25 @@ class TestClassification:
         barrier = classify_regime(geom, ObliqueBC.for_cone(geom, 0.7))
         assert len(barrier.witnesses) == 4
         assert barrier.witness("critical_exponent") is None
+
+    def test_root_in_the_barrier_regime_is_unknown(self, monkeypatch):
+        # a root together with cos(s) sin(s) > 0 contradicts the barrier
+        # argument; the scan never finds one, so a stub stands in for it
+        geom = ConeGeometry(theta0=math.pi / 3)
+        monkeypatch.setattr(exponent, "critical_exponent_scan", lambda g, b: (0.5, 1))
+        report = classify_regime(geom, ObliqueBC.for_cone(geom, 0.6))
+        assert report.label == UNKNOWN
+        assert report.critical_exponent == 0.5
+        assert report.witness("cos_s_sin_s") > 0.0
+        assert report.mismatch_at_root == boundary_mismatch(geom, 0.5, 0.6)
+
+    def test_boundary_condition_of_another_cone_is_rejected(self):
+        # unchecked, this pair classifies as REGULAR_BARRIER on the wrong cone
+        geom = ConeGeometry(theta0=2.0)
+        other = ObliqueBC.for_cone(ConeGeometry(theta0=1.0), 0.5)
+        for call in (classify_regime, critical_exponent, exponent.critical_exponent_scan):
+            with pytest.raises(DomainError, match="cone"):
+                call(geom, other)
 
     @pytest.mark.parametrize("theta0", EDGE_THETA0)
     def test_domain_edge_root(self, theta0):

@@ -1,10 +1,14 @@
 """Geometry types and the axisymmetric coefficient reduction."""
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from obliquecone import geometry
 from obliquecone.errors import DomainError, InvalidOperator
 from obliquecone.geometry import (
     THETA0_MAX,
@@ -34,11 +38,14 @@ class TestConeGeometry:
         geom = ConeGeometry(theta0=math.nextafter(THETA0_MAX, 0.0))
         assert math.isfinite(legendre_p(0.5, geom.z0))
 
-    def test_rejects_bad_radius_and_dimension(self):
-        with pytest.raises(DomainError):
-            ConeGeometry(theta0=1.0, R=0.0)
-        with pytest.raises(DomainError):
-            ConeGeometry(theta0=1.0, n=2)
+    def test_refuses_radius_and_dimension(self):
+        # every computation is the R^3 one on the unbounded cone, so the cone
+        # holds theta0 only and a radius or a dimension is refused, not ignored
+        assert [f.name for f in dataclasses.fields(ConeGeometry)] == ["theta0"]
+        with pytest.raises(TypeError):
+            ConeGeometry(theta0=1.0, R=1.0)
+        with pytest.raises(TypeError):
+            ConeGeometry(theta0=1.0, n=3)
 
 
 class TestObliqueBC:
@@ -61,6 +68,12 @@ class TestObliqueBC:
     def test_rejects_inadmissible_angles(self, s):
         with pytest.raises(DomainError):
             ObliqueBC(s=s, theta0=1.0472)
+
+    @pytest.mark.parametrize("s,theta0", [(3.0, 5.0), (-1.0, -0.1), (1.0, THETA0_MAX)])
+    def test_rejects_opening_angles_outside_the_cone_range(self, s, theta0):
+        # s lies inside (-pi + theta0, theta0), so only the cone check rejects it
+        with pytest.raises(DomainError, match="opening angle"):
+            ObliqueBC(s=s, theta0=theta0)
 
     def test_for_cone(self):
         geom = ConeGeometry(theta0=2.0)
@@ -111,3 +124,26 @@ class TestReduction:
     def test_rejects_inconsistent_supplied_bounds(self):
         with pytest.raises(InvalidOperator):
             reduce_to_axisymmetric(np.eye(4), lam=2.0, Lam=3.0)
+
+
+def _adds_negated_pi(node: ast.AST) -> bool:
+    """True for `-math.pi + x` and `x + -math.pi`."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    return any(
+        isinstance(side, ast.UnaryOp)
+        and isinstance(side.op, ast.USub)
+        and isinstance(side.operand, ast.Attribute)
+        and side.operand.attr == "pi"
+        for side in (node.left, node.right)
+    )
+
+
+def test_only_geometry_writes_the_admissible_interval():
+    # the interval (-pi + theta0, theta0) has one owner,
+    # ConeGeometry.admissible_s_interval; every other module asks it
+    found = []
+    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [path.name for node in ast.walk(tree) if _adds_negated_pi(node)]
+    assert found == ["geometry.py"]

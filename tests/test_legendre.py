@@ -397,6 +397,19 @@ class TestDegreeDerivative:
         with pytest.raises(DomainError):
             legendre_dp_dalpha(0.5, 0.3, h=0.0)
 
+    @pytest.mark.parametrize("z", [0.9, 0.3, -0.5, -0.95])
+    def test_array_of_degrees_equals_the_scalar_loop(self, z):
+        alphas = np.concatenate((np.linspace(-0.99, 3.0, 57), [1.0 - 1e-5, 2.0]))
+        loop = np.array([legendre_dp_dalpha(float(a), z) for a in alphas])
+        np.testing.assert_array_equal(legendre_dp_dalpha(alphas, z), loop)
+
+    def test_array_names_the_first_degree_that_leaves_the_domain(self):
+        alphas = np.array([0.5, -0.999995, -1.0])
+        with pytest.raises(DomainError, match=repr(float(alphas[1] - 1e-5))):
+            legendre_dp_dalpha(alphas, 0.3, h=1e-5)
+        with pytest.raises(DomainError, match="got 4.5"):
+            legendre_dp_dalpha(np.array([0.5, 4.5 - 1e-5]), 0.3, h=1e-5)
+
 
 def test_only_the_kernel_imports_legendre_p_many():
     # callers pass float or array degrees to legendre_p; choosing between the

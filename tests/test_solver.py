@@ -213,6 +213,32 @@ class TestSectorGrid:
         with pytest.raises(DomainError):
             SectorGrid(r_min=0.1, r_max=1.0, n_r=5, n_theta=5, theta0=1.0, m=2)
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"r_max": math.inf},
+            {"r_min": math.nan},
+            {"grading": math.nan},
+            {"grading": math.inf},
+            {"n_r": 10.0},
+            {"n_theta": 10.0},
+            {"theta0": 5.0},
+            # finite gradings whose first steps vanish below the ulp of r_min
+            # or whose powers overflow
+            {"grading": 2.0, "n_r": 70},
+            {"grading": 1e10, "n_r": 64},
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_rejects_inputs_that_build_bad_nodes(self, override):
+        args = dict(r_min=1e-3, r_max=1.0, n_r=10, n_theta=5, theta0=1.0, grading=1.05)
+        with pytest.raises(DomainError):
+            SectorGrid(**{**args, **override})
+
+    def test_accepts_numpy_integer_counts(self):
+        g = SectorGrid(r_min=0.1, r_max=1.0, n_r=np.int64(6), n_theta=np.int32(4), theta0=1.0)
+        assert g.node_count() == 24
+
     def test_csv_roundtrip(self, tmp_path):
         g = SectorGrid(r_min=0.1, r_max=1.0, n_r=4, n_theta=3, theta0=1.0)
         field = DiscreteField.from_function(g, lambda r, t: r * math.cos(t))
@@ -355,6 +381,29 @@ class TestSolveDirichlet:
         grid = SectorGrid.default(THETA0, n_r=12, n_theta=8)
         with pytest.raises(DomainError):
             solve_dirichlet(grid, {"r_min": 0.0})
+
+    @pytest.mark.parametrize("oblique_s", [None, 1.8])
+    def test_array_edge_data_equals_callable_data(self, oblique_s):
+        # an array along an edge lists the values at that edge's nodes, in
+        # grid order: r_min and r_max along theta, the cone along r
+        grid = SectorGrid.default(THETA0, n_r=16, n_theta=12)
+        data = lambda r, t: math.cos(2 * r) + t * r
+        edges = {
+            "r_min": [data(grid.r[0], t) for t in grid.theta],
+            "r_max": [data(grid.r[-1], t) for t in grid.theta],
+            "cone": np.array([data(r, grid.theta0) for r in grid.r]),
+        }
+        callables = dict.fromkeys(edges, data)
+        arrays = solve_dirichlet(grid, edges, oblique_s=oblique_s)
+        reference = solve_dirichlet(grid, callables, oblique_s=oblique_s)
+        np.testing.assert_array_equal(arrays.values, reference.values)
+
+    def test_edge_array_of_the_wrong_length(self):
+        grid = SectorGrid.default(THETA0, n_r=12, n_theta=8)
+        with pytest.raises(DomainError, match="does not fit"):
+            solve_dirichlet(grid, {"r_min": 0.0, "r_max": np.zeros(9), "cone": 0.0})
+        with pytest.raises(DomainError, match="does not fit"):
+            solve_dirichlet(grid, {"r_min": 0.0, "r_max": 0.0, "cone": np.zeros(8)})
 
     def test_inadmissible_oblique_angle(self):
         grid = SectorGrid.default(THETA0, n_r=12, n_theta=8)
