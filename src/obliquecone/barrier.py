@@ -51,15 +51,20 @@ BARRIER_CHECK_POINTS = 500
 class MillerBarrier(SeparableSolution):
     """Barrier v_a = r^a F_a(theta), the m = 0 separable mode, certified on build.
 
-    F_a = P_a(cos .) is its profile; theta0 and c* = F_a(theta0) come from the
-    cone it was certified on.
+    F_a = P_a(cos .) is its profile and theta0 the cone it was certified on;
+    c* = F_a(theta0) is derived from both, never passed in.
     """
 
     m: int = field(default=0, init=False)
     c: float = field(default=0.0, init=False)
     d: float = field(default=1.0, init=False)
     theta0: float
-    cstar: float
+    cstar: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        z0 = ConeGeometry(theta0=self.theta0).z0
+        object.__setattr__(self, "cstar", legendre_p(self.alpha, z0))
 
 
 def alpha0(geom: ConeGeometry) -> float:
@@ -89,7 +94,7 @@ def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
         raise InvalidAlpha(
             f"degree {alpha} is not below the positivity threshold {a0:.12g}"
         )
-    barrier = MillerBarrier(alpha=alpha, theta0=geom.theta0, cstar=legendre_p(alpha, geom.z0))
+    barrier = MillerBarrier(alpha=alpha, theta0=geom.theta0)
     if not (0.0 < barrier.cstar <= 1.0):
         raise InvalidAlpha(f"boundary value c* = {barrier.cstar} not in (0, 1]")
     thetas = np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS)
@@ -117,13 +122,18 @@ def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
 class RotatedCoefficients:
     """Plane coefficients expressed in the (beta0, tau) frame.
 
-    atilde = J a0 J^T with J rows beta0 and tau; b21 is the singular-term
-    coefficient of the reduced operator.
+    atilde = J a0 J^T with J rows beta0 and tau for the boundary condition bc
+    it was rotated for; b21 is the singular-term coefficient of the reduced
+    operator.
     """
 
     atilde: np.ndarray
-    obliqueness: float
+    bc: ObliqueBC
     b21: float
+
+    @property
+    def obliqueness(self) -> float:
+        return self.bc.obliqueness
 
     @property
     def a11(self) -> float:
@@ -171,7 +181,7 @@ def rotate_coefficients(
                 f"rotated diagonal {entry} outside the ellipticity bracket "
                 f"[{lam}, {hi}]"
             )
-    return RotatedCoefficients(atilde=atilde, obliqueness=eps, b21=b21)
+    return RotatedCoefficients(atilde=atilde, bc=bc, b21=b21)
 
 
 def m1_coefficient(
@@ -192,10 +202,13 @@ def m2_coefficient(
 
     Preconditions: tilt >= 0, nu1 + tilt nu2 > 0, and beta2 - tilt beta1
     keeps the sign of beta2.  tilt = 0 is `m1_coefficient`.  The barrier and
-    bc must belong to the same cone; F(theta0) is then the barrier's c*.
+    bc must belong to the same cone; F(theta0) is then the barrier's c*.  rc
+    must be rotated for bc itself.
     """
     if bc.theta0 != barrier.theta0:
         raise DomainError(f"bc built for theta0 = {bc.theta0}, barrier for {barrier.theta0}")
+    if rc.bc != bc:
+        raise DomainError(f"coefficients rotated for {rc.bc}, not for {bc}")
     if bc.beta0[1] == 0.0:
         raise DegenerateBC("beta2 = 0: the boundary operator is degenerate")
     if tilt < 0.0:

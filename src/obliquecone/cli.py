@@ -80,8 +80,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     geom = ConeGeometry(theta0=theta0)
     report = exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s))
     if args.json:
-        print(json.dumps(_report_dict(theta0, s, report)))
-        return 0
+        return _emit(_report_dict(theta0, s, report), as_json=True)
     print(f"theta0: {_fmt(theta0)}")
     print(f"s: {_fmt(s)}")
     print(f"label: {report.label}")

@@ -65,6 +65,9 @@ ADMISSIBLE_GRID_SIZE = 20
 #: Central-difference step of the Cartesian FD oracles, relative to r.
 FD_STEP_SCALE = 1e-5
 
+#: Central-difference step of `m1_by_directional_differences` at r = 1.
+M1_FD_STEP = 1e-6
+
 
 def admissible_grid() -> list[tuple[float, float]]:
     """(theta0, s) grid spanning the validated admissible region."""
@@ -84,7 +87,12 @@ def _grids(theta0: float, m: int = 0) -> list[SectorGrid]:
     ]
 
 
-def _separable(p, alpha: float):
+# The Cartesian finite-difference oracle: separable, central_difference, the
+# boundary residuals and m1_by_directional_differences.  It is the only one in
+# the repository; the tests import it instead of keeping copies.
+
+
+def separable(p, alpha: float):
     """(y1, y2) -> r^a p(a, y1 / r) in Cartesian coordinates of the plane."""
 
     def u(y1: float, y2: float) -> float:
@@ -94,25 +102,25 @@ def _separable(p, alpha: float):
     return u
 
 
-def _central_difference(u, y1: float, y2: float, d1: float, d2: float, h: float) -> float:
+def central_difference(u, y1: float, y2: float, d1: float, d2: float, h: float) -> float:
     """Central difference of u at (y1, y2) along the direction (d1, d2), step h."""
     return (u(y1 + h * d1, y2 + h * d2) - u(y1 - h * d1, y2 - h * d2)) / (2.0 * h)
 
 
-def _fd_boundary_residual(
+def fd_boundary_residual(
     p, geom: ConeGeometry, direction, alpha: float, radii
 ) -> float:
     """max over radii of |direction . D u| / r^(a-1) at the lateral boundary
     for u = r^a p(a, cos t), with central differences of step FD_STEP_SCALE * r
     along the Cartesian axes."""
-    u = _separable(p, alpha)
+    u = separable(p, alpha)
     d1, d2 = direction
     worst = 0.0
     for r in radii:
         y1, y2 = r * math.cos(geom.theta0), r * math.sin(geom.theta0)
         h = FD_STEP_SCALE * r
-        g1 = _central_difference(u, y1, y2, 1.0, 0.0, h)
-        g2 = _central_difference(u, y1, y2, 0.0, 1.0, h)
+        g1 = central_difference(u, y1, y2, 1.0, 0.0, h)
+        g2 = central_difference(u, y1, y2, 0.0, 1.0, h)
         worst = max(worst, abs(d1 * g1 + d2 * g2) / r ** (alpha - 1.0))
     return worst
 
@@ -121,13 +129,33 @@ def fd_oblique_residual(geom: ConeGeometry, s: float, alpha: float, radii) -> fl
     """max over radii of |beta0 . D u_a| / r^(a-1) at the lateral boundary,
     with central finite differences of u_a in Cartesian coordinates."""
     beta0 = (math.cos(s), math.sin(s))
-    return _fd_boundary_residual(legendre_p, geom, beta0, alpha, radii)
+    return fd_boundary_residual(legendre_p, geom, beta0, alpha, radii)
 
 
 def fd_neumann_residual(geom: ConeGeometry, alpha: float, radii) -> float:
     """max |nu . D profile| / r^(a-1) for the m = 1 mode r^a P^1_a(cos t)."""
     nu = (math.sin(geom.theta0), -math.cos(geom.theta0))
-    return _fd_boundary_residual(legendre_p1, geom, nu, alpha, radii)
+    return fd_boundary_residual(legendre_p1, geom, nu, alpha, radii)
+
+
+def m1_by_directional_differences(
+    b: bar.MillerBarrier, bc: ObliqueBC, rc: bar.RotatedCoefficients
+) -> float:
+    """Untilted operator applied to the barrier at r = 1 by central differences
+    of step M1_FD_STEP along beta0 and tau."""
+    b1, b2 = bc.beta0
+    n1, _ = bc.nu
+    t1, t2 = bc.tau
+    y1 = math.cos(bc.theta0)
+    y2 = math.sin(bc.theta0)
+    v = separable(legendre_p, b.alpha)
+    beta_deriv = central_difference(v, y1, y2, b1, b2, M1_FD_STEP)
+    tau_deriv = central_difference(v, y1, y2, t1, t2, M1_FD_STEP)
+    return (
+        beta_deriv
+        + (n1 / b2) * (rc.a22 / rc.a11) * tau_deriv
+        - (1.0 / bc.obliqueness) * (n1 / rc.a11) * (b1 / b2) * rc.b21 / y2 * v(y1, y2)
+    )
 
 
 #: Branches of (theta0, s) where a critical exponent is guaranteed.
@@ -304,8 +332,8 @@ def _check_gradient_consistency() -> tuple[bool, str]:
                 )[0]
 
             y1, y2 = r * math.cos(theta), r * math.sin(theta)
-            fd1 = _central_difference(val, y1, y2, 1.0, 0.0, h)
-            fd2 = _central_difference(val, y1, y2, 0.0, 1.0, h)
+            fd1 = central_difference(val, y1, y2, 1.0, 0.0, h)
+            fd2 = central_difference(val, y1, y2, 0.0, 1.0, h)
             scale = max(abs(grad[0]), abs(grad[1]), 1e-30)
             worst = max(worst, abs(fd1 - grad[0]) / scale, abs(fd2 - grad[1]) / scale)
     return worst <= 1e-6, f"max relative gradient gap = {worst:.3e}"
@@ -457,29 +485,10 @@ def _check_m1_closed_vs_fd() -> tuple[bool, str]:
         bc = ObliqueBC.for_cone(geom, s)
         rc = bar.rotate_coefficients(np.eye(2), bc)
         closed = bar.m1_coefficient(b, bc, rc)
-        fd = _m1_by_directional_differences(b, bc, rc)
+        fd = m1_by_directional_differences(b, bc, rc)
         worst = max(worst, abs(closed - fd) / abs(closed))
         tested += 1
     return worst <= 1e-8, f"max relative closed-form vs FD gap = {worst:.3e}"
-
-
-def _m1_by_directional_differences(
-    b: bar.MillerBarrier, bc: ObliqueBC, rc: bar.RotatedCoefficients, h: float = 1e-6
-) -> float:
-    """Untilted operator applied to the barrier at r = 1 by finite differences."""
-    b1, b2 = bc.beta0
-    n1, _ = bc.nu
-    t1, t2 = bc.tau
-    y1 = math.cos(bc.theta0)
-    y2 = math.sin(bc.theta0)
-    v = _separable(legendre_p, b.alpha)
-    beta_deriv = _central_difference(v, y1, y2, b1, b2, h)
-    tau_deriv = _central_difference(v, y1, y2, t1, t2, h)
-    return (
-        beta_deriv
-        + (n1 / b2) * (rc.a22 / rc.a11) * tau_deriv
-        - (1.0 / bc.obliqueness) * (n1 / rc.a11) * (b1 / b2) * rc.b21 / y2 * v(y1, y2)
-    )
 
 
 def _check_tilt() -> tuple[bool, str]:

@@ -35,20 +35,23 @@ from obliquecone.holder import (
     holder_seminorm,
     sector_sample_points,
 )
-from obliquecone.legendre import (
-    legendre_p,
-    legendre_p1,
-    legendre_p_quadrature,
-)
+from obliquecone.legendre import legendre_p, legendre_p_quadrature
 from obliquecone.solver import (
     check_m_matrix,
     fit_exponent,
     residual_convergence,
     solve_dirichlet,
 )
+from obliquecone.verify import (
+    admissible_grid,
+    fd_neumann_residual,
+    fd_oblique_residual,
+    m1_by_directional_differences,
+    separable,
+)
 
-THETA0_GRID = np.linspace(0.25, 2.7, 20)
-S_FRACTIONS = np.linspace(0.05, 0.95, 20)
+#: Boundary radii of the Cartesian FD residuals.
+FD_RADII = np.linspace(0.1, 1.0, 20)
 
 #: guaranteed-branch s-values per opening angle (5 per branch)
 BRANCHES = {
@@ -86,38 +89,8 @@ def report(cid, ok, detail):
 
 
 def admissible_pairs():
-    for theta0 in THETA0_GRID:
-        geom = ConeGeometry(theta0=float(theta0))
-        lo, hi = geom.admissible_s_interval()
-        for frac in S_FRACTIONS:
-            yield geom, float(lo + frac * (hi - lo))
-
-
-def separable_value(alpha, y1, y2, m=0):
-    r = math.hypot(y1, y2)
-    if m == 0:
-        return r ** alpha * legendre_p(alpha, y1 / r)
-    return r ** alpha * legendre_p1(alpha, y1 / r)
-
-
-def fd_boundary_residual(theta0, s, alpha, m=0, direction=None):
-    """max scaled residual of the directional derivative at 20 boundary points."""
-    if direction is None:
-        direction = (math.cos(s), math.sin(s))
-    d1, d2 = direction
-    worst = 0.0
-    for r in np.linspace(0.1, 1.0, 20):
-        r = float(r)
-        y1, y2 = r * math.cos(theta0), r * math.sin(theta0)
-        h = 1e-5 * r
-        g1 = (
-            separable_value(alpha, y1 + h, y2, m) - separable_value(alpha, y1 - h, y2, m)
-        ) / (2 * h)
-        g2 = (
-            separable_value(alpha, y1, y2 + h, m) - separable_value(alpha, y1, y2 - h, m)
-        ) / (2 * h)
-        worst = max(worst, abs(d1 * g1 + d2 * g2) / r ** (alpha - 1.0))
-    return worst
+    for theta0, s in admissible_grid():
+        yield ConeGeometry(theta0=theta0), s
 
 
 def certified_roots():
@@ -200,7 +173,9 @@ def test_c05_counterexample_certification():
         order = residual_convergence(sol, grids).observed_order
         worst_order_lo = min(worst_order_lo, order)
         worst_order_hi = max(worst_order_hi, order)
-        worst_fd = max(worst_fd, fd_boundary_residual(theta0, s, root))
+        worst_fd = max(
+            worst_fd, fd_oblique_residual(ConeGeometry(theta0=theta0), s, root, FD_RADII)
+        )
         slope, _ = fit_exponent(
             lambda r, t: r ** root * sol.profile(t), theta0 / 2, (1e-3, 1e-1)
         )
@@ -238,14 +213,12 @@ def test_c06_regular_regime_has_no_root():
 def test_c07_holder_dichotomy():
     # pick a certified case whose shifted exponent alpha + 0.1 stays in (0, 1]
     theta0, s, root = next(rt for rt in certified_roots() if rt[2] <= 0.9)
-    sol = SeparableSolution(alpha=root, m=0)
+    u = separable(legendre_p, root)
     prev_at = prev_above = None
     ratios = []
     for r_min in (1e-2, 5e-3, 2.5e-3):
         pts = sector_sample_points(theta0, r_min, 1.0)
-        values = np.array(
-            [separable_value(root, p[0], p[1]) for p in pts]
-        )
+        values = np.array([u(p[0], p[1]) for p in pts])
         samples = HolderSamples(points=pts, values=values)
         at = holder_seminorm(samples, HolderSpec(0, root, beta=-root))
         above = holder_seminorm(
@@ -288,7 +261,7 @@ def test_c08_barrier_suite():
             bc = ObliqueBC.for_cone(geom, float(s))
             rc = rotate_coefficients(np.eye(2), bc)
             closed = m1_coefficient(barrier, bc, rc)
-            fd = _directional_m1(barrier, bc, rc)
+            fd = m1_by_directional_differences(barrier, bc, rc)
             worst_gap = max(worst_gap, abs(closed - fd) / abs(closed))
             tilt = max_admissible_tilt(bc, barrier, rc)
             assert tilt >= 1e-6
@@ -298,30 +271,6 @@ def test_c08_barrier_suite():
         worst_gap <= 1e-8,
         f"barrier certificates for three angles; closed-form vs FD gap "
         f"<= {worst_gap:.2e} (tol 1e-8)",
-    )
-
-
-def _directional_m1(barrier, bc, rc, h=1e-6):
-    b1, b2 = bc.beta0
-    n1, _ = bc.nu
-    t1, t2 = bc.tau
-    y1, y2 = math.cos(bc.theta0), math.sin(bc.theta0)
-
-    def ddir(d1, d2):
-        return (
-            separable_value(barrier.alpha, y1 + h * d1, y2 + h * d2)
-            - separable_value(barrier.alpha, y1 - h * d1, y2 - h * d2)
-        ) / (2 * h)
-
-    return (
-        ddir(b1, b2)
-        + (n1 / b2) * (rc.a22 / rc.a11) * ddir(t1, t2)
-        - (1.0 / bc.obliqueness)
-        * (n1 / rc.a11)
-        * (b1 / b2)
-        * rc.b21
-        / y2
-        * separable_value(barrier.alpha, y1, y2)
     )
 
 
@@ -346,11 +295,7 @@ def test_c09_neumann_mode():
         geom = ConeGeometry(theta0=theta0)
         root = neumann_exponent(geom)
         assert 0.0 < root < 1.0
-        n1, n2 = math.sin(theta0), -math.cos(theta0)
-        worst_res = max(
-            worst_res,
-            fd_boundary_residual(theta0, 0.0, root, m=1, direction=(n1, n2)),
-        )
+        worst_res = max(worst_res, fd_neumann_residual(geom, root, FD_RADII))
         grids = [
             SectorGrid(r_min=0.25, r_max=1.0, n_r=n, n_theta=n, theta0=theta0, m=1)
             for n in (33, 65, 129)

@@ -8,6 +8,7 @@ import pytest
 from obliquecone import barrier as barrier_module
 from obliquecone.barrier import (
     TILT_FLOOR,
+    MillerBarrier,
     alpha0,
     build_barrier,
     m1_coefficient,
@@ -26,6 +27,11 @@ from obliquecone.errors import (
 from obliquecone.exponent import separable_eval
 from obliquecone.geometry import ConeGeometry, ObliqueBC
 from obliquecone.legendre import legendre_p
+from obliquecone.verify import (
+    central_difference,
+    m1_by_directional_differences,
+    separable,
+)
 
 # frozen bisection-oracle thresholds
 ALPHA0_EXPECTED = {
@@ -35,11 +41,6 @@ ALPHA0_EXPECTED = {
 }
 # frozen quadrature-oracle value of P_0.1(cos(3 pi/4))
 CSTAR_TENTH_AT_3PI4 = 0.797387587234196
-
-
-def barrier_value(alpha, y1, y2):
-    r = math.hypot(y1, y2)
-    return r ** alpha * legendre_p(alpha, y1 / r)
 
 
 class TestAlpha0:
@@ -103,14 +104,26 @@ class TestBuildBarrier:
         with pytest.raises(InvalidAlpha):
             build_barrier(geom, 0.0)
 
+    def test_cstar_is_derived_from_the_cone(self):
+        # c* = F(theta0) is computed, so a barrier cannot carry a wrong one
+        geom = ConeGeometry(theta0=1.0)
+        assert MillerBarrier(alpha=0.05, theta0=1.0) == build_barrier(geom, 0.05)
+        with pytest.raises(TypeError):
+            MillerBarrier(alpha=0.05, theta0=1.0, cstar=7.0)
+
+    def test_direct_barrier_on_no_cone_is_rejected(self):
+        # unchecked, m2_coefficient would read F(5.0) as c*
+        with pytest.raises(DomainError):
+            MillerBarrier(alpha=0.05, theta0=5.0)
+
     def test_gradient_matches_finite_differences(self):
         geom = ConeGeometry(theta0=2.0)
         b = build_barrier(geom, 0.3)
         r, theta = 0.8, 1.1
         y1, y2 = r * math.cos(theta), r * math.sin(theta)
-        h = 1e-6
-        g1 = (barrier_value(0.3, y1 + h, y2) - barrier_value(0.3, y1 - h, y2)) / (2 * h)
-        g2 = (barrier_value(0.3, y1, y2 + h) - barrier_value(0.3, y1, y2 - h)) / (2 * h)
+        u = separable(legendre_p, 0.3)
+        g1 = central_difference(u, y1, y2, 1.0, 0.0, 1e-6)
+        g2 = central_difference(u, y1, y2, 0.0, 1.0, 1e-6)
         _, got = separable_eval(b, (r, theta))
         assert got[0] == pytest.approx(g1, rel=1e-8)
         assert got[1] == pytest.approx(g2, rel=1e-8)
@@ -173,6 +186,23 @@ class TestBoundaryCoefficients:
             with pytest.raises(DomainError, match="barrier"):
                 call()
 
+    def test_coefficients_rotated_for_another_bc_are_rejected(self):
+        # unchecked, diag(1, 3) rotated for s = -1.8 read m1 = -1.3153 on the
+        # s = 0.5 edge
+        _, bc, b, rc = make_setup(1.0, 0.5, 0.05)
+        assert rc.bc == bc and rc.obliqueness == bc.obliqueness
+        assert m1_coefficient(b, bc, rc) == -3.7955275645657407
+        # other plane coefficients rotated for the same bc are accepted
+        assert m1_coefficient(b, bc, rotate_coefficients(np.diag([1.0, 3.0]), bc)) < 0.0
+        other = rotate_coefficients(np.diag([1.0, 3.0]), ObliqueBC(s=-1.8, theta0=1.0))
+        for call in (
+            lambda: m1_coefficient(b, bc, other),
+            lambda: m2_coefficient(b, bc, other, 0.25),
+            lambda: max_admissible_tilt(bc, b, other),
+        ):
+            with pytest.raises(DomainError, match="rotated"):
+                call()
+
     @pytest.mark.parametrize("theta0", [0.4, math.pi / 3, 2.0, 3 * math.pi / 4, 3.0])
     def test_cstar_is_the_profile_at_the_edge(self, theta0):
         # m2_coefficient reads F(theta0) as c*; both are the same kernel call
@@ -212,33 +242,9 @@ class TestBoundaryCoefficients:
             alpha = float(rng.uniform(0.01, 0.06))
             _, bc, b, rc = make_setup(theta0, s, alpha)
             closed = m1_coefficient(b, bc, rc)
-            fd = self._directional(b, bc, rc)
+            fd = m1_by_directional_differences(b, bc, rc)
             assert closed == pytest.approx(fd, rel=1e-8)
             checked += 1
-
-    @staticmethod
-    def _directional(b, bc, rc, h=1e-6):
-        b1, b2 = bc.beta0
-        n1, _ = bc.nu
-        t1, t2 = bc.tau
-        y1, y2 = math.cos(bc.theta0), math.sin(bc.theta0)
-
-        def ddir(d1, d2):
-            return (
-                barrier_value(b.alpha, y1 + h * d1, y2 + h * d2)
-                - barrier_value(b.alpha, y1 - h * d1, y2 - h * d2)
-            ) / (2 * h)
-
-        return (
-            ddir(b1, b2)
-            + (n1 / b2) * (rc.a22 / rc.a11) * ddir(t1, t2)
-            - (1.0 / bc.obliqueness)
-            * (n1 / rc.a11)
-            * (b1 / b2)
-            * rc.b21
-            / y2
-            * barrier_value(b.alpha, y1, y2)
-        )
 
     def test_tilt_zero_collapses_exactly(self):
         _, bc, b, rc = make_setup(2 * math.pi / 3, 0.4, 0.05)

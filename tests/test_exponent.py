@@ -1,7 +1,8 @@
 """Counterexample engine: mismatch functions, roots, classification.
 
-Finite-difference oracles are implemented locally so they stay independent
-of the analytic code paths they validate.
+The Cartesian finite-difference oracle comes from `obliquecone.verify`; it
+differences r^a P_a(cos t) in (y1, y2), independent of the analytic
+mismatch and gradient code paths it validates.
 """
 
 import ast
@@ -39,6 +40,12 @@ from obliquecone.legendre import (
     legendre_p,
     legendre_p1,
     legendre_p_quadrature,
+)
+from obliquecone.verify import (
+    central_difference,
+    fd_neumann_residual,
+    fd_oblique_residual,
+    separable,
 )
 
 THETA_GRID = np.linspace(0.3, 2.7, 9)
@@ -81,17 +88,6 @@ def quadrature_neumann(theta0, alpha):
     ) / (1 - z * z) ** 1.5
 
 
-def u_value(alpha, y1, y2):
-    r = math.hypot(y1, y2)
-    return r ** alpha * legendre_p(alpha, y1 / r)
-
-
-def fd_gradient(fn, y1, y2, h):
-    g1 = (fn(y1 + h, y2) - fn(y1 - h, y2)) / (2 * h)
-    g2 = (fn(y1, y2 + h) - fn(y1, y2 - h)) / (2 * h)
-    return g1, g2
-
-
 class TestAngularFactors:
     @pytest.mark.parametrize("theta", THETA_GRID)
     def test_degree_one(self, theta):
@@ -108,7 +104,9 @@ class TestAngularFactors:
     def test_matches_cartesian_finite_differences(self):
         theta, alpha, r = math.pi / 3, 0.5, 1.0
         y1, y2 = r * math.cos(theta), r * math.sin(theta)
-        g1, g2 = fd_gradient(lambda a, b: u_value(alpha, a, b), y1, y2, 1e-6)
+        u = separable(legendre_p, alpha)
+        g1 = central_difference(u, y1, y2, 1.0, 0.0, 1e-6)
+        g2 = central_difference(u, y1, y2, 0.0, 1.0, 1e-6)
         assert u1(theta, alpha) == pytest.approx(g1, abs=1e-8)
         assert u2(theta, alpha) == pytest.approx(g2, abs=1e-8)
 
@@ -137,7 +135,9 @@ class TestBoundaryMismatch:
         alpha, s = 0.5, -1.0
         y1 = math.cos(geom.theta0)
         y2 = math.sin(geom.theta0)
-        g1, g2 = fd_gradient(lambda a, b: u_value(alpha, a, b), y1, y2, 1e-6)
+        u = separable(legendre_p, alpha)
+        g1 = central_difference(u, y1, y2, 1.0, 0.0, 1e-6)
+        g2 = central_difference(u, y1, y2, 0.0, 1.0, 1e-6)
         fd = math.cos(s) * g1 + math.sin(s) * g2
         assert boundary_mismatch(geom, alpha, s) == pytest.approx(fd, abs=1e-6)
 
@@ -298,12 +298,7 @@ class TestCriticalExponent:
         theta0, s = 2 * math.pi / 3, 1.8
         geom = ConeGeometry(theta0=theta0)
         root = critical_exponent(geom, ObliqueBC.for_cone(geom, s))
-        for r in np.linspace(0.1, 1.0, 20):
-            r = float(r)
-            y1, y2 = r * math.cos(theta0), r * math.sin(theta0)
-            g1, g2 = fd_gradient(lambda a, b: u_value(root, a, b), y1, y2, 1e-5 * r)
-            residual = abs(math.cos(s) * g1 + math.sin(s) * g2)
-            assert residual <= 1e-6 * r ** (root - 1.0)
+        assert fd_oblique_residual(geom, s, root, np.linspace(0.1, 1.0, 20)) <= 1e-6
 
     @pytest.mark.parametrize(
         "theta0,s",
@@ -358,17 +353,7 @@ class TestNeumann:
         theta0 = 2 * math.pi / 3
         geom = ConeGeometry(theta0=theta0)
         root = neumann_exponent(geom)
-        n1, n2 = math.sin(theta0), -math.cos(theta0)
-
-        def mode(y1, y2):
-            r = math.hypot(y1, y2)
-            return r ** root * legendre_p1(root, y1 / r)
-
-        for r in np.linspace(0.2, 1.0, 10):
-            r = float(r)
-            y1, y2 = r * math.cos(theta0), r * math.sin(theta0)
-            g1, g2 = fd_gradient(mode, y1, y2, 1e-5 * r)
-            assert abs(n1 * g1 + n2 * g2) <= 1e-6 * r ** (root - 1.0)
+        assert fd_neumann_residual(geom, root, np.linspace(0.2, 1.0, 10)) <= 1e-6
 
     def test_root_near_domain_edge(self):
         # W falls with slope ~ -1.5e4 here, so the root is pinned by a sign
@@ -495,7 +480,8 @@ class TestSeparableEval:
                 return separable_eval(sol, (rr, math.atan2(y2, y1), 0.0))[0]
 
             y1, y2 = r * math.cos(theta), r * math.sin(theta)
-            g1, g2 = fd_gradient(value, y1, y2, 1e-6 * r)
+            g1 = central_difference(value, y1, y2, 1.0, 0.0, 1e-6 * r)
+            g2 = central_difference(value, y1, y2, 0.0, 1.0, 1e-6 * r)
             _, grad = separable_eval(sol, (r, theta, 0.0))
             scale = max(abs(grad[0]), abs(grad[1]))
             assert abs(grad[0] - g1) <= 1e-6 * scale
