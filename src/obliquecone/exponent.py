@@ -90,6 +90,12 @@ def u2(theta: float, alpha):
     return _angular_factors(theta, alpha)[1]
 
 
+def _check_oblique_angle(geom: ConeGeometry, s: float) -> None:
+    lo, hi = geom.admissible_s_interval()
+    if not (lo <= s <= hi):
+        raise DomainError(f"oblique angle {s} outside [{lo:.6f}, {hi:.6f}]")
+
+
 def _mismatch(geom: ConeGeometry, s: float, alpha):
     """B(theta0, ., s) at a float or an array of degrees, arguments unchecked."""
     f1, f2 = _angular_factors(geom.theta0, alpha)
@@ -99,17 +105,17 @@ def _mismatch(geom: ConeGeometry, s: float, alpha):
 def boundary_mismatch(geom: ConeGeometry, alpha, s: float):
     """B(theta0, a, s) = cos(s) U1 + sin(s) U2 at the lateral boundary.
 
-    Zero means u_a satisfies beta0 . Du = 0 on the cone edge.
+    Zero means u_a satisfies beta0 . Du = 0 on the cone edge.  s must lie
+    in the closed admissible interval, as for `slope_at_zero`.
     """
     _check_theta_alpha(geom.theta0, alpha)
+    _check_oblique_angle(geom, s)
     return _mismatch(geom, s, alpha)
 
 
 def slope_at_zero(geom: ConeGeometry, s: float) -> float:
     """Closed form of dB/da at a = 0:  V(theta0, s) = cos s + sin s (1 - cos theta0)/sin theta0."""
-    lo, hi = geom.admissible_s_interval()
-    if not (lo <= s <= hi):
-        raise DomainError(f"oblique angle {s} outside [{lo:.6f}, {hi:.6f}]")
+    _check_oblique_angle(geom, s)
     return math.cos(s) + math.sin(s) * (1.0 - geom.z0) / math.sin(geom.theta0)
 
 
@@ -298,8 +304,8 @@ def separable_eval(
     """
     r, theta = float(point[0]), float(point[1])
     phi = float(point[2]) if len(point) > 2 else 0.0
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r}")
+    if not (0.0 < r < math.inf):
+        raise DomainError(f"radius must be positive and finite, got {r}")
     if not (0.0 <= theta < THETA0_MAX):
         raise DomainError(f"polar angle must lie in [0, {THETA0_MAX:.4f}), got {theta}")
     a = sol.alpha

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, HypothesisError
+from .geometry import ConeGeometry
 
 #: Central-difference step of `samples_from_function`, relative to the
 #: distance to the vertex (its square root for second derivatives).
@@ -47,6 +48,8 @@ class HolderSpec:
             raise DomainError(f"seminorm order must be 0 or 1, got {self.k}")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"exponent must lie in (0, 1], got {self.alpha}")
+        if not math.isfinite(self.beta):
+            raise DomainError(f"weight exponent must be finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,7 @@ def samples_from_function(
 
 def sector_sample_points(theta0: float, r_min: float, r_max: float = 1.0) -> np.ndarray:
     """Vertex-clustered (y1, y2) sample points: geometric shells times rays."""
+    ConeGeometry(theta0=theta0)
     if not (0.0 < r_min < r_max):
         raise DomainError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
     n_shells = max(2, int(round(SHELLS_PER_DECADE * math.log10(r_max / r_min))) + 1)

@@ -535,16 +535,18 @@ def fit_exponent(
 ) -> tuple[float, FitDiagnostics]:
     """Least-squares slope of log|u| against log r along the ray theta = const.
 
-    For a DiscreteField the ray snaps to the nearest theta column and uses
-    the grid's own radial nodes inside the window; for a callable,
-    FIT_SAMPLES geometrically spaced radii are used.  Raises DegenerateFit
-    when the window holds fewer than FIT_MIN_SAMPLES points, contains sign
-    changes, or touches near-zero values.
+    For a DiscreteField the ray, which must lie in [0, theta0], snaps to the
+    nearest theta column and uses the grid's own radial nodes inside the
+    window; for a callable, FIT_SAMPLES geometrically spaced radii are used.
+    Raises DegenerateFit when the window holds fewer than FIT_MIN_SAMPLES
+    points, contains sign changes, or touches near-zero values.
     """
     r_lo, r_hi = window
     if not (0.0 < r_lo < r_hi):
         raise DomainError(f"invalid fit window {window}")
     if isinstance(source, DiscreteField):
+        if not (0.0 <= theta <= source.grid.theta0):
+            raise DomainError(f"ray theta = {theta} outside [0, {source.grid.theta0}]")
         jstar = int(np.argmin(np.abs(source.grid.theta - theta)))
         mask = (source.grid.r >= r_lo) & (source.grid.r <= r_hi)
         rs = source.grid.r[mask]

@@ -317,25 +317,32 @@ def _check_no_root_in_barrier_regime() -> tuple[bool, str]:
     return True, f"no sign change for {len(BARRIER_REGIME_PAIRS)} pairs"
 
 
-def _check_gradient_consistency() -> tuple[bool, str]:
+def separable_gradient_gap(sol: exp_mod.SeparableSolution, points) -> float:
+    """max over (r, theta) points of the gap between `separable_eval`'s
+    gradient and central differences of its value with step 1e-6 r, relative
+    to the gradient's larger component."""
+
+    def value(y1: float, y2: float) -> float:
+        return exp_mod.separable_eval(sol, (math.hypot(y1, y2), math.atan2(y2, y1), 0.0))[0]
+
     worst = 0.0
-    for alpha, m in ((0.5, 0), (0.85, 0), (0.85, 1)):
-        sol = exp_mod.SeparableSolution(alpha=alpha, m=m)
-        for r, theta in ((0.5, 0.4), (1.0, 1.0), (2.0, 1.8)):
-            _, grad = exp_mod.separable_eval(sol, (r, theta, 0.0))
-            h = 1e-6 * r
+    for r, theta in points:
+        _, grad = exp_mod.separable_eval(sol, (r, theta, 0.0))
+        h = 1e-6 * r
+        y1, y2 = r * math.cos(theta), r * math.sin(theta)
+        fd1 = central_difference(value, y1, y2, 1.0, 0.0, h)
+        fd2 = central_difference(value, y1, y2, 0.0, 1.0, h)
+        scale = max(abs(grad[0]), abs(grad[1]), 1e-30)
+        worst = max(worst, abs(fd1 - grad[0]) / scale, abs(fd2 - grad[1]) / scale)
+    return worst
 
-            def val(y1: float, y2: float) -> float:
-                rr = math.hypot(y1, y2)
-                return exp_mod.separable_eval(
-                    sol, (rr, math.atan2(y2, y1), 0.0)
-                )[0]
 
-            y1, y2 = r * math.cos(theta), r * math.sin(theta)
-            fd1 = central_difference(val, y1, y2, 1.0, 0.0, h)
-            fd2 = central_difference(val, y1, y2, 0.0, 1.0, h)
-            scale = max(abs(grad[0]), abs(grad[1]), 1e-30)
-            worst = max(worst, abs(fd1 - grad[0]) / scale, abs(fd2 - grad[1]) / scale)
+def _check_gradient_consistency() -> tuple[bool, str]:
+    points = ((0.5, 0.4), (1.0, 1.0), (2.0, 1.8))
+    worst = max(
+        separable_gradient_gap(exp_mod.SeparableSolution(alpha=alpha, m=m), points)
+        for alpha, m in ((0.5, 0), (0.85, 0), (0.85, 1))
+    )
     return worst <= 1e-6, f"max relative gradient gap = {worst:.3e}"
 
 
@@ -470,8 +477,12 @@ def _check_m1_sign_grid() -> tuple[bool, str]:
     return True, f"m1 < 0 at {count} sign-regime nodes"
 
 
-def _check_m1_closed_vs_fd() -> tuple[bool, str]:
-    rng = np.random.default_rng(20240817)
+def m1_closed_vs_fd_gap(seed: int) -> float:
+    """max relative gap between `m1_coefficient` and
+    `m1_by_directional_differences` over 10 random barrier-regime cases drawn
+    from `seed`: theta0 in [0.4, 2.6], s at least 0.1 inside the admissible
+    interval with cos(s) sin(s) > 0.01, degree in [0.01, 0.06]."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     tested = 0
     while tested < 10:
@@ -488,6 +499,11 @@ def _check_m1_closed_vs_fd() -> tuple[bool, str]:
         fd = m1_by_directional_differences(b, bc, rc)
         worst = max(worst, abs(closed - fd) / abs(closed))
         tested += 1
+    return worst
+
+
+def _check_m1_closed_vs_fd() -> tuple[bool, str]:
+    worst = m1_closed_vs_fd_gap(20240817)
     return worst <= 1e-8, f"max relative closed-form vs FD gap = {worst:.3e}"
 
 

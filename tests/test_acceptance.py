@@ -3,7 +3,9 @@
 Each test prints one pass/fail line (visible with `pytest -s`).  Expected
 values come from closed forms, independent finite-difference oracles, the
 quadrature oracle, or bisection brackets, never from the code path under
-test alone.
+test alone.  Where a criterion is an invariant `verify` certifies, with the
+same inputs and gate, the test runs that check from `verify.CHECKS` instead
+of computing it again.
 """
 
 import math
@@ -24,8 +26,6 @@ from obliquecone.exponent import (
     critical_angle_s0,
     critical_exponent,
     neumann_exponent,
-    neumann_mismatch,
-    slope_at_zero,
 )
 from obliquecone.geometry import ConeGeometry, ObliqueBC, reduce_to_axisymmetric
 from obliquecone.grids import SectorGrid
@@ -35,15 +35,11 @@ from obliquecone.holder import (
     holder_seminorm,
     sector_sample_points,
 )
-from obliquecone.legendre import legendre_p, legendre_p_quadrature
-from obliquecone.solver import (
-    check_m_matrix,
-    fit_exponent,
-    residual_convergence,
-    solve_dirichlet,
-)
+from obliquecone.legendre import legendre_p
+from obliquecone.solver import fit_exponent, residual_convergence, solve_dirichlet
 from obliquecone.verify import (
-    admissible_grid,
+    CHECKS,
+    barrier_regime_angles,
     fd_neumann_residual,
     fd_oblique_residual,
     m1_by_directional_differences,
@@ -80,6 +76,8 @@ NO_ROOT_PAIRS = (
     (1.0, -1.8),
 )
 
+CHECKS_BY_ID = {f"{suite}.{name}": check for suite, name, check in CHECKS}
+
 _cache = {}
 
 
@@ -88,9 +86,13 @@ def report(cid, ok, detail):
     assert ok, f"{cid}: {detail}"
 
 
-def admissible_pairs():
-    for theta0, s in admissible_grid():
-        yield ConeGeometry(theta0=theta0), s
+def run_checks(*check_ids):
+    """(passed, detail) of the `verify` checks named "suite.name", run in order."""
+    results = [(check_id, CHECKS_BY_ID[check_id]()) for check_id in check_ids]
+    return (
+        all(passed for _, (passed, _) in results),
+        "; ".join(f"{check_id}: {detail}" for check_id, (_, detail) in results),
+    )
 
 
 def certified_roots():
@@ -110,27 +112,13 @@ def certified_roots():
 
 def test_c01_endpoint_identities():
     start = time.perf_counter()
-    worst0 = worst1 = 0.0
-    for geom, s in admissible_pairs():
-        worst0 = max(worst0, abs(boundary_mismatch(geom, 0.0, s)))
-        worst1 = max(worst1, abs(boundary_mismatch(geom, 1.0, s) - math.cos(s)))
+    ok, detail = run_checks("exponent.endpoint_identities")
     elapsed = time.perf_counter() - start
-    ok = worst0 <= 1e-12 and worst1 <= 1e-10 and elapsed < 10.0
-    report(
-        "C1",
-        ok,
-        f"|B(.,0,.)| <= {worst0:.2e} (tol 1e-12), "
-        f"|B(.,1,.) - cos s| <= {worst1:.2e} (tol 1e-10), {elapsed:.2f}s",
-    )
+    report("C1", ok and elapsed < 10.0, f"{detail}, {elapsed:.2f}s (need < 10s)")
 
 
 def test_c02_slope_matches_closed_form():
-    h = 1e-5
-    worst = 0.0
-    for geom, s in admissible_pairs():
-        fd = (boundary_mismatch(geom, h, s) - boundary_mismatch(geom, 0.0, s)) / h
-        worst = max(worst, abs(fd - slope_at_zero(geom, s)))
-    report("C2", worst <= 1e-4, f"max |FD slope - V| = {worst:.3e} (tol 1e-4)")
+    report("C2", *run_checks("exponent.slope_fd_matches_closed_form"))
 
 
 def test_c03_critical_angle_closed_form():
@@ -243,22 +231,17 @@ def test_c08_barrier_suite():
     for theta0 in (math.pi / 3, 2 * math.pi / 3, 3 * math.pi / 4):
         geom = ConeGeometry(theta0=theta0)
         barrier = build_barrier(geom, alpha)
-        assert 0.0 < barrier.cstar < 1.0
         thetas = np.linspace(0.0, theta0, 500)
         assert max(barrier.profile_deriv(float(t)) for t in thetas[1:]) < 0.0
         assert abs((barrier.profile(1e-7) - 1.0) / 1e-7) <= 1e-8
-        q = min(theta0, math.pi / 2)
-        sign_regime = [0.1 * q + f * 0.7 * q for f in np.linspace(0.0, 1.0, 8)]
-        if theta0 < math.pi / 2:
-            lo, hi = -math.pi + theta0, -math.pi / 2
-            sign_regime += [lo + f * (hi - lo) for f in np.linspace(0.1, 0.9, 8)]
+        sign_regime = barrier_regime_angles(theta0)
         for s in sign_regime:
-            bc = ObliqueBC.for_cone(geom, float(s))
+            bc = ObliqueBC.for_cone(geom, s)
             rc = rotate_coefficients(np.eye(2), bc)
             m1 = m1_coefficient(barrier, bc, rc)
             assert m1 < 0.0, f"m1 = {m1} at (theta0={theta0:.4f}, s={s:.4f})"
         for s in (sign_regime[1], sign_regime[4], sign_regime[-1]):
-            bc = ObliqueBC.for_cone(geom, float(s))
+            bc = ObliqueBC.for_cone(geom, s)
             rc = rotate_coefficients(np.eye(2), bc)
             closed = m1_coefficient(barrier, bc, rc)
             fd = m1_by_directional_differences(barrier, bc, rc)
@@ -266,27 +249,17 @@ def test_c08_barrier_suite():
             tilt = max_admissible_tilt(bc, barrier, rc)
             assert tilt >= 1e-6
             assert m2_coefficient(barrier, bc, rc, tilt) < 0.0
+    ok, detail = run_checks("barrier.invariants_certified")
     report(
         "C8",
-        worst_gap <= 1e-8,
-        f"barrier certificates for three angles; closed-form vs FD gap "
+        ok and worst_gap <= 1e-8,
+        f"{detail}; barrier certificates for three angles; closed-form vs FD gap "
         f"<= {worst_gap:.2e} (tol 1e-8)",
     )
 
 
 def test_c09_neumann_mode():
-    worst0 = worst1 = worst_slope = 0.0
-    for theta0 in (1.0, math.pi / 2, 2 * math.pi / 3, 3 * math.pi / 4, 2.9):
-        geom = ConeGeometry(theta0=theta0)
-        worst0 = max(worst0, abs(neumann_mismatch(geom, 0.0)))
-        worst1 = max(
-            worst1,
-            abs(neumann_mismatch(geom, 1.0) - math.cos(theta0) / math.sin(theta0)),
-        )
-        h = 1e-5
-        fd = (neumann_mismatch(geom, h) - neumann_mismatch(geom, 0.0)) / h
-        closed = (1.0 - math.cos(theta0)) / math.sin(theta0) ** 3
-        worst_slope = max(worst_slope, abs(fd - closed))
+    identities_ok, identities = run_checks("exponent.neumann_identities")
     half = neumann_exponent(ConeGeometry(theta0=math.pi / 2))
     assert abs(half - 1.0) <= 1e-8
     worst_res = 0.0
@@ -303,84 +276,38 @@ def test_c09_neumann_mode():
         orders.append(
             residual_convergence(SeparableSolution(alpha=root, m=1), grids).observed_order
         )
-    ok = (
-        worst0 <= 1e-12
-        and worst1 <= 1e-10
-        and worst_slope <= 1e-4
-        and worst_res <= 1e-6
-        and all(1.7 <= o <= 2.3 for o in orders)
-    )
+    ok = identities_ok and worst_res <= 1e-6 and all(1.7 <= o <= 2.3 for o in orders)
     report(
         "C9",
         ok,
-        f"|W(.,0)| <= {worst0:.2e}, |W(.,1) - cot| <= {worst1:.2e}, "
-        f"slope gap <= {worst_slope:.2e}, half-space exponent {half}, "
+        f"{identities}; half-space exponent {half}, "
         f"Neumann FD residual <= {worst_res:.2e}, orders {orders[0]:.2f}/{orders[1]:.2f}",
     )
 
 
 def test_c10_special_function_kernel():
-    polys = {
-        0.0: lambda z: 1.0,
-        1.0: lambda z: z,
-        2.0: lambda z: 0.5 * (3 * z * z - 1),
-        3.0: lambda z: 0.5 * (5 * z ** 3 - 3 * z),
-    }
-    worst_poly = 0.0
-    for a, poly in polys.items():
-        for z in np.linspace(-0.9, 1.0, 41):
-            worst_poly = max(worst_poly, abs(legendre_p(a, float(z)) - poly(float(z))))
-    worst_rec = 0.0
-    for a in np.linspace(0.1, 2.0, 20):
-        for z in np.linspace(-0.9, 1.0, 21):
-            a, z = float(a), float(z)
-            worst_rec = max(
-                worst_rec,
-                abs(
-                    (a + 1) * legendre_p(a + 1, z)
-                    - (2 * a + 1) * z * legendre_p(a, z)
-                    + a * legendre_p(a - 1, z)
-                ),
-            )
-    worst_quad = 0.0
-    for a in (0.25, 0.5, 0.75):
-        for z in np.linspace(-0.9, 1.0, 20):
-            worst_quad = max(
-                worst_quad,
-                abs(legendre_p(a, float(z)) - legendre_p_quadrature(a, float(z))),
-            )
-    ok = worst_poly <= 1e-12 and worst_rec <= 1e-10 and worst_quad <= 1e-9
     report(
         "C10",
-        ok,
-        f"integer-degree gap {worst_poly:.2e} (tol 1e-12), recurrence "
-        f"{worst_rec:.2e} (tol 1e-10), quadrature {worst_quad:.2e} (tol 1e-9)",
+        *run_checks(
+            "special.integer_degree_polynomials",
+            "special.three_term_recurrence",
+            "special.kernel_vs_quadrature",
+        ),
     )
 
 
 def test_c11_discrete_comparison():
-    ok_m = all(
-        check_m_matrix(SectorGrid.default(2 * math.pi / 3, n_r=40, n_theta=32, m=m)).passed
-        for m in (0, 1)
+    checks_ok, checks = run_checks(
+        "solver.m_matrix_default_grids", "solver.discrete_comparison_minimum"
     )
     grid = SectorGrid.default(2 * math.pi / 3, n_r=40, n_theta=32)
     data = lambda r, t: abs(math.sin(3 * r) * math.cos(t)) + 0.05
     field = solve_dirichlet(grid, {"r_min": data, "r_max": data, "cone": data})
     min_dirichlet = float(field.values.min())
-    theta0, s = math.pi / 3, -1.3
-    geom = ConeGeometry(theta0=theta0)
-    root = critical_exponent(geom, ObliqueBC.for_cone(geom, s))
-    sol = SeparableSolution(alpha=root, m=0)
-    grid = SectorGrid(r_min=0.02, r_max=1.0, n_r=48, n_theta=32, theta0=theta0)
-    exact = lambda r, t: r ** root * sol.profile(t)
-    field = solve_dirichlet(grid, {"r_min": exact, "r_max": exact}, oblique_s=s)
-    min_oblique = float(field.values.min())
-    ok = ok_m and min_dirichlet >= -1e-12 and min_oblique >= -1e-12
     report(
         "C11",
-        ok,
-        f"monotone rows certified; minima {min_dirichlet:.2e} (Dirichlet), "
-        f"{min_oblique:.2e} (oblique) >= -1e-12",
+        checks_ok and min_dirichlet >= -1e-12,
+        f"{checks}; Dirichlet minimum with offset 0.05 {min_dirichlet:.2e} >= -1e-12",
     )
 
 

@@ -616,7 +616,7 @@ class TestPhaseMap:
         clamped = [row for row in payload["rows"] if row["clamped"]]
         assert clamped
         for row in payload["rows"]:
-            lo, hi = -math.pi + row["theta0"], row["theta0"]
+            lo, hi = ConeGeometry(theta0=row["theta0"]).admissible_s_interval()
             assert lo < row["s"] < hi
 
     def test_unwritable_output(self, capsys):

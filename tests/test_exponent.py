@@ -46,6 +46,7 @@ from obliquecone.verify import (
     fd_neumann_residual,
     fd_oblique_residual,
     separable,
+    separable_gradient_gap,
 )
 
 THETA_GRID = np.linspace(0.3, 2.7, 9)
@@ -141,6 +142,15 @@ class TestBoundaryMismatch:
         fd = math.cos(s) * g1 + math.sin(s) * g2
         assert boundary_mismatch(geom, alpha, s) == pytest.approx(fd, abs=1e-6)
 
+    def test_rejects_an_angle_outside_the_closed_interval(self):
+        # the closed interval slope_at_zero accepts: its ends evaluate
+        geom = ConeGeometry(theta0=2.0)
+        lo, hi = geom.admissible_s_interval()
+        for s in (math.nan, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(DomainError, match="oblique angle"):
+                boundary_mismatch(geom, 0.5, s)
+        assert math.isfinite(boundary_mismatch(geom, 0.5, lo) + boundary_mismatch(geom, 0.5, hi))
+
 
 class TestArraysOfDegrees:
     """u1, u2, boundary_mismatch and neumann_mismatch over an ndarray of
@@ -189,9 +199,8 @@ class TestSlopeAndCriticalAngle:
     def test_slope_endpoint_values(self, theta0):
         geom = ConeGeometry(theta0=float(theta0))
         assert slope_at_zero(geom, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert slope_at_zero(geom, -math.pi + geom.theta0) == pytest.approx(
-            -1.0, abs=1e-12
-        )
+        lo, _ = geom.admissible_s_interval()
+        assert slope_at_zero(geom, lo) == pytest.approx(-1.0, abs=1e-12)
 
     def test_slope_root_closed_form(self):
         geom = ConeGeometry(theta0=3 * math.pi / 4)
@@ -471,21 +480,9 @@ class TestSeparableEval:
 
     @pytest.mark.parametrize("alpha,m", [(0.5, 0), (0.8563132551458703, 1)])
     def test_gradient_matches_finite_differences(self, alpha, m):
-        sol = SeparableSolution(alpha=alpha, m=m)
         theta0 = 2 * math.pi / 3
-        for r, theta in ((1.0, theta0 / 2), (0.7, 0.9 * theta0)):
-
-            def value(y1, y2):
-                rr = math.hypot(y1, y2)
-                return separable_eval(sol, (rr, math.atan2(y2, y1), 0.0))[0]
-
-            y1, y2 = r * math.cos(theta), r * math.sin(theta)
-            g1 = central_difference(value, y1, y2, 1.0, 0.0, 1e-6 * r)
-            g2 = central_difference(value, y1, y2, 0.0, 1.0, 1e-6 * r)
-            _, grad = separable_eval(sol, (r, theta, 0.0))
-            scale = max(abs(grad[0]), abs(grad[1]))
-            assert abs(grad[0] - g1) <= 1e-6 * scale
-            assert abs(grad[1] - g2) <= 1e-6 * scale
+        points = ((1.0, theta0 / 2), (0.7, 0.9 * theta0))
+        assert separable_gradient_gap(SeparableSolution(alpha=alpha, m=m), points) <= 1e-6
 
     def test_m1_axis_gradient_closed_form(self):
         # near the axis the m=1 profile is -theta a(a+1)/2 + O(theta^3), so
@@ -511,8 +508,9 @@ class TestSeparableEval:
 
     def test_rejects_bad_points(self):
         sol = SeparableSolution(alpha=0.5)
-        with pytest.raises(DomainError):
-            separable_eval(sol, (0.0, 0.3))
+        for r in (0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="radius"):
+                separable_eval(sol, (r, 0.3))
         with pytest.raises(DomainError):
             SeparableSolution(alpha=1.5)
         with pytest.raises(DomainError):

@@ -141,9 +141,15 @@ def _adds_negated_pi(node: ast.AST) -> bool:
 
 def test_only_geometry_writes_the_admissible_interval():
     # the interval (-pi + theta0, theta0) has one owner,
-    # ConeGeometry.admissible_s_interval; every other module asks it
+    # ConeGeometry.admissible_s_interval; every other module and test asks it.
+    # This file is exempt: it tests the definition against the formula.
+    paths = sorted(Path(geometry.__file__).parent.glob("*.py")) + sorted(
+        path for path in Path(__file__).parent.glob("*.py") if path.name != "test_geometry.py"
+    )
     found = []
-    for path in sorted(Path(geometry.__file__).parent.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [path.name for node in ast.walk(tree) if _adds_negated_pi(node)]
-    assert found == ["geometry.py"]
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _adds_negated_pi(node)
+        ]
+    assert [where.split(":")[0] for where in found] == ["geometry.py"], found

@@ -116,6 +116,14 @@ class TestSeminorm:
             HolderSpec(0, 0.0, 0.0)
         with pytest.raises(DomainError):
             HolderSpec(0, 1.5, 0.0)
+        for beta in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="weight exponent"):
+                HolderSpec(0, 0.5, beta)
+
+    def test_sample_points_need_a_cone(self):
+        for theta0 in (5.0, math.nan, 0.0):
+            with pytest.raises(DomainError, match="opening angle"):
+                sector_sample_points(theta0, 1e-2)
 
 
 class TestProductInequality:

@@ -29,6 +29,7 @@ from obliquecone.solver import (
     residual_convergence,
     solve_dirichlet,
 )
+from obliquecone.verify import CHECKS
 
 THETA0 = 2 * math.pi / 3
 
@@ -323,20 +324,10 @@ class TestSolveDirichlet:
         assert np.abs(field.values - expected).max() <= 1e-9
 
     def test_oblique_solve_converges_at_order_two(self):
-        theta0, s = THETA0, 1.8
-        geom = ConeGeometry(theta0=theta0)
-        root = critical_exponent(geom, ObliqueBC.for_cone(geom, s))
-        sol = SeparableSolution(alpha=root, m=0)
-        errs, hs = [], []
-        for n in (17, 33, 65):
-            grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=n, n_theta=n, theta0=theta0)
-            exact = np.outer(grid.r ** root, sol.profile(grid.theta))
-            data = lambda r, t: r ** root * sol.profile(t)
-            field = solve_dirichlet(grid, {"r_min": data, "r_max": data}, oblique_s=s)
-            errs.append(np.abs(field.values - exact).max())
-            hs.append(grid.h_max)
-        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        assert 1.7 <= slope <= 2.3
+        # the 17/33/65 error study at (THETA0, s = 1.8) is verify's check
+        check = {(suite, name): fn for suite, name, fn in CHECKS}
+        passed, detail = check["solver", "oblique_solve_order"]()
+        assert passed, detail
 
     def test_m1_dirichlet_solve_converges_at_order_two(self):
         geom = ConeGeometry(theta0=THETA0)
@@ -627,6 +618,13 @@ class TestFitExponent:
         slope, diag = fit_exponent(field, 0.6, (2e-3, 0.5))
         assert slope == pytest.approx(0.42, abs=1e-6)
         assert diag.n_samples >= 10
+
+    def test_ray_outside_the_field_is_rejected(self):
+        grid = SectorGrid(r_min=0.1, r_max=1.0, n_r=17, n_theta=9, theta0=1.2)
+        field = DiscreteField.from_function(grid, lambda r, t: r ** 0.5)
+        for theta in (math.nan, -3.0, 7.0, math.inf):
+            with pytest.raises(DomainError, match="ray"):
+                fit_exponent(field, theta, (0.1, 1.0))
 
     def test_sign_change_rejected(self):
         with pytest.raises(DegenerateFit):
