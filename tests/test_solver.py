@@ -504,6 +504,20 @@ class TestTensorSolve:
         )
         assert out.stdout.strip() == ""
 
+    def test_special_suite_loads_no_integrate_or_optimize(self):
+        # the quadrature oracle sums its rule in numpy
+        src = str(Path(obliquecone.__file__).resolve().parents[1])
+        code = (
+            "import sys; from obliquecone.verify import run_suite; "
+            "run_suite('special'); print(' '.join(m for m in "
+            "('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert out.stdout.strip() == ""
+
 
 class TestAssembly:
     @pytest.mark.parametrize("m", [0, 1])
