@@ -302,7 +302,7 @@ VERIFY_DETAILS = {
     "special.dz_identity_vs_richardson": (
         "max relative gap identity vs Richardson = 1.104e-10"
     ),
-    "special.kernel_vs_quadrature": "max kernel-vs-quadrature gap = 7.772e-16",
+    "special.kernel_vs_quadrature": "max kernel-vs-quadrature gap = 1.443e-15",
     "special.degree_derivative_identity": (
         "max degree-derivative identity residual = 1.252e-10"
     ),
