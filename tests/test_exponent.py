@@ -230,11 +230,6 @@ class TestSlopeAndCriticalAngle:
         geom = ConeGeometry(theta0=theta0)
         assert critical_angle_s0(geom) == pytest.approx(expected, abs=1e-10)
 
-    def test_critical_angle_closed_form_on_grid(self):
-        for theta0 in np.linspace(0.25, 2.7, 100):
-            geom = ConeGeometry(theta0=float(theta0))
-            assert abs(critical_angle_s0(geom) - (geom.theta0 - math.pi) / 2) <= 1e-10
-
 
 def reference_roots(f, grid, values, xtol):
     """Node-by-node sign scan with bisection, one bracket at a time."""
