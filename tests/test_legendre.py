@@ -159,9 +159,9 @@ def test_near_integer_degrees_match_mpmath(z, n, delta):
 
 
 def test_quadrature_oracle_matches_mpmath():
-    # z = 0, 1e-12 and 1e-6 at a = -1, where P = 1, is where a Laplace-integral
-    # oracle reads 0; the worst error measured on this grid is 4.4e-15, at
-    # a = 3.5, z = -0.9989, so the bound leaves a margin of about 2
+    # z = 0, 1e-12 and 1e-6 at a = -1, where P = 1, sit at the edge of the
+    # Laplace integral (it needs Re z > 0); the worst error measured on this
+    # grid is 4.4e-15, at a = 3.5, z = -0.9989, a margin of 2.3 to the bound
     arguments = np.concatenate((np.linspace(-0.998, 1.0, 40), [0.0, 1e-12, 1e-6, -0.9989]))
     worst = 0.0
     with mpmath.workdps(30):
