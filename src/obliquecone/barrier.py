@@ -56,8 +56,6 @@ class MillerBarrier(SeparableSolution):
     """
 
     m: int = field(default=0, init=False)
-    c: float = field(default=0.0, init=False)
-    d: float = field(default=1.0, init=False)
     theta0: float
     cstar: float = field(init=False)
 

@@ -24,12 +24,12 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .errors import BracketError, DomainError
 from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
 from .legendre import (
-    _check_range, _libm, legendre_dp1_dz, legendre_dp_dz, legendre_p, legendre_p1
+    _check_range, _dtheta_near_axis, _libm, legendre_dp1_dz, legendre_dp_dz, legendre_p,
+    legendre_p1,
 )
 
 #: Lower edge of the exponent search window; excludes the trivial root a = 0.
@@ -221,28 +221,20 @@ def neumann_exponent(geom: ConeGeometry) -> float:
 
 @dataclass(frozen=True)
 class SeparableSolution:
-    """Separable harmonic r^a P^m_a(cos theta) (times an azimuthal factor for m=1).
+    """Separable harmonic r^a P^m_a(cos theta) cos(m phi) in the meridional
+    plane phi = 0: axisymmetric for m = 0, r^a P^1_a(cos t) for m = 1.
 
-    For m = 0 the solution is axisymmetric; for m = 1 the azimuthal factor is
-    C sin(phi) + D cos(phi).  alpha in (0, 1] keeps the solution continuous
-    and non-C^1 at the vertex.
+    alpha in (0, 1] keeps the solution continuous and non-C^1 at the vertex.
     """
 
     alpha: float
     m: int = 0
-    c: float = 0.0
-    d: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"degree must lie in (0, 1], got {self.alpha}")
         if self.m not in (0, 1):
             raise DomainError(f"azimuthal mode must be 0 or 1, got {self.m}")
-
-    def azimuthal(self, phi: float) -> float:
-        if self.m == 0:
-            return 1.0
-        return self.c * math.sin(phi) + self.d * math.cos(phi)
 
     def profile(self, theta):
         """Angular profile P^m_a(cos theta) at an angle or an ndarray of angles.
@@ -259,33 +251,19 @@ class SeparableSolution:
     def profile_deriv(self, theta):
         """d/dtheta of the profile, -sin(theta) (P^m_a)'(cos theta).
 
-        `theta` is an angle or an ndarray of angles.  The identities of
-        `legendre_dp_dz` and `legendre_dp1_dz` cancel as cos(theta) -> 1, so
-        below M1_AXIS_CUTOFF the derivative comes from the hypergeometric
-        forms P_a'(cos t) = a(a+1)/2 F(1-a, a+2; 2; x) and
-        P^1_a(cos t) = -sin(t) a(a+1)/2 F(1-a, a+2; 2; x), x = sin^2(t/2).
+        `theta` is an angle or an ndarray of angles.  Below M1_AXIS_CUTOFF the
+        derivative comes from the hypergeometric forms of `legendre`'s
+        `_dtheta_near_axis`, where the z-derivative identities cancel.
         """
         if isinstance(theta, np.ndarray):
             near = theta < M1_AXIS_CUTOFF
             deriv = np.empty(theta.shape)
-            deriv[near] = self._deriv_near_axis(theta[near])
+            deriv[near] = _dtheta_near_axis(self.alpha, self.m, theta[near])
             deriv[~near] = self._deriv_off_axis(theta[~near])
             return deriv
         if theta < M1_AXIS_CUTOFF:
-            return float(self._deriv_near_axis(theta))
+            return float(_dtheta_near_axis(self.alpha, self.m, theta))
         return self._deriv_off_axis(theta)
-
-    def _deriv_near_axis(self, theta):
-        a = self.alpha
-        x = _libm(lambda t: math.sin(0.5 * t) ** 2, theta)
-        st = _libm(math.sin, theta)
-        f = hyp2f1(1.0 - a, a + 2.0, 2.0, x)
-        if self.m == 0:
-            return -0.5 * a * (a + 1.0) * st * f
-        return -0.5 * a * (a + 1.0) * (
-            _libm(math.cos, theta) * f
-            + 0.25 * st * st * (1.0 - a) * (a + 2.0) * hyp2f1(2.0 - a, a + 3.0, 3.0, x)
-        )
 
     def _deriv_off_axis(self, theta):
         dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
@@ -293,28 +271,29 @@ class SeparableSolution:
 
 
 def separable_eval(
-    sol: SeparableSolution, point: tuple[float, float, float] | tuple[float, float]
+    sol: SeparableSolution, point: tuple[float, float]
 ) -> tuple[float, tuple[float, float]]:
-    """Value and (y1, y2)-gradient of the separable solution at (r, theta[, phi]).
+    """Value and (y1, y2)-gradient of the separable solution at (r, theta),
+    a point of the meridional plane phi = 0.
 
     With F the profile, the gradient is the in-plane polar formula
-    r^(a-1) (a cos t F - sin t F', a sin t F + cos t F'), scaled by the
-    azimuthal factor.  For m = 0 it is r^(a-1) (U1(t, a), U2(t, a)); on the
-    axis F' takes its limit from `SeparableSolution.profile_deriv`.
+    r^(a-1) (a cos t F - sin t F', a sin t F + cos t F').  For m = 0 it is
+    r^(a-1) (U1(t, a), U2(t, a)); on the axis F' takes its limit from
+    `SeparableSolution.profile_deriv`.
     """
+    if len(point) != 2:
+        raise DomainError(f"point must be (r, theta), got {len(point)} components")
     r, theta = float(point[0]), float(point[1])
-    phi = float(point[2]) if len(point) > 2 else 0.0
     if not (0.0 < r < math.inf):
         raise DomainError(f"radius must be positive and finite, got {r}")
     if not (0.0 <= theta < THETA0_MAX):
         raise DomainError(f"polar angle must lie in [0, {THETA0_MAX:.4f}), got {theta}")
     a = sol.alpha
-    az = sol.azimuthal(phi)
     f, fp = sol.profile(theta), sol.profile_deriv(theta)
     ct, st = math.cos(theta), math.sin(theta)
-    return r ** a * f * az, (
-        r ** (a - 1.0) * (a * ct * f - st * fp) * az,
-        r ** (a - 1.0) * (a * st * f + ct * fp) * az,
+    return r ** a * f, (
+        r ** (a - 1.0) * (a * ct * f - st * fp),
+        r ** (a - 1.0) * (a * st * f + ct * fp),
     )
 
 

@@ -91,12 +91,12 @@ class ObliqueBC:
         return b1 * n1 + b2 * n2
 
 
-def reduce_to_axisymmetric(
-    A: np.ndarray,
-    lam: float | None = None,
-    Lam: float | None = None,
-    rtol: float = 1e-12,
-) -> tuple[np.ndarray, float]:
+#: Absolute tolerance, relative to max(|A|, 1), of the symmetry, invariance
+#: and bracket checks of `reduce_to_axisymmetric`.
+REDUCTION_RTOL = 1e-12
+
+
+def reduce_to_axisymmetric(A: np.ndarray) -> tuple[np.ndarray, float]:
     """Reduce constant principal coefficients A (n x n, vertex values) to the plane.
 
     For an operator that is symmetric and invariant under rotations about the
@@ -108,8 +108,8 @@ def reduce_to_axisymmetric(
         b21 = sum_{i<n} A[i, i] - kappa = (n - 2) kappa.
 
     Returns (a0, b21) where a0 is the reduced 2x2 matrix.  The bracket
-    (n-2) lam <= b21 <= (n-2) Lam is asserted against the supplied (or
-    eigenvalue-derived) ellipticity bounds.
+    (n-2) lam <= b21 <= (n-2) Lam is asserted against the ellipticity bounds
+    lam, Lam, the extreme eigenvalues of A from `np.linalg.eigvalsh`.
 
     Raises InvalidOperator on failed symmetry, invariance or ellipticity.
     """
@@ -119,30 +119,27 @@ def reduce_to_axisymmetric(
     n = A.shape[0]
     if n < 3:
         raise InvalidOperator(f"ambient dimension must be >= 3, got {n}")
-    scale = max(np.abs(A).max(), 1.0)
-    if not np.allclose(A, A.T, atol=rtol * scale):
+    tol = REDUCTION_RTOL * max(np.abs(A).max(), 1.0)
+    if not np.allclose(A, A.T, atol=tol):
         raise InvalidOperator("coefficient matrix is not symmetric")
 
     block = A[: n - 1, : n - 1]
     kappa = block[0, 0]
     # rotational invariance about the axis: in-plane block = kappa * I, no mixing
-    if not np.allclose(block, kappa * np.eye(n - 1), atol=rtol * scale):
+    if not np.allclose(block, kappa * np.eye(n - 1), atol=tol):
         raise InvalidOperator("in-plane block is not a multiple of the identity")
-    if not np.allclose(A[: n - 1, n - 1], 0.0, atol=rtol * scale):
+    if not np.allclose(A[: n - 1, n - 1], 0.0, atol=tol):
         raise InvalidOperator("axis-mixing entries A[i, n-1] must vanish")
 
     eigs = np.linalg.eigvalsh(A)
     if eigs.min() <= 0.0:
         raise InvalidOperator(f"matrix is not positive definite (min eig {eigs.min()})")
-    lam = float(eigs.min()) if lam is None else float(lam)
-    Lam = float(eigs.max()) if Lam is None else float(Lam)
-    if not (0.0 < lam <= Lam):
-        raise InvalidOperator(f"invalid ellipticity bounds ({lam}, {Lam})")
+    lam, Lam = float(eigs.min()), float(eigs.max())
 
     a0 = np.array([[A[n - 1, n - 1], 0.0], [0.0, kappa]])
     b21 = float(np.trace(block) - kappa)
     lo, hi = (n - 2) * lam, (n - 2) * Lam
-    if not (lo - rtol * scale <= b21 <= hi + rtol * scale):
+    if not (lo - tol <= b21 <= hi + tol):
         raise InvalidOperator(
             f"singular-term coefficient {b21} outside [{lo}, {hi}]"
         )

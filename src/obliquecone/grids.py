@@ -26,7 +26,7 @@ class SectorGrid:
     Radial steps grow geometrically away from r_min by the factor `grading`
     (grading = 1 gives uniform spacing); theta nodes are uniform.  The mode
     m selects the azimuthal behaviour of fields living on the grid: m = 0 is
-    axisymmetric, m = 1 carries a sin/cos azimuthal factor and vanishes on
+    axisymmetric, m = 1 is the cos(phi) mode read at phi = 0 and vanishes on
     the axis.
     """
 
@@ -84,13 +84,13 @@ class SectorGrid:
             m=m,
         )
 
-    def refined(self, factor: int = 2) -> "SectorGrid":
-        """Same sector, node counts scaled by `factor` (intervals multiplied)."""
+    def refined(self) -> "SectorGrid":
+        """Same sector with the intervals of both directions doubled."""
         return SectorGrid(
             r_min=self.r_min,
             r_max=self.r_max,
-            n_r=(self.n_r - 1) * factor + 1,
-            n_theta=(self.n_theta - 1) * factor + 1,
+            n_r=2 * self.n_r - 1,
+            n_theta=2 * self.n_theta - 1,
             theta0=self.theta0,
             grading=self.grading,
             m=self.m,

@@ -1,8 +1,9 @@
 """Legendre functions of real degree on the cut, orders 0 and 1.
 
 This module is the single source of truth for P_a(z), P^1_a(z), their
-z-derivatives and finite-difference degree-derivatives.  Everything else in
-the package evaluates Legendre functions through it.
+z-derivatives, their angle-derivatives near the axis and finite-difference
+degree-derivatives.  Everything else in the package evaluates Legendre
+functions through it.
 
 Evaluation uses the Gauss hypergeometric identity (DLMF 14.3.1)
 
@@ -51,7 +52,7 @@ _INTEGER_TOL = 1e-18
 #: log(2^-60): the connection series stops once y^k falls below 2^-60.
 _LOG_TAIL = -60.0 * math.log(2.0)
 
-#: Default step for finite-difference degree-derivatives.
+#: Step of the finite-difference degree-derivative.
 DEGREE_STEP = 1e-5
 
 #: Nodes of the quadrature oracle's Gauss-Legendre rule.  Relative to
@@ -275,16 +276,31 @@ def legendre_dp1_dz(alpha, z):
     ) / _libm(lambda w: w ** 1.5, one_m_z2)
 
 
-def legendre_dp_dalpha(alpha, z: float, h: float = DEGREE_STEP):
-    """Central finite difference of P_a(z) in the degree, error O(h^2).
+def legendre_dp_dalpha(alpha, z: float):
+    """Central finite difference of P_a(z) in the degree, step h = DEGREE_STEP.
 
     `alpha` is a float or an ndarray of degrees.  Requires alpha - h >= -1 so
     both stencil points stay in the domain.
     """
-    if h <= 0.0:
-        raise DomainError(f"degree step must be positive, got {h}")
+    h = DEGREE_STEP
     _check_range(alpha - h, -1.0, math.inf, f"with the degree step {h}, alpha - h")
     return (legendre_p(alpha + h, z) - legendre_p(alpha - h, z)) / (2.0 * h)
+
+
+def _dtheta_near_axis(a: float, m: int, theta):
+    """d/dtheta of P^m_a(cos theta), m = 0 or 1, at an unchecked angle or
+    ndarray of angles, from P_a'(cos t) = a(a+1)/2 F(1-a, a+2; 2; x) and
+    P^1_a(cos t) = -sin(t) a(a+1)/2 F(1-a, a+2; 2; x), x = sin^2(t/2): the
+    identities of `legendre_dp_dz` and `legendre_dp1_dz` cancel as t -> 0."""
+    x = _libm(lambda t: math.sin(0.5 * t) ** 2, theta)
+    st = _libm(math.sin, theta)
+    f = hyp2f1(1.0 - a, a + 2.0, 2.0, x)
+    if m == 0:
+        return -0.5 * a * (a + 1.0) * st * f
+    return -0.5 * a * (a + 1.0) * (
+        _libm(math.cos, theta) * f
+        + 0.25 * st * st * (1.0 - a) * (a + 2.0) * hyp2f1(2.0 - a, a + 3.0, 3.0, x)
+    )
 
 
 @functools.cache

@@ -387,7 +387,8 @@ def solve_dirichlet(
     edges; "cone" (theta = theta0) is Dirichlet unless `oblique_s` is given,
     in which case the homogeneous oblique condition is imposed there.  The
     axis edge is the symmetry condition for m = 0 and Dirichlet 0 for m = 1.
-    Corner nodes belong to the radial edges.
+    Missing data, or data for any other edge ("cone" with `oblique_s`
+    included), raises DomainError.  Corner nodes belong to the radial edges.
 
     The assembled system is solved through its tensor structure: fast
     diagonalisation of the radial and angular factors (Lynch, Rice & Thomas
@@ -400,9 +401,11 @@ def solve_dirichlet(
     import scipy.sparse as sp
 
     required = {"r_min", "r_max"} | ({"cone"} if oblique_s is None else set())
-    missing = required - set(boundary_values)
-    if missing:
-        raise DomainError(f"missing boundary data for edges: {sorted(missing)}")
+    if set(boundary_values) != required:
+        raise DomainError(
+            f"boundary data must be given for exactly the Dirichlet edges "
+            f"{sorted(required)}, got {sorted(map(str, boundary_values))}"
+        )
     if oblique_s is not None:
         ObliqueBC(s=oblique_s, theta0=grid.theta0)
 

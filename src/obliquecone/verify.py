@@ -323,11 +323,11 @@ def separable_gradient_gap(sol: exp_mod.SeparableSolution, points) -> float:
     to the gradient's larger component."""
 
     def value(y1: float, y2: float) -> float:
-        return exp_mod.separable_eval(sol, (math.hypot(y1, y2), math.atan2(y2, y1), 0.0))[0]
+        return exp_mod.separable_eval(sol, (math.hypot(y1, y2), math.atan2(y2, y1)))[0]
 
     worst = 0.0
     for r, theta in points:
-        _, grad = exp_mod.separable_eval(sol, (r, theta, 0.0))
+        _, grad = exp_mod.separable_eval(sol, (r, theta))
         h = 1e-6 * r
         y1, y2 = r * math.cos(theta), r * math.sin(theta)
         fd1 = central_difference(value, y1, y2, 1.0, 0.0, h)

@@ -38,7 +38,6 @@ from obliquecone.geometry import ConeGeometry, ObliqueBC
 from obliquecone.legendre import (
     legendre_dp1_dz,
     legendre_p,
-    legendre_p1,
     legendre_p_quadrature,
 )
 from obliquecone.verify import (
@@ -484,28 +483,24 @@ class TestSeparableEval:
         # the plane gradient at theta = 0 is (0, -a(a+1)/2) r^(a-1)
         alpha = 0.5
         sol = SeparableSolution(alpha=alpha, m=1)
-        value, grad = separable_eval(sol, (1.0, 0.0, 0.0))
+        value, grad = separable_eval(sol, (1.0, 0.0))
         assert value == 0.0
         assert grad[0] == 0.0
         assert grad[1] == pytest.approx(-alpha * (alpha + 1) / 2, abs=1e-14)
         # probe angle large enough that the derivative identity in the value
         # path stays well-conditioned (1 - z^2 ~ h^2 near the axis)
         h = 1e-3
-        v_plus, _ = separable_eval(sol, (math.hypot(1.0, h), math.atan2(h, 1.0), 0.0))
+        v_plus, _ = separable_eval(sol, (math.hypot(1.0, h), math.atan2(h, 1.0)))
         assert v_plus / h == pytest.approx(grad[1], abs=1e-5)
-
-    def test_azimuthal_factor(self):
-        sol = SeparableSolution(alpha=0.5, m=1, c=0.0, d=1.0)
-        v0, _ = separable_eval(sol, (1.0, 0.7, 0.0))
-        vq, _ = separable_eval(sol, (1.0, 0.7, math.pi / 2))
-        assert vq == pytest.approx(0.0, abs=1e-15)
-        assert v0 == pytest.approx(legendre_p1(0.5, math.cos(0.7)), abs=1e-14)
 
     def test_rejects_bad_points(self):
         sol = SeparableSolution(alpha=0.5)
         for r in (0.0, math.nan, math.inf):
             with pytest.raises(DomainError, match="radius"):
                 separable_eval(sol, (r, 0.3))
+        # the point lies in the meridional plane: no azimuth component
+        with pytest.raises(DomainError, match="components"):
+            separable_eval(sol, (1.0, 0.3, 0.0))
         with pytest.raises(DomainError):
             SeparableSolution(alpha=1.5)
         with pytest.raises(DomainError):

@@ -121,10 +121,6 @@ class TestReduction:
         with pytest.raises(InvalidOperator):
             reduce_to_axisymmetric(np.diag([-1.0, -1.0, 1.0]))
 
-    def test_rejects_inconsistent_supplied_bounds(self):
-        with pytest.raises(InvalidOperator):
-            reduce_to_axisymmetric(np.eye(4), lam=2.0, Lam=3.0)
-
 
 def _adds_negated_pi(node: ast.AST) -> bool:
     """True for `-math.pi + x` and `x + -math.pi`."""

@@ -29,6 +29,7 @@ from obliquecone.legendre import (
     legendre_p_many,
     legendre_p_quadrature,
 )
+from obliquecone.verify import CHECKS
 
 # frozen from the quadrature oracle
 P_HALF_AT_ZERO = 0.5393526011883792
@@ -78,12 +79,10 @@ class TestLegendreP:
             assert abs(legendre_p(alpha, float(z)) - poly(float(z))) <= 1e-12
 
     def test_series_vs_quadrature_cross_validation(self):
-        worst = 0.0
-        for alpha in (0.25, 0.5, 0.75):
-            for z in np.linspace(-0.9, 1.0, 25):
-                gap = abs(legendre_p(alpha, float(z)) - legendre_p_quadrature(alpha, float(z)))
-                worst = max(worst, gap)
-        assert worst <= 1e-9
+        # the degrees 0.25, 0.5 and 0.75 against the oracle are verify's check
+        check = {(suite, name): fn for suite, name, fn in CHECKS}
+        passed, detail = check["special", "kernel_vs_quadrature"]()
+        assert passed, detail
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -400,17 +399,9 @@ class TestDegreeDerivative:
             combo = legendre_dp_dalpha(1.0, z) - z * legendre_dp_dalpha(0.0, z)
             assert abs(combo - (z - 1.0)) <= 1e-5
 
-    def test_step_halving_consistency(self):
-        coarse = legendre_dp_dalpha(0.5, 0.5, h=1e-4)
-        fine = legendre_dp_dalpha(0.5, 0.5, h=1e-5)
-        # both are O(h^2) approximations of the same limit
-        assert coarse == pytest.approx(fine, abs=1e-7)
-
     def test_degree_step_domain(self):
         with pytest.raises(DomainError):
-            legendre_dp_dalpha(-1.0, 0.3, h=1e-5)
-        with pytest.raises(DomainError):
-            legendre_dp_dalpha(0.5, 0.3, h=0.0)
+            legendre_dp_dalpha(-1.0, 0.3)
 
     @pytest.mark.parametrize("z", [0.9, 0.3, -0.5, -0.95])
     def test_array_of_degrees_equals_the_scalar_loop(self, z):
@@ -421,14 +412,15 @@ class TestDegreeDerivative:
     def test_array_names_the_first_degree_that_leaves_the_domain(self):
         alphas = np.array([0.5, -0.999995, -1.0])
         with pytest.raises(DomainError, match=repr(float(alphas[1] - 1e-5))):
-            legendre_dp_dalpha(alphas, 0.3, h=1e-5)
+            legendre_dp_dalpha(alphas, 0.3)
         with pytest.raises(DomainError, match="got 4.5"):
-            legendre_dp_dalpha(np.array([0.5, 4.5 - 1e-5]), 0.3, h=1e-5)
+            legendre_dp_dalpha(np.array([0.5, 4.5 - 1e-5]), 0.3)
 
 
 def test_only_the_kernel_imports_legendre_p_many():
     # callers pass float or array degrees to legendre_p; choosing between the
-    # scalar and the array path stays inside legendre.py
+    # scalar and the array path stays inside legendre.py, and so does every
+    # special-function call behind a Legendre value
     package = Path(legendre.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):
@@ -439,5 +431,9 @@ def test_only_the_kernel_imports_legendre_p_many():
             if (isinstance(node, ast.alias) and node.name == "legendre_p_many") or (
                 isinstance(node, ast.Attribute) and node.attr == "legendre_p_many"
             ):
-                importers.append(path.name)
+                importers.append((path.name, "legendre_p_many"))
+            if (isinstance(node, ast.ImportFrom) and node.module == "scipy.special") or (
+                isinstance(node, ast.alias) and node.name == "scipy.special"
+            ):
+                importers.append((path.name, "scipy.special"))
     assert importers == []

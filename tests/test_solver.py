@@ -373,6 +373,22 @@ class TestSolveDirichlet:
         with pytest.raises(DomainError):
             solve_dirichlet(grid, {"r_min": 0.0})
 
+    @pytest.mark.parametrize(
+        "edges,oblique_s",
+        [
+            pytest.param({"r_min": 1.0, "r_max": 2.0, "cone": 7.0}, 1.2, id="oblique-cone"),
+            pytest.param(
+                {"r_min": 1.0, "r_max": 2.0, "cone": 7.0, "axis": 0.0}, None, id="axis"
+            ),
+            pytest.param({"r_min": 1.0, "r_max": 2.0, "axis": 0.0}, 1.2, id="oblique-axis"),
+        ],
+    )
+    def test_rejects_edge_data_it_would_ignore(self, edges, oblique_s):
+        # an oblique cone edge takes no data, and the axis edge never does
+        grid = SectorGrid(r_min=0.5, r_max=1.0, n_r=9, n_theta=9, theta0=THETA0)
+        with pytest.raises(DomainError, match="exactly the Dirichlet edges"):
+            solve_dirichlet(grid, edges, oblique_s=oblique_s)
+
     @pytest.mark.parametrize("oblique_s", [None, 1.8])
     def test_array_edge_data_equals_callable_data(self, oblique_s):
         # an array along an edge lists the values at that edge's nodes, in
@@ -382,8 +398,9 @@ class TestSolveDirichlet:
         edges = {
             "r_min": [data(grid.r[0], t) for t in grid.theta],
             "r_max": [data(grid.r[-1], t) for t in grid.theta],
-            "cone": np.array([data(r, grid.theta0) for r in grid.r]),
         }
+        if oblique_s is None:
+            edges["cone"] = np.array([data(r, grid.theta0) for r in grid.r])
         callables = dict.fromkeys(edges, data)
         arrays = solve_dirichlet(grid, edges, oblique_s=oblique_s)
         reference = solve_dirichlet(grid, callables, oblique_s=oblique_s)
