@@ -78,6 +78,10 @@ class HolderSamples:
             if h.shape != (pts.shape[0], 2, 2):
                 raise DomainError("hessians must be (N, 2, 2)")
             object.__setattr__(self, "hessians", h)
+        for name in ("points", "values", "gradients", "hessians"):
+            arr = getattr(self, name)
+            if arr is not None and not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} must be finite")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -112,7 +116,9 @@ def samples_from_function(
     """Sample fn (and optionally FD derivatives) at the given (y1, y2) points.
 
     Derivative samples use central differences with steps proportional to
-    the distance to the vertex, adequate for the reported-constant checks.
+    the distance to the vertex, adequate for the reported-constant checks;
+    the step vanishes at the vertex, so a vertex point with derivatives
+    raises DomainError.
     """
     pts = np.asarray(points, dtype=float)
     vals = np.array([fn(float(p[0]), float(p[1])) for p in pts])
@@ -121,6 +127,8 @@ def samples_from_function(
         grads = np.empty((len(pts), 2))
         for idx, p in enumerate(pts):
             h = FD_SCALE * math.hypot(p[0], p[1])
+            if h == 0.0:
+                raise DomainError(f"no difference step at the vertex {p.tolist()}")
             grads[idx, 0] = (fn(p[0] + h, p[1]) - fn(p[0] - h, p[1])) / (2 * h)
             grads[idx, 1] = (fn(p[0], p[1] + h) - fn(p[0], p[1] - h)) / (2 * h)
     if derivatives >= 2:

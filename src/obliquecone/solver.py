@@ -24,10 +24,13 @@ oblique condition beta0 . Du = 0 by a second-order one-sided stencil.
 Assembled systems use the sign convention A = -L, so monotone rows have
 nonpositive off-diagonal entries.
 
-One assembly, `_assemble`, builds A from numpy index arithmetic with no loop
-over nodes, and serves all three uses of the operator: the solve, the
-M-matrix check (sign masks and row sums on its CSR arrays) and the residual
-of exact solutions (its interior rows).
+One assembly, `_assemble`, stores A as a five-slot stencil table: integer
+`cols` and float `weights` of shape (5, nodes), filled by slice assignment
+with no loop over nodes, each row's slots in ascending column order.  One
+apply, `_apply`, sums each row's slots in that order, and the table serves
+all three uses of the operator: the solve, the M-matrix check (sign masks
+and row sums on the table) and the residual of exact solutions (its
+interior rows).
 
 The solve uses the tensor structure of A rather than a sparse factorization.
 The interior rows are a radial tridiagonal times an angular one, which fast
@@ -42,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -50,9 +53,6 @@ from .errors import DegenerateFit, DomainError, SingularSystem
 from .exponent import SeparableSolution
 from .geometry import ObliqueBC
 from .grids import DiscreteField, SectorGrid
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 #: Target for the verified linear-solve residual: tol * ||rhs||_inf + tol.
 SOLVE_TOL = 1e-12
@@ -120,7 +120,7 @@ def _angular_weights(grid: SectorGrid) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _oblique_weights(
     grid: SectorGrid, oblique_s: float, first: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, ...]:
-    """Weights of the oblique rows on u at (i-1, J), (i+1, J), (i, J), (i, J-1), (i, J-2).
+    """Weights of the oblique rows on u at (i-1, J), (i, J-2), (i, J-1), (i, J), (i+1, J).
 
     The rows are cos(s - t0) u_r + sin(s - t0) u_t / r = 0 at the interior
     radii of the cone column J, one-sided in theta, scaled by -1/sin(s - t0)
@@ -134,10 +134,10 @@ def _oblique_weights(
     two_h = 2.0 * grid.h_theta * grid.r[1:-1]
     return (
         scale * cr * dm,
-        scale * cr * dp,
-        scale * (cr * d0 + ct * 3.0 / two_h),
-        scale * ct * (-4.0) / two_h,
         scale * ct / two_h,
+        scale * ct * (-4.0) / two_h,
+        scale * (cr * d0 + ct * 3.0 / two_h),
+        scale * cr * dp,
     )
 
 
@@ -157,9 +157,9 @@ def laplacian_residual(
     """
     if sol.m != grid.m:
         raise DomainError(f"solution mode {sol.m} does not match grid mode {grid.m}")
-    A, kind = _assemble(grid, None)
+    cols, weights, kind = _assemble(grid, None)
     U = np.outer(grid.r ** sol.alpha, sol.profile(grid.theta))
-    res = np.where(kind == ROW_INTERIOR, -(A @ U.ravel()), 0.0)
+    res = np.where(kind == ROW_INTERIOR, -_apply(cols, weights, U.ravel()), 0.0)
     field = DiscreteField(grid=grid, values=res.reshape(U.shape))
     return field, field.max_norm()
 
@@ -213,53 +213,50 @@ ROW_OBLIQUE = 2
 
 def _assemble(
     grid: SectorGrid, oblique_s: Optional[float]
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Assemble A = -L with identity rows on Dirichlet nodes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble A = -L as a stencil table, with identity rows on Dirichlet nodes.
 
-    Returns (A, kind) where kind flags each row as interior, Dirichlet or
-    oblique.  The oblique rows are scaled positive-diagonal.  Every row holds
-    its diagonal entry.
+    Returns (cols, weights, kind): row k of A holds weights[:, k] at columns
+    cols[:, k], five slots in ascending column order, and kind flags each row
+    as interior, Dirichlet or oblique.  The slots are (i-1, j), (i, j-1),
+    (i, j), (i, j+1), (i+1, j) on interior rows and (i-1, J), (i, J-2),
+    (i, J-1), (i, J), (i+1, J) on the oblique rows of the cone column J,
+    which are scaled positive-diagonal.  A slot with no neighbour (the lower
+    one of the first interior column, and every slot but the centre of a
+    Dirichlet row) points at the diagonal with weight 0.  An inadmissible
+    oblique angle raises DomainError.
     """
-    import scipy.sparse as sp
-
+    if oblique_s is not None:
+        ObliqueBC(s=oblique_s, theta0=grid.theta0)
     nr, nt = grid.n_r, grid.n_theta
     r = grid.r
     node = np.arange(nr * nt).reshape(nr, nt)
+    cols = np.broadcast_to(node, (5, nr, nt)).copy()
+    weights = np.zeros((5, nr, nt))
     kind = np.full((nr, nt), ROW_DIRICHLET, dtype=np.int8)
     j0 = grid.m  # first interior column; the m = 1 axis is Dirichlet 0
     kind[1:-1, j0:-1] = ROW_INTERIOR
-    (dm, d0, dp), (wm, w0, wp) = _radial_weights(r)
+    first, (wm, w0, wp) = _radial_weights(r)
     inv_r2 = (1.0 / (r[1:-1] * r[1:-1]))[:, None]
     lower, centre, upper = _angular_weights(grid)
-    inner = node[1:-1, j0:-1]
-    # (rows, columns, values) blocks; values broadcast over the rows
-    blocks = [
-        (inner, node[:-2, j0:-1], -wm[:, None]),
-        (inner, node[2:, j0:-1], -wp[:, None]),
-        (inner[:, 1:], inner[:, :-1], -inv_r2 * lower),
-        (inner, node[1:-1, j0 + 1:], -inv_r2 * upper),
-        (inner, inner, -w0[:, None] - inv_r2 * centre),
-    ]
+    cols[:, 1:-1, j0:-1] += np.array([-nt, -1, 0, 1, nt])[:, None, None]
+    cols[1, 1:-1, j0] += 1  # the first interior column has no lower neighbour
+    weights[0, 1:-1, j0:-1] = -wm[:, None]
+    weights[1, 1:-1, j0 + 1:-1] = -inv_r2 * lower
+    weights[2, 1:-1, j0:-1] = -w0[:, None] - inv_r2 * centre
+    weights[3, 1:-1, j0:-1] = -inv_r2 * upper
+    weights[4, 1:-1, j0:-1] = -wp[:, None]
     if oblique_s is not None:
         kind[1:-1, -1] = ROW_OBLIQUE
-        om, op, o0, o1, o2 = _oblique_weights(grid, oblique_s, (dm, d0, dp))
-        cone = node[1:-1, -1]
-        blocks += [
-            (cone, node[:-2, -1], om),
-            (cone, node[2:, -1], op),
-            (cone, cone, o0),
-            (cone, node[1:-1, -2], o1),
-            (cone, node[1:-1, -3], o2),
-        ]
-    dirichlet = node[kind == ROW_DIRICHLET]
-    blocks.append((dirichlet, dirichlet, 1.0))
-    rows = np.concatenate([k.ravel() for k, _, _ in blocks])
-    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
-    vals = np.concatenate([np.broadcast_to(v, k.shape).ravel() for k, _, v in blocks])
-    # the stencils never repeat a column within a row, so the CSR data are
-    # the stencil weights themselves, sorted by column
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(nr * nt, nr * nt))
-    return A, kind.ravel()
+        cols[:, 1:-1, -1] += np.array([-nt, -2, -1, 0, nt])[:, None]
+        weights[:, 1:-1, -1] = _oblique_weights(grid, oblique_s, first)
+    weights[2][kind == ROW_DIRICHLET] = 1.0
+    return cols.reshape(5, -1), weights.reshape(5, -1), kind.ravel()
+
+
+def _apply(cols: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for the stencil table of A, each row summed in ascending column order."""
+    return (weights * x[cols]).sum(axis=0)
 
 
 def _edge_values(data: _EdgeData, rs: np.ndarray, ths: np.ndarray) -> np.ndarray:
@@ -307,7 +304,11 @@ def _eigen(
 
 
 def _sector_solver(
-    grid: SectorGrid, oblique_s: Optional[float], A: sp.csr_matrix, kind: np.ndarray
+    grid: SectorGrid,
+    oblique_s: Optional[float],
+    cols: np.ndarray,
+    weights: np.ndarray,
+    kind: np.ndarray,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Direct solver v -> A^-1 v of the assembled system, by its tensor structure.
 
@@ -341,13 +342,13 @@ def _sector_solver(
     fixed = kind == ROW_DIRICHLET
 
     if oblique_s is not None:
-        om, op, o0, o1, o2 = _oblique_weights(grid, oblique_s, first)
+        om, o2, o1, o0, op = _oblique_weights(grid, oblique_s, first)
         last = len(centre) - 1  # column J-1; J-2 is interior unless the m = 1 axis
         near = [last, last - 1] if last > 0 else [last]
-        weights = np.stack((o1, o2)[: len(near)], axis=1)
+        near_w = np.stack((o1, o2)[: len(near)], axis=1)
         sigma = inv_sum @ (V[near] * Vi[:, last]).T
         schur = np.diag(o0) + np.diag(om[1:], -1) + np.diag(op[:-1], 1)
-        schur = schur - upper[-1] * ((weights @ sigma.T) * Y) @ Yi
+        schur = schur - upper[-1] * ((near_w @ sigma.T) * Y) @ Yi
         with warnings.catch_warnings():
             warnings.simplefilter("error", la.LinAlgWarning)
             try:
@@ -359,12 +360,12 @@ def _sector_solver(
 
     def solve(v: np.ndarray) -> np.ndarray:
         x = np.where(fixed, v, 0.0)
-        g = (v - A @ x).reshape(nr, nt)
+        g = (v - _apply(cols, weights, x)).reshape(nr, nt)
         x = x.reshape(nr, nt)
         G = Yi @ (-r2[:, None] * g[1:-1, j0:-1]) @ Vi.T
         if oblique_s is not None:
             x_near = Y @ ((G * inv_sum) @ V[near].T)
-            rhs = g[1:-1, -1] - (weights * x_near).sum(axis=1)
+            rhs = g[1:-1, -1] - (near_w * x_near).sum(axis=1)
             c = la.lu_solve(schur_lu, rhs).real
             G = G - upper[-1] * np.outer(Yi @ c, Vi[:, last])
             x[1:-1, -1] = c
@@ -398,18 +399,14 @@ def solve_dirichlet(
     certifies the residual SOLVE_TOL * ||rhs|| + SOLVE_TOL; a failure names
     its stage and the grid in the SingularSystem it raises.
     """
-    import scipy.sparse as sp
-
     required = {"r_min", "r_max"} | ({"cone"} if oblique_s is None else set())
     if set(boundary_values) != required:
         raise DomainError(
             f"boundary data must be given for exactly the Dirichlet edges "
             f"{sorted(required)}, got {sorted(map(str, boundary_values))}"
         )
-    if oblique_s is not None:
-        ObliqueBC(s=oblique_s, theta0=grid.theta0)
 
-    A, kind = _assemble(grid, oblique_s)
+    cols, weights, kind = _assemble(grid, oblique_s)
     nr, nt = grid.n_r, grid.n_theta
     rr = np.repeat(grid.r, nt)
     tt = np.tile(grid.theta, nr)
@@ -431,30 +428,33 @@ def solve_dirichlet(
 
     # equilibrate rows to unit max magnitude; the 1/r^2 factors otherwise
     # spread row scales over many orders and defeat the residual target
-    row_max = np.abs(A).max(axis=1).toarray().ravel()
+    row_max = np.abs(weights).max(axis=0)
     if row_max.min() <= 0.0:
         raise _singular(grid, oblique_s, "equilibration", "an assembled row is empty")
-    A_eq = sp.diags(1.0 / row_max) @ A
+    weights_eq = weights * (1.0 / row_max)
     b_eq = b / row_max
-    solve = _sector_solver(grid, oblique_s, A, kind)
+    solve = _sector_solver(grid, oblique_s, cols, weights, kind)
     u = solve(b)
     if not np.all(np.isfinite(u)):
         raise _singular(grid, oblique_s, "refinement", "non-finite solve")
     target = SOLVE_TOL * np.abs(b_eq).max() + SOLVE_TOL
     for _ in range(5):
-        resid = b_eq - A_eq @ u
+        resid = b_eq - _apply(cols, weights_eq, u)
         if np.abs(resid).max() <= target:
             break
-        # A_eq d = resid is A d = row_max * resid
+        # the equilibrated system (A / row_max) d = resid is A d = row_max * resid
         u = u + solve(row_max * resid)
     else:
-        worst = np.abs(b_eq - A_eq @ u).max()
+        worst = np.abs(b_eq - _apply(cols, weights_eq, u)).max()
         if worst > target:
             raise _singular(
                 grid, oblique_s, "refinement",
                 f"linear-solve residual {worst} above {target}",
             )
-    return DiscreteField(grid=grid, values=u.reshape(nr, nt))
+    # callers keep the field: copy it out once the operator is released, so
+    # that it reuses the memory the table held rather than growing the heap
+    del cols, weights, weights_eq, solve
+    return DiscreteField(grid=grid, values=u.reshape(nr, nt).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -482,34 +482,32 @@ def check_m_matrix(
     """Verify the monotone-scheme sign structure of the interior rows.
 
     In the convention A = -L, every interior row must have nonpositive
-    off-diagonal entries and a nonnegative row sum.  Violations (typically
-    from the transport terms on under-resolved grids) are reported per node.
+    off-diagonal entries and a nonnegative row sum.  Both are read off the
+    stencil table of `_assemble`: a sign mask over its off-diagonal slots
+    and the sum of each row's slots.  Violations (typically from the
+    transport terms on under-resolved grids) are reported per node, by row,
+    the off-diagonals in column order before the row sum.  An inadmissible
+    oblique angle raises DomainError.
     """
-    A, kind = _assemble(grid, oblique_s)
-    # every row holds its diagonal, so no reduceat segment is empty
-    row = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    scale = np.maximum.reduceat(np.abs(A.data), A.indptr[:-1])
-    row_sum = np.add.reduceat(A.data, A.indptr[:-1])
+    cols, weights, kind = _assemble(grid, oblique_s)
+    scale = np.abs(weights).max(axis=0)
+    row_sum = weights.sum(axis=0)
     interior = kind == ROW_INTERIOR
-    positive = np.flatnonzero(
-        interior[row] & (A.indices != row) & (A.data > 1e-14 * scale[row])
-    )
-    negative = np.flatnonzero(interior & (row_sum < -1e-12 * scale))
-    at = np.concatenate((row[positive], negative))
-    is_sum = np.arange(len(at)) >= len(positive)
-    value = np.concatenate((A.data[positive], row_sum[negative]))
-    # by row; within a row the off-diagonals in column order, then the row sum
-    order = np.lexsort((is_sum, at))
+    # five slot masks, then the row-sum mask as a sixth slot
+    flagged = interior & np.vstack((
+        (cols != np.arange(len(kind))) & (weights > 1e-14 * scale),
+        row_sum < -1e-12 * scale,
+    ))
+    at, slot = np.nonzero(flagged.T)
+    value = np.vstack((weights, row_sum))[slot, at]
     violations = tuple(
         MMatrixViolation(
             i=k // grid.n_theta,
             j=k % grid.n_theta,
-            kind="negative_row_sum" if summed else "positive_offdiagonal",
+            kind="negative_row_sum" if sl == 5 else "positive_offdiagonal",
             value=v,
         )
-        for k, summed, v in zip(
-            at[order].tolist(), is_sum[order].tolist(), value[order].tolist()
-        )
+        for k, sl, v in zip(at.tolist(), slot.tolist(), value.tolist())
     )
     return MMatrixReport(
         passed=not violations,

@@ -83,6 +83,27 @@ class TestSeminorm:
         with pytest.raises(DomainError):
             holder_seminorm(samples, HolderSpec(1, 0.5, 0.0))
 
+    @pytest.mark.parametrize("field", ["points", "values", "gradients", "hessians"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_samples_must_be_finite(self, field, bad):
+        pts = sector_sample_points(1.0, 1e-1)
+        arrays = {
+            "points": pts.copy(),
+            "values": np.ones(len(pts)),
+            "gradients": np.ones((len(pts), 2)),
+            "hessians": np.ones((len(pts), 2, 2)),
+        }
+        arrays[field][3] = bad
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            HolderSamples(**arrays)
+
+    @pytest.mark.parametrize("derivatives", [1, 2])
+    def test_derivative_samples_reject_the_vertex(self, derivatives):
+        # the central-difference step scales with |p| and vanishes there
+        pts = np.array([[0.5, 0.1], [0.0, 0.0]])
+        with pytest.raises(DomainError, match="vertex"):
+            samples_from_function(lambda a, b: a * b, pts, derivatives=derivatives)
+
     def test_gradient_seminorm_of_linear_field(self):
         pts = sector_sample_points(1.0, 1e-1)
         samples = samples_from_function(lambda a, b: 2.0 * a - b, pts, derivatives=1)

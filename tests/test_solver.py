@@ -22,6 +22,7 @@ from obliquecone.solver import (
     SOLVE_TOL,
     MMatrixReport,
     MMatrixViolation,
+    _apply,
     _assemble,
     check_m_matrix,
     fit_exponent,
@@ -521,6 +522,27 @@ class TestTensorSolve:
         )
         assert out.stdout.strip() == ""
 
+    def test_operator_uses_load_no_sparse(self):
+        # the stencil table replaces the CSR matrix in every use of A
+        src = str(Path(obliquecone.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from obliquecone.exponent import SeparableSolution\n"
+            "from obliquecone.grids import SectorGrid\n"
+            "from obliquecone.solver import check_m_matrix, laplacian_residual, "
+            "solve_dirichlet\n"
+            "grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=12, n_theta=9, theta0=2.0)\n"
+            "solve_dirichlet(grid, {'r_min': 1.0, 'r_max': 2.0}, oblique_s=1.2)\n"
+            "check_m_matrix(grid, 1.2)\n"
+            "laplacian_residual(SeparableSolution(alpha=0.5, m=0), grid)\n"
+            "print('scipy.sparse' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert out.stdout.strip() == "False"
+
     def test_special_suite_loads_no_integrate_or_optimize(self):
         # the quadrature oracle sums its rule in numpy
         src = str(Path(obliquecone.__file__).resolve().parents[1])
@@ -546,12 +568,18 @@ class TestAssembly:
             r_min=0.05, r_max=1.0, n_r=shape[0], n_theta=shape[1], theta0=2.0,
             grading=grading, m=m,
         )
-        A, kind = _assemble(grid, oblique_s)
+        cols, weights, kind = _assemble(grid, oblique_s)
         ref, ref_kind = reference_assemble(grid, oblique_s)
-        np.testing.assert_array_equal(A.indptr, ref.indptr)
-        np.testing.assert_array_equal(A.indices, ref.indices)
-        assert A.data.tobytes() == ref.data.tobytes()
+        # a slot with no neighbour points at the diagonal with weight 0; the
+        # other slots are the reference's CSR entries, row by row in order
+        stored = ((cols != np.arange(cols.shape[1])) | (weights != 0.0)).T
+        indptr = np.concatenate(([0], np.cumsum(stored.sum(axis=1))))
+        np.testing.assert_array_equal(indptr, ref.indptr)
+        np.testing.assert_array_equal(cols.T[stored], ref.indices)
+        assert weights.T[stored].tobytes() == ref.data.tobytes()
         np.testing.assert_array_equal(kind, ref_kind)
+        for x in np.random.default_rng(0).standard_normal((3, cols.shape[1])):
+            assert _apply(cols, weights, x).tobytes() == (ref @ x).tobytes()
 
     def test_residual_is_interior_rows_of_the_operator(self):
         grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=12, n_theta=9, theta0=2.0, m=1)
@@ -577,22 +605,25 @@ class TestMMatrix:
              "radial-stress-oblique"],
     )
     def test_report_matches_reference_loop(self, grid, oblique_s):
-        A, kind = _assemble(grid, oblique_s)
+        A, kind = reference_assemble(grid, oblique_s)
         assert check_m_matrix(grid, oblique_s) == reference_m_matrix(grid, A, kind)
 
     def test_row_sum_violation_follows_its_rows_offdiagonals(self, monkeypatch):
         # no assembled row has a negative sum, so lower some diagonals of
         # the radial stress matrix to interleave both kinds of violation
         grid = RADIAL_STRESS
-        A, kind = _assemble(grid, None)
-        A = A.copy()
+        cols, weights, kind = _assemble(grid, None)
+        A, _ = reference_assemble(grid, None)
+        weights, A = weights.copy(), A.copy()
         for k in np.flatnonzero(kind == ROW_INTERIOR)[::3]:
+            weights[2, k] -= 3.0 * np.abs(weights[:, k]).max()
             A[k, k] -= 3.0 * abs(A[k]).max()
-        monkeypatch.setattr(solver, "_assemble", lambda g, s: (A, kind))
+        monkeypatch.setattr(solver, "_assemble", lambda g, s: (cols, weights, kind))
         report = check_m_matrix(grid)
         ref = reference_m_matrix(grid, A, kind)
-        # np.add.reduceat adds a row's first entry to the sum of the others,
-        # ndarray.sum adds left to right: row sums may differ in the last bits
+        # the table and ndarray.sum both add a row's entries left to right,
+        # so the row sums agree to the bit
+        assert report == ref
         assert [(v.i, v.j, v.kind) for v in report.violations] == [
             (v.i, v.j, v.kind) for v in ref.violations
         ]
@@ -603,6 +634,14 @@ class TestMMatrix:
         assert "negative_row_sum" in kinds and "positive_offdiagonal" in kinds
         first_sum = kinds.index("negative_row_sum")
         assert kinds[first_sum + 1] == "positive_offdiagonal"
+
+    @pytest.mark.parametrize("oblique_s", [2.0, 2.5, -1.2, math.nan])
+    def test_inadmissible_oblique_angle(self, oblique_s):
+        # theta0 = 2.0 admits s in (2 - pi, 2): 2.0 zeroes the oblique
+        # scale, 2.5 and -1.2 point outward, nan is undefined
+        grid = SectorGrid(r_min=0.3, r_max=1.0, n_r=8, n_theta=8, theta0=2.0)
+        with pytest.raises(DomainError, match="admissible interval"):
+            check_m_matrix(grid, oblique_s)
 
     def test_default_grids_pass(self):
         for m in (0, 1):
