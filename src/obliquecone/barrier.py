@@ -165,8 +165,8 @@ def rotate_coefficients(
     if eigs.min() <= 0.0:
         raise InvalidOperator(f"plane coefficients not positive definite: {eigs}")
     lam, Lam = float(eigs.min()), float(eigs.max())
-    if b21 <= 0.0:
-        raise InvalidOperator(f"singular-term coefficient must be positive, got {b21}")
+    if not (0.0 < b21 < math.inf):
+        raise InvalidOperator(f"b21 must be finite and positive, got {b21}")
     b1, b2 = bc.beta0
     t1, t2 = bc.tau
     J = np.array([[b1, b2], [t1, t2]])
@@ -209,8 +209,8 @@ def m2_coefficient(
         raise DomainError(f"coefficients rotated for {rc.bc}, not for {bc}")
     if bc.beta0[1] == 0.0:
         raise DegenerateBC("beta2 = 0: the boundary operator is degenerate")
-    if tilt < 0.0:
-        raise InvalidTilt(f"tilt must be nonnegative, got {tilt}")
+    if not (0.0 <= tilt < math.inf):
+        raise InvalidTilt(f"tilt must be finite and nonnegative, got {tilt}")
     b1, b2 = bc.beta0
     n1, n2 = bc.nu
     if tilt > 0.0:

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import BracketError, DomainError
 from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
+from .grids import SectorGrid
 from .legendre import (
     _check_range, _dtheta_near_axis, _libm, legendre_dp1_dz, legendre_dp_dz, legendre_p,
     legendre_p1,
@@ -247,6 +248,12 @@ class SeparableSolution:
         if self.m == 0:
             return legendre_p(self.alpha, z)
         return legendre_p1(self.alpha, z)
+
+    def field(self, grid: SectorGrid) -> np.ndarray:
+        """Nodal values, shape (n_r, n_theta), each the scalar r ** a * profile(theta)
+        bit for bit: the radial powers go through libm like the profile's cosines."""
+        a = self.alpha
+        return np.outer(_libm(lambda r: r ** a, grid.r), self.profile(grid.theta))
 
     def profile_deriv(self, theta):
         """d/dtheta of the profile, -sin(theta) (P^m_a)'(cos theta).

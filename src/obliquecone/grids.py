@@ -16,8 +16,6 @@ DEFAULT_GRADING = 1.05
 #: Inner radius of the vertex-clustered default grid on [r_min, 1].
 DEFAULT_R_MIN = 1e-3
 
-_FLOAT_FMT = "{:.17g}"
-
 
 @dataclass(frozen=True)
 class SectorGrid:
@@ -84,18 +82,6 @@ class SectorGrid:
             m=m,
         )
 
-    def refined(self) -> "SectorGrid":
-        """Same sector with the intervals of both directions doubled."""
-        return SectorGrid(
-            r_min=self.r_min,
-            r_max=self.r_max,
-            n_r=2 * self.n_r - 1,
-            n_theta=2 * self.n_theta - 1,
-            theta0=self.theta0,
-            grading=self.grading,
-            m=self.m,
-        )
-
     @property
     def h_theta(self) -> float:
         return self.theta0 / (self.n_theta - 1)
@@ -110,16 +96,6 @@ class SectorGrid:
 
     def node_count(self) -> int:
         return self.n_r * self.n_theta
-
-    def to_csv(self, path) -> None:
-        """Write the node table (r, theta) in row-major order, LF endings."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r,theta\n")
-            for ri in self.r:
-                for tj in self.theta:
-                    fh.write(
-                        _FLOAT_FMT.format(ri) + "," + _FLOAT_FMT.format(tj) + "\n"
-                    )
 
 
 @dataclass(frozen=True)
@@ -151,18 +127,3 @@ class DiscreteField:
 
     def max_norm(self) -> float:
         return float(np.abs(self.values).max())
-
-    def to_csv(self, path) -> None:
-        """Write (r, theta, value) rows in row-major node order, LF endings."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r,theta,value\n")
-            for i, ri in enumerate(self.grid.r):
-                for j, tj in enumerate(self.grid.theta):
-                    fh.write(
-                        _FLOAT_FMT.format(ri)
-                        + ","
-                        + _FLOAT_FMT.format(tj)
-                        + ","
-                        + _FLOAT_FMT.format(self.values[i, j])
-                        + "\n"
-                    )

@@ -64,8 +64,10 @@ class HolderSamples:
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] != vals.shape[0]:
-            raise DomainError("points must be (N, 2) with matching values")
+        if pts.ndim != 2 or pts.shape[1] != 2 or vals.shape != (pts.shape[0],):
+            raise DomainError(
+                f"points must be (N, 2) and values (N,), got {pts.shape} and {vals.shape}"
+            )
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         if self.gradients is not None:
@@ -151,8 +153,8 @@ def samples_from_function(
 def sector_sample_points(theta0: float, r_min: float, r_max: float = 1.0) -> np.ndarray:
     """Vertex-clustered (y1, y2) sample points: geometric shells times rays."""
     ConeGeometry(theta0=theta0)
-    if not (0.0 < r_min < r_max):
-        raise DomainError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
+    if not (0.0 < r_min < r_max < math.inf):
+        raise DomainError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
     n_shells = max(2, int(round(SHELLS_PER_DECADE * math.log10(r_max / r_min))) + 1)
     radii = np.geomspace(r_min, r_max, n_shells)
     thetas = np.linspace(0.0, theta0, SAMPLE_RAYS)

@@ -148,7 +148,7 @@ def _oblique_weights(
 def laplacian_residual(
     sol: SeparableSolution, grid: SectorGrid
 ) -> tuple[DiscreteField, float]:
-    """Discrete Laplacian applied to exact nodal values of the solution.
+    """Discrete Laplacian applied to the exact nodal values `sol.field(grid)`.
 
     The operator is the interior rows of the assembled Dirichlet system,
     L = -A, so a refinement study certifies the matrix `solve_dirichlet`
@@ -158,7 +158,7 @@ def laplacian_residual(
     if sol.m != grid.m:
         raise DomainError(f"solution mode {sol.m} does not match grid mode {grid.m}")
     cols, weights, kind = _assemble(grid, None)
-    U = np.outer(grid.r ** sol.alpha, sol.profile(grid.theta))
+    U = sol.field(grid)
     res = np.where(kind == ROW_INTERIOR, -_apply(cols, weights, U.ravel()), 0.0)
     field = DiscreteField(grid=grid, values=res.reshape(U.shape))
     return field, field.max_norm()
@@ -192,7 +192,7 @@ class ConvergenceStudy:
 def residual_convergence(
     sol: SeparableSolution, grids: Sequence[SectorGrid]
 ) -> ConvergenceStudy:
-    """Run `laplacian_residual` over a sequence of refined grids."""
+    """Run `laplacian_residual` over a sequence of successively finer grids."""
     hs, res = [], []
     for grid in grids:
         _, norm = laplacian_residual(sol, grid)
@@ -259,16 +259,18 @@ def _apply(cols: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (weights * x[cols]).sum(axis=0)
 
 
-def _edge_values(data: _EdgeData, rs: np.ndarray, ths: np.ndarray) -> np.ndarray:
+def _edge_values(name: str, data: _EdgeData, rs: np.ndarray, ths: np.ndarray) -> np.ndarray:
+    """The named data at the nodes (rs, ths); DomainError unless it fits and is finite."""
     if callable(data):
-        pairs = zip(rs.tolist(), ths.tolist())
-        return np.array([data(a, b) for a, b in pairs], dtype=float)
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim == 0:
-        return np.full(len(rs), float(arr))
-    if arr.shape != rs.shape:
-        raise DomainError(f"edge data of length {arr.shape} does not fit {rs.shape}")
-    return arr
+        data = [data(a, b) for a, b in zip(rs.tolist(), ths.tolist())]
+    vals = np.asarray(data, dtype=float)
+    if vals.ndim == 0:
+        vals = np.full(len(rs), float(vals))
+    if vals.shape != rs.shape:
+        raise DomainError(f"{name} data of length {vals.shape} does not fit {rs.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"{name} data must be finite at every node")
+    return vals
 
 
 def _singular(
@@ -388,8 +390,9 @@ def solve_dirichlet(
     edges; "cone" (theta = theta0) is Dirichlet unless `oblique_s` is given,
     in which case the homogeneous oblique condition is imposed there.  The
     axis edge is the symmetry condition for m = 0 and Dirichlet 0 for m = 1.
-    Missing data, or data for any other edge ("cone" with `oblique_s`
-    included), raises DomainError.  Corner nodes belong to the radial edges.
+    Missing data, data for any other edge ("cone" with `oblique_s` included),
+    or non-finite data raises DomainError naming the edge ("rhs" for the
+    right-hand side), before assembly.  Corner nodes belong to the radial edges.
 
     The assembled system is solved through its tensor structure: fast
     diagonalisation of the radial and angular factors (Lynch, Rice & Thomas
@@ -406,26 +409,23 @@ def solve_dirichlet(
             f"{sorted(required)}, got {sorted(map(str, boundary_values))}"
         )
 
-    cols, weights, kind = _assemble(grid, oblique_s)
     nr, nt = grid.n_r, grid.n_theta
     rr = np.repeat(grid.r, nt)
     tt = np.tile(grid.theta, nr)
     b = np.zeros(nr * nt)
-    if rhs is not None:
-        interior = kind == ROW_INTERIOR
-        # A = -L, so the right-hand side enters negated on interior rows
-        b[interior] = -_edge_values(rhs, rr[interior], tt[interior])
-
     node = np.arange(nr * nt).reshape(nr, nt)
-    # the radial edges come last, so the corner nodes take their data
+    if rhs is not None:
+        # A = -L, so the right-hand side enters negated on the interior rows
+        k = node[1:-1, grid.m:-1].ravel()
+        b[k] = -_edge_values("rhs", rhs, rr[k], tt[k])
+    # every node of a Dirichlet edge is a Dirichlet row; the radial edges
+    # come last, so the corner nodes take their data
     edges = {"cone": node[:, -1], "r_min": node[0], "r_max": node[-1]}
-    if oblique_s is not None:
-        del edges["cone"]
     for name, k in edges.items():
-        vals = _edge_values(boundary_values[name], rr[k], tt[k])
-        dirichlet = kind[k] == ROW_DIRICHLET
-        b[k[dirichlet]] = vals[dirichlet]
+        if name in boundary_values:
+            b[k] = _edge_values(name, boundary_values[name], rr[k], tt[k])
 
+    cols, weights, kind = _assemble(grid, oblique_s)
     # equilibrate rows to unit max magnitude; the 1/r^2 factors otherwise
     # spread row scales over many orders and defeat the residual target
     row_max = np.abs(weights).max(axis=0)
@@ -540,10 +540,11 @@ def fit_exponent(
     nearest theta column and uses the grid's own radial nodes inside the
     window; for a callable, FIT_SAMPLES geometrically spaced radii are used.
     Raises DegenerateFit when the window holds fewer than FIT_MIN_SAMPLES
-    points, contains sign changes, or touches near-zero values.
+    points, contains sign changes, or touches near-zero values; a window
+    outside (0, inf) or a callable's non-finite sample raises DomainError.
     """
     r_lo, r_hi = window
-    if not (0.0 < r_lo < r_hi):
+    if not (0.0 < r_lo < r_hi < math.inf):
         raise DomainError(f"invalid fit window {window}")
     if isinstance(source, DiscreteField):
         if not (0.0 <= theta <= source.grid.theta0):
@@ -555,6 +556,8 @@ def fit_exponent(
     else:
         rs = np.geomspace(r_lo, r_hi, FIT_SAMPLES)
         us = np.array([source(float(r), float(theta)) for r in rs])
+        if not np.all(np.isfinite(us)):
+            raise DomainError(f"non-finite samples of the callable in window {window}")
     if len(rs) < FIT_MIN_SAMPLES:
         raise DegenerateFit(
             f"window {window} holds {len(rs)} samples, need {FIT_MIN_SAMPLES}"

@@ -618,6 +618,7 @@ def _check_dirichlet_constant() -> tuple[bool, str]:
 
 
 def _check_comparison_minimum() -> tuple[bool, str]:
+    """Nonnegative solves: positive Dirichlet data, and the critical mode's `field`."""
     grid = SectorGrid.default(2.0 * math.pi / 3.0, n_r=40, n_theta=32)
     data = lambda r, t: abs(math.sin(3.0 * r) * math.cos(t)) + 0.1
     field = sol_mod.solve_dirichlet(
@@ -629,16 +630,16 @@ def _check_comparison_minimum() -> tuple[bool, str]:
     root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
     sol = exp_mod.SeparableSolution(alpha=root, m=0)
     grid = SectorGrid(r_min=0.02, r_max=1.0, n_r=48, n_theta=32, theta0=theta0)
-    exact = lambda r, t: sol.profile(t) * r ** root
-    field = sol_mod.solve_dirichlet(
-        grid, {"r_min": exact, "r_max": exact}, oblique_s=s
-    )
+    exact = sol.field(grid)
+    edges = {"r_min": exact[0], "r_max": exact[-1]}
+    field = sol_mod.solve_dirichlet(grid, edges, oblique_s=s)
     min_oblique = float(field.values.min())
     ok = min_all_dirichlet >= -1e-12 and min_oblique >= -1e-12
     return ok, f"minima {min_all_dirichlet:.2e} (Dirichlet), {min_oblique:.2e} (oblique)"
 
 
 def _check_oblique_solve_order() -> tuple[bool, str]:
+    """Error order of oblique solves whose exact field and edge data are `field`."""
     theta0, s = 2.0 * math.pi / 3.0, 1.8
     geom = ConeGeometry(theta0=theta0)
     root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
@@ -646,12 +647,12 @@ def _check_oblique_solve_order() -> tuple[bool, str]:
     errs, hs = [], []
     for n in (17, 33, 65):
         grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=n, n_theta=n, theta0=theta0)
-        exact = np.outer(grid.r ** root, sol.profile(grid.theta))
-        data = lambda r, t: sol.profile(t) * r ** root
-        field = sol_mod.solve_dirichlet(grid, {"r_min": data, "r_max": data}, oblique_s=s)
+        exact = sol.field(grid)
+        edges = {"r_min": exact[0], "r_max": exact[-1]}
+        field = sol_mod.solve_dirichlet(grid, edges, oblique_s=s)
         errs.append(float(np.abs(field.values - exact).max()))
         hs.append(grid.h_max)
-    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    slope = sol_mod.ConvergenceStudy(tuple(hs), tuple(errs)).observed_order
     return 1.7 <= slope <= 2.3, f"oblique-solve error order = {slope:.3f}"
 
 

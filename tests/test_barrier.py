@@ -163,6 +163,12 @@ class TestRotateCoefficients:
         with pytest.raises(InvalidOperator):
             rotate_coefficients(np.eye(2), bc, b21=0.0)
 
+    @pytest.mark.parametrize("b21", [math.nan, math.inf])
+    def test_rejects_non_finite_singular_term(self, b21):
+        bc = ObliqueBC(s=0.4, theta0=2.0)
+        with pytest.raises(InvalidOperator, match="finite and positive"):
+            rotate_coefficients(np.eye(2), bc, b21=b21)
+
 
 def make_setup(theta0, s, alpha):
     geom = ConeGeometry(theta0=theta0)
@@ -258,6 +264,12 @@ class TestBoundaryCoefficients:
         with pytest.raises(InvalidTilt):
             # beta2 - tilt beta1 changes sign
             m2_coefficient(b2, bc2, rc2, 0.5)
+
+    @pytest.mark.parametrize("tilt", [math.nan, math.inf])
+    def test_non_finite_tilt_rejected(self, tilt):
+        _, bc, b, rc = make_setup(math.pi / 3, 0.5, 0.05)
+        with pytest.raises(InvalidTilt, match="finite and nonnegative"):
+            m2_coefficient(b, bc, rc, tilt)
 
     def test_degenerate_boundary_vector(self):
         theta0 = 2.0

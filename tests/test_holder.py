@@ -97,6 +97,11 @@ class TestSeminorm:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             HolderSamples(**arrays)
 
+    def test_values_must_be_one_per_point(self):
+        pts = sector_sample_points(1.0, 1e-1)
+        with pytest.raises(DomainError, match="values"):
+            HolderSamples(points=pts, values=np.ones((len(pts), 3)))
+
     @pytest.mark.parametrize("derivatives", [1, 2])
     def test_derivative_samples_reject_the_vertex(self, derivatives):
         # the central-difference step scales with |p| and vanishes there
@@ -145,6 +150,10 @@ class TestSeminorm:
         for theta0 in (5.0, math.nan, 0.0):
             with pytest.raises(DomainError, match="opening angle"):
                 sector_sample_points(theta0, 1e-2)
+
+    def test_sample_points_need_a_finite_outer_radius(self):
+        with pytest.raises(DomainError, match="r_max"):
+            sector_sample_points(2.0, 1e-2, math.inf)
 
 
 class TestProductInequality:

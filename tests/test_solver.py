@@ -20,6 +20,7 @@ from obliquecone.solver import (
     ROW_INTERIOR,
     ROW_OBLIQUE,
     SOLVE_TOL,
+    ConvergenceStudy,
     MMatrixReport,
     MMatrixViolation,
     _apply,
@@ -199,12 +200,6 @@ class TestSectorGrid:
         assert g.r_min == pytest.approx(1e-3)
         assert g.grading == 1.05
 
-    def test_refined_doubles_intervals(self):
-        g = SectorGrid(r_min=0.25, r_max=1.0, n_r=25, n_theta=25, theta0=1.5)
-        fine = g.refined()
-        assert (fine.n_r, fine.n_theta) == (49, 49)
-        assert fine.h_max == pytest.approx(g.h_max / 2)
-
     def test_validation(self):
         with pytest.raises(DomainError):
             SectorGrid(r_min=0.0, r_max=1.0, n_r=5, n_theta=5, theta0=1.0)
@@ -241,23 +236,6 @@ class TestSectorGrid:
         g = SectorGrid(r_min=0.1, r_max=1.0, n_r=np.int64(6), n_theta=np.int32(4), theta0=1.0)
         assert g.node_count() == 24
 
-    def test_csv_roundtrip(self, tmp_path):
-        g = SectorGrid(r_min=0.1, r_max=1.0, n_r=4, n_theta=3, theta0=1.0)
-        field = DiscreteField.from_function(g, lambda r, t: r * math.cos(t))
-        path = tmp_path / "field.csv"
-        field.to_csv(path)
-        raw = path.read_bytes()
-        assert b"\r" not in raw
-        lines = raw.decode().strip().split("\n")
-        assert lines[0] == "r,theta,value"
-        assert len(lines) == 1 + 4 * 3
-        r0, t0, v0 = (float(x) for x in lines[1].split(","))
-        assert (r0, t0) == (0.1, 0.0)
-        assert v0 == pytest.approx(0.1 * math.cos(0.0))
-        gpath = tmp_path / "grid.csv"
-        g.to_csv(gpath)
-        assert gpath.read_text().splitlines()[0] == "r,theta"
-
 
 class TestLaplacianResidual:
     def test_residual_field_masks_boundary_ring(self):
@@ -269,20 +247,12 @@ class TestLaplacianResidual:
         np.testing.assert_array_equal(field.values[-1, :], 0.0)
         np.testing.assert_array_equal(field.values[:, -1], 0.0)
 
-    @pytest.mark.parametrize("alpha,m", [(1.0, 0), (0.6, 0)])
-    def test_axisymmetric_orders(self, alpha, m):
-        study = residual_convergence(
-            SeparableSolution(alpha=alpha, m=m), annulus_grids(THETA0, m=m)
-        )
-        assert 1.7 <= study.observed_order <= 2.3
-
-    def test_m1_order(self):
-        geom = ConeGeometry(theta0=THETA0)
-        root = neumann_exponent(geom)
-        study = residual_convergence(
-            SeparableSolution(alpha=root, m=1), annulus_grids(THETA0, m=1)
-        )
-        assert 1.7 <= study.observed_order <= 2.3
+    def test_orders_are_verifys_check(self):
+        # degrees 1.0 and 0.6 (m = 0) and the Neumann root (m = 1) on the
+        # 25/49/97 annuli, gated to [1.7, 2.3], are verify's check
+        check = {(suite, name): fn for suite, name, fn in CHECKS}
+        passed, detail = check["solver", "residual_convergence_orders"]()
+        assert passed, detail
 
     def test_residual_ratio_near_four_for_smooth_solution(self):
         study = residual_convergence(
@@ -295,6 +265,22 @@ class TestLaplacianResidual:
         grid = annulus_grids(THETA0, sizes=(25,), m=1)[0]
         with pytest.raises(DomainError):
             laplacian_residual(SeparableSolution(alpha=0.5, m=0), grid)
+
+
+class TestSeparableField:
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("alpha", [0.1, 0.4312, 1.0])
+    def test_equals_the_nodewise_closure(self, m, alpha):
+        sol = SeparableSolution(alpha=alpha, m=m)
+        for grading in (1.0, 1.05):
+            grid = SectorGrid(
+                r_min=0.01, r_max=1.0, n_r=33, n_theta=17, theta0=2.0,
+                grading=grading, m=m,
+            )
+            closure = DiscreteField.from_function(
+                grid, lambda r, t: r ** alpha * sol.profile(t)
+            )
+            assert sol.field(grid).tobytes() == closure.values.tobytes()
 
 
 class TestSolveDirichlet:
@@ -321,8 +307,7 @@ class TestSolveDirichlet:
         field = solve_dirichlet(
             grid, {"r_min": exact, "r_max": exact, "cone": exact}, rhs=6.0
         )
-        expected = np.outer(grid.r ** 2, np.ones(grid.n_theta))
-        assert np.abs(field.values - expected).max() <= 1e-9
+        assert np.abs(field.values - (grid.r ** 2)[:, None]).max() <= 1e-9
 
     def test_oblique_solve_converges_at_order_two(self):
         # the 17/33/65 error study at (THETA0, s = 1.8) is verify's check
@@ -337,13 +322,12 @@ class TestSolveDirichlet:
         errs, hs = [], []
         for n in (17, 33, 65):
             grid = SectorGrid(r_min=0.25, r_max=1.0, n_r=n, n_theta=n, theta0=THETA0, m=1)
-            exact = np.outer(grid.r ** root, sol.profile(grid.theta))
-            data = lambda r, t: r ** root * sol.profile(t)
-            field = solve_dirichlet(grid, {"r_min": data, "r_max": data, "cone": data})
+            exact = sol.field(grid)
+            edges = {"r_min": exact[0], "r_max": exact[-1], "cone": exact[:, -1]}
+            field = solve_dirichlet(grid, edges)
             errs.append(np.abs(field.values - exact).max())
             hs.append(grid.h_max)
-        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        assert 1.7 <= slope <= 2.3
+        assert 1.7 <= ConvergenceStudy(tuple(hs), tuple(errs)).observed_order <= 2.3
 
     def test_discrete_maximum_principle(self):
         grid = SectorGrid.default(THETA0, n_r=40, n_theta=32)
@@ -358,8 +342,10 @@ class TestSolveDirichlet:
         sol = SeparableSolution(alpha=root, m=0)
         grid = SectorGrid(r_min=0.02, r_max=1.0, n_r=48, n_theta=32, theta0=theta0)
         assert check_m_matrix(grid, oblique_s=s).passed
-        data = lambda r, t: r ** root * sol.profile(t)
-        field = solve_dirichlet(grid, {"r_min": data, "r_max": data}, oblique_s=s)
+        exact = sol.field(grid)
+        field = solve_dirichlet(
+            grid, {"r_min": exact[0], "r_max": exact[-1]}, oblique_s=s
+        )
         assert field.values.min() >= -1e-12
 
     def test_solve_is_bit_stable(self):
@@ -418,6 +404,28 @@ class TestSolveDirichlet:
         grid = SectorGrid.default(THETA0, n_r=12, n_theta=8)
         with pytest.raises(DomainError):
             solve_dirichlet(grid, {"r_min": 0.0, "r_max": 0.0}, oblique_s=THETA0 + 0.1)
+
+    @pytest.mark.parametrize(
+        "edge,override,rhs,oblique_s",
+        [
+            pytest.param("r_min", {"r_min": math.nan}, None, None, id="nan-r_min"),
+            pytest.param(
+                "r_max", {"r_max": np.full(8, math.inf)}, None, None, id="inf-r_max"
+            ),
+            pytest.param(
+                "cone", {"cone": lambda r, t: math.nan}, None, None, id="nan-cone"
+            ),
+            pytest.param("rhs", {}, math.nan, None, id="nan-rhs"),
+            pytest.param("r_min", {"r_min": math.nan}, None, 1.0, id="nan-r_min-oblique"),
+        ],
+    )
+    def test_non_finite_data_names_its_edge(self, edge, override, rhs, oblique_s):
+        grid = SectorGrid(r_min=0.1, r_max=1.0, n_r=8, n_theta=8, theta0=2.0)
+        edges = {"r_min": 1.0, "r_max": 1.0, "cone": 1.0, **override}
+        if oblique_s is not None:
+            del edges["cone"]
+        with pytest.raises(DomainError, match=f"^{edge} data must be finite"):
+            solve_dirichlet(grid, edges, rhs=rhs, oblique_s=oblique_s)
 
 
 def _solver_grids():
@@ -586,7 +594,7 @@ class TestAssembly:
         sol = SeparableSolution(alpha=0.7, m=1)
         field, _ = laplacian_residual(sol, grid)
         A, kind = reference_assemble(grid, None)
-        U = np.outer(grid.r ** sol.alpha, sol.profile(grid.theta)).ravel()
+        U = sol.field(grid).ravel()
         expected = np.where(kind == ROW_INTERIOR, -(A @ U), 0.0)
         np.testing.assert_array_equal(field.values.ravel(), expected)
 
@@ -709,3 +717,11 @@ class TestFitExponent:
     def test_bad_window(self):
         with pytest.raises(DomainError):
             fit_exponent(lambda r, t: r, 0.4, (0.5, 0.1))
+
+    def test_unbounded_window_rejected(self):
+        with pytest.raises(DomainError, match="invalid fit window"):
+            fit_exponent(lambda r, t: r, 0.4, (1e-3, math.inf))
+
+    def test_non_finite_callable_samples_rejected(self):
+        with pytest.raises(DomainError, match="non-finite samples"):
+            fit_exponent(lambda r, t: math.inf, 0.4, (1e-3, 1e-1))
