@@ -247,12 +247,20 @@ class TestLaplacianResidual:
         np.testing.assert_array_equal(field.values[-1, :], 0.0)
         np.testing.assert_array_equal(field.values[:, -1], 0.0)
 
-    def test_orders_are_verifys_check(self):
-        # degrees 1.0 and 0.6 (m = 0) and the Neumann root (m = 1) on the
-        # 25/49/97 annuli, gated to [1.7, 2.3], are verify's check
-        check = {(suite, name): fn for suite, name, fn in CHECKS}
-        passed, detail = check["solver", "residual_convergence_orders"]()
-        assert passed, detail
+    @pytest.mark.parametrize("alpha,m", [(1.0, 0), (0.6, 0)])
+    def test_axisymmetric_orders(self, alpha, m):
+        study = residual_convergence(
+            SeparableSolution(alpha=alpha, m=m), annulus_grids(THETA0, m=m)
+        )
+        assert 1.7 <= study.observed_order <= 2.3
+
+    def test_m1_order(self):
+        geom = ConeGeometry(theta0=THETA0)
+        root = neumann_exponent(geom)
+        study = residual_convergence(
+            SeparableSolution(alpha=root, m=1), annulus_grids(THETA0, m=1)
+        )
+        assert 1.7 <= study.observed_order <= 2.3
 
     def test_residual_ratio_near_four_for_smooth_solution(self):
         study = residual_convergence(
