@@ -34,21 +34,21 @@ def _radians(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _text(value, absent: str) -> str:
+    """One output value as text; None prints as `absent`."""
+    if value is None:
+        return absent
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
 def _emit(payload: dict, as_json: bool) -> int:
-    """Print a payload as one JSON line, or as `key: value` lines without the
-    schema version; a missing value prints as `absent`."""
+    """Print a payload as one JSON line headed by the schema version, or as
+    `key: value` lines; a missing value prints as `absent`."""
     if as_json:
-        print(json.dumps(payload))
-        return 0
-    for key, value in payload.items():
-        if key == "schema_version":
-            continue
-        if value is None:
-            print(f"{key}: absent")
-        elif isinstance(value, float):
-            print(f"{key}: {_fmt(value)}")
-        else:
-            print(f"{key}: {value}")
+        print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
+    else:
+        for key, value in payload.items():
+            print(f"{key}: {_text(value, 'absent')}")
     return 0
 
 
@@ -59,34 +59,32 @@ def _witness_digest(witnesses) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _report_dict(theta0: float, s: float, report: exp_mod.RegimeReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
+def _classified(theta0: float, s: float):
+    """The geometry, the regime report and the fields that `classify` prints
+    and every phase-map row starts with."""
+    geom = ConeGeometry(theta0=theta0)
+    report = exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s))
+    fields = {
         "theta0": theta0,
         "s": s,
         "label": report.label,
         "critical_exponent": report.critical_exponent,
         "s0": report.s0,
-        "witnesses": [
-            {"name": name, "value": value, "tolerance": tol}
-            for name, value, tol in report.witnesses
-        ],
     }
+    return geom, report, fields
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    theta0 = _radians(args.theta0, args.degrees)
-    s = _radians(args.s, args.degrees)
-    geom = ConeGeometry(theta0=theta0)
-    report = exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s))
+    _, report, fields = _classified(
+        _radians(args.theta0, args.degrees), _radians(args.s, args.degrees)
+    )
     if args.json:
-        return _emit(_report_dict(theta0, s, report), as_json=True)
-    print(f"theta0: {_fmt(theta0)}")
-    print(f"s: {_fmt(s)}")
-    print(f"label: {report.label}")
-    if report.critical_exponent is not None:
-        print(f"critical_exponent: {_fmt(report.critical_exponent)}")
-    print(f"s0: {_fmt(report.s0)}")
+        witnesses = [
+            {"name": name, "value": value, "tolerance": tol}
+            for name, value, tol in report.witnesses
+        ]
+        return _emit({**fields, "witnesses": witnesses}, as_json=True)
+    _emit({k: v for k, v in fields.items() if v is not None}, as_json=False)
     for name, value, tol in report.witnesses:
         print(f"witness {name}: {_fmt(value)} (tolerance {_fmt(tol)})")
     return 0
@@ -124,38 +122,13 @@ def _sweep_values(args: argparse.Namespace) -> list[tuple[float, float, bool]]:
 
 def _phase_row(cell: tuple[float, float, bool]) -> dict:
     theta0, s, clamped = cell
-    geom = ConeGeometry(theta0=theta0)
-    report = exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s))
+    geom, report, fields = _classified(theta0, s)
     return {
-        "theta0": theta0,
-        "s": s,
-        "label": report.label,
-        "critical_exponent": report.critical_exponent,
-        "s0": report.s0,
+        **fields,
         "b_at_1": exp_mod.boundary_mismatch(geom, 1.0, s),
         "witnesses_digest": _witness_digest(report.witnesses),
         "clamped": int(clamped),
     }
-
-
-_PHASE_COLUMNS = (
-    "theta0",
-    "s",
-    "label",
-    "critical_exponent",
-    "s0",
-    "b_at_1",
-    "witnesses_digest",
-    "clamped",
-)
-
-
-def _phase_cell_text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
 
 
 def cmd_phase_map(args: argparse.Namespace) -> int:
@@ -168,11 +141,10 @@ def cmd_phase_map(args: argparse.Namespace) -> int:
     with handle:
         if args.format == "csv":
             handle.write(f"# obliquecone {__version__} schema={SCHEMA_VERSION}\n")
-            handle.write(",".join(_PHASE_COLUMNS) + "\n")
+            # _sweep_values rejects counts below 2, so a first row exists
+            handle.write(",".join(rows[0]) + "\n")
             for row in rows:
-                handle.write(
-                    ",".join(_phase_cell_text(row[c]) for c in _PHASE_COLUMNS) + "\n"
-                )
+                handle.write(",".join(_text(v, "") for v in row.values()) + "\n")
         else:
             payload = {
                 "schema_version": SCHEMA_VERSION,
@@ -189,30 +161,20 @@ def cmd_exponent(args: argparse.Namespace) -> int:
     theta0 = _radians(args.theta0, args.degrees)
     geom = ConeGeometry(theta0=theta0)
     if args.neumann:
+        fields = {"mode": 1}
         root = exp_mod.neumann_exponent(geom)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "theta0": theta0,
-            "mode": 1,
-            "exponent": root,
-            "mismatch_at_root": exp_mod.neumann_mismatch(geom, root),
-        }
+        mismatch = exp_mod.neumann_mismatch(geom, root)
     else:
         if args.s is None:
             raise ObliqueConeError("--s is required unless --neumann is given")
         s = _radians(args.s, args.degrees)
+        fields = {"s": s, "mode": 0}
         root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "theta0": theta0,
-            "s": s,
-            "mode": 0,
-            "exponent": root,
-            "mismatch_at_root": (
-                None if root is None else exp_mod.boundary_mismatch(geom, root, s)
-            ),
-        }
-    return _emit(payload, args.json)
+        mismatch = None if root is None else exp_mod.boundary_mismatch(geom, root, s)
+    return _emit(
+        {"theta0": theta0, **fields, "exponent": root, "mismatch_at_root": mismatch},
+        args.json,
+    )
 
 
 def cmd_barrier_check(args: argparse.Namespace) -> int:
@@ -225,7 +187,6 @@ def cmd_barrier_check(args: argparse.Namespace) -> int:
     rc = bar.rotate_coefficients(np.eye(2), bc)
     m1 = bar.m1_coefficient(barrier, bc, rc)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "theta0": theta0,
         "s": s,
         "alpha": args.alpha,
@@ -233,11 +194,10 @@ def cmd_barrier_check(args: argparse.Namespace) -> int:
         "cstar": barrier.cstar,
         "m1_coefficient": m1,
     }
-    if args.tilt is not None:
-        payload["tilt"] = args.tilt
-        payload["m2_coefficient"] = bar.m2_coefficient(barrier, bc, rc, args.tilt)
-    elif m1 < 0.0:
+    tilt = args.tilt
+    if tilt is None and m1 < 0.0:
         tilt = bar.max_admissible_tilt(bc, barrier, rc)
+    if tilt is not None:
         payload["tilt"] = tilt
         payload["m2_coefficient"] = bar.m2_coefficient(barrier, bc, rc, tilt)
     return _emit(payload, args.json)

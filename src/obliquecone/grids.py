@@ -91,9 +91,6 @@ class SectorGrid:
         """Largest step of either direction, the refinement-study mesh size."""
         return max(float(np.diff(self.r).max()), self.h_theta)
 
-    def index(self, i: int, j: int) -> int:
-        return i * self.n_theta + j
-
     def node_count(self) -> int:
         return self.n_r * self.n_theta
 

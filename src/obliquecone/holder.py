@@ -84,6 +84,9 @@ class HolderSamples:
             arr = getattr(self, name)
             if arr is not None and not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} must be finite")
+        # a repeated point has zero separation, so no pair quotient exists
+        if len(np.unique(pts, axis=0)) < len(pts):
+            raise DomainError("points must be distinct")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -234,6 +237,8 @@ def holder_product_check(
     """
     if not (0.0 < alpha <= 1.0):
         raise HypothesisError(f"exponent must lie in (0, 1], got {alpha}")
+    if not all(map(math.isfinite, (beta1, beta2, beta1p, beta2p))):
+        raise HypothesisError("weight exponents must be finite")
     beta = beta1 + beta2
     if abs(beta - (beta1p + beta2p)) > 1e-12:
         raise HypothesisError(
@@ -284,6 +289,8 @@ def holder_interpolation_check(
     for k_j, a_j, b_j in (first, second):
         if not (0.0 < a_j <= 1.0):
             raise HypothesisError(f"exponent {a_j} outside (0, 1]")
+        if not math.isfinite(b_j):
+            raise HypothesisError(f"weight exponent {b_j} is not finite")
         if k_j + a_j + b_j < 0.0:
             raise HypothesisError(f"tuple ({k_j}, {a_j}, {b_j}) has negative k+a+b")
     if max(

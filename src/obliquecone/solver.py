@@ -171,6 +171,17 @@ class ConvergenceStudy:
     h_values: tuple[float, ...]
     residuals: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        n_h, n_res = len(self.h_values), len(self.residuals)
+        if n_h < 2 or n_h != n_res:
+            raise DomainError(
+                f"need two or more (h, residual) pairs, got {n_h} h and {n_res} residuals"
+            )
+        if not all(0.0 < v < math.inf for v in (*self.h_values, *self.residuals)):
+            raise DomainError("mesh sizes and residuals must be positive and finite")
+        if len(set(self.h_values)) < n_h:
+            raise DomainError(f"mesh sizes must be distinct, got {self.h_values}")
+
     @property
     def observed_order(self) -> float:
         """Least-squares slope of log(residual) against log(h)."""

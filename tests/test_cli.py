@@ -284,6 +284,61 @@ STDOUT_PINS = {
         '"exponent": 0.9031243621421243, '
         '"mismatch_at_root": -1.5948353748740374e-12}\n'
     ),
+    'barrier-check --theta0 2.0943951023931953 --s -0.3': (
+        'theta0: 2.0943951023931953\n'
+        's: -0.29999999999999999\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 0.60150930939653746\n'
+        'cstar: 0.92833619839577786\n'
+        'm1_coefficient: 4.5780545069615544\n'
+    ),
+    'barrier-check --theta0 2.0943951023931953 --s -0.3 --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "s": -0.3, '
+        '"alpha": 0.05, "alpha0": 0.6015093093965375, '
+        '"cstar": 0.9283361983957779, "m1_coefficient": 4.578054506961554}\n'
+    ),
+    'barrier-check --theta0 2.0943951023931953 --s 1.8 --tilt 0.1': (
+        'theta0: 2.0943951023931953\n'
+        's: 1.8\n'
+        'alpha: 0.050000000000000003\n'
+        'alpha0: 0.60150930939653746\n'
+        'cstar: 0.92833619839577786\n'
+        'm1_coefficient: 0.77521657240411357\n'
+        'tilt: 0.10000000000000001\n'
+        'm2_coefficient: 0.79892391563667176\n'
+    ),
+    'barrier-check --theta0 2.0943951023931953 --s 1.8 --tilt 0.1 --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "s": 1.8, '
+        '"alpha": 0.05, "alpha0": 0.6015093093965375, '
+        '"cstar": 0.9283361983957779, "m1_coefficient": 0.7752165724041136, '
+        '"tilt": 0.1, "m2_coefficient": 0.7989239156366718}\n'
+    ),
+    'classify --theta0 120 --s 103.13 --degrees': (
+        'theta0: 2.0943951023931953\n'
+        's: 1.799958057581752\n'
+        'label: IRREGULAR\n'
+        'critical_exponent: 0.85115803898755549\n'
+        's0: -0.52359877559829893\n'
+        'witness slope_at_zero: 1.459608830473474 (tolerance 0)\n'
+        'witness critical_angle_s0: -0.52359877559829893 (tolerance 1e-10)\n'
+        'witness cos_s_sin_s: -0.22122260865243787 (tolerance 0)\n'
+        'witness sign_change_count: 1 (tolerance 0)\n'
+        'witness critical_exponent: 0.85115803898755549'
+        ' (tolerance 9.9999999999999998e-13)\n'
+        'witness boundary_mismatch_at_root: 1.6983636719203332e-13 (tolerance 1e-10)\n'
+    ),
+    'exponent --theta0 120 --s 103.13 --degrees': (
+        'theta0: 2.0943951023931953\n'
+        's: 1.799958057581752\n'
+        'mode: 0\n'
+        'exponent: 0.85115803898755549\n'
+        'mismatch_at_root: 1.6983636719203332e-13\n'
+    ),
+    'exponent --theta0 120 --neumann --degrees --json': (
+        '{"schema_version": 1, "theta0": 2.0943951023931953, "mode": 1, '
+        '"exponent": 0.8563132551458703, '
+        '"mismatch_at_root": 1.6033235554024732e-12}\n'
+    ),
 }
 
 #: sha256 of the CSV `phase-map --theta0-lo 0.2 --theta0-hi 3.09
@@ -618,6 +673,30 @@ class TestPhaseMap:
         for row in payload["rows"]:
             lo, hi = ConeGeometry(theta0=row["theta0"]).admissible_s_interval()
             assert lo < row["s"] < hi
+
+    def test_csv_header_and_cells_match_the_json_rows(self, capsys, tmp_path):
+        sweep = (
+            "phase-map", "--theta0-lo", "1.0", "--theta0-hi", "2.6",
+            "--theta0-count", "3", "--s-mode", "absolute", "--s-lo", "-3.5",
+            "--s-hi", "3.0", "--s-count", "5",
+        )
+        csv_path, json_path = tmp_path / "map.csv", tmp_path / "map.json"
+        assert run_cli(capsys, *sweep, "--output", str(csv_path))[0] == 0
+        assert run_cli(
+            capsys, *sweep, "--output", str(json_path), "--format", "json"
+        )[0] == 0
+        header, *lines = csv_path.read_text().splitlines()[1:]
+        rows = json.loads(json_path.read_text())["rows"]
+        assert len(lines) == len(rows) == 15
+        assert any(row["critical_exponent"] is None for row in rows)
+        assert any(row["critical_exponent"] is not None for row in rows)
+        assert any(row["clamped"] for row in rows)
+        for line, row in zip(lines, rows):
+            assert header.split(",") == list(row)
+            assert line.split(",") == [
+                "" if v is None else format(v, ".17g") if isinstance(v, float) else str(v)
+                for v in row.values()
+            ]
 
     def test_unwritable_output(self, capsys):
         code, _, err = run_cli(

@@ -102,6 +102,12 @@ class TestSeminorm:
         with pytest.raises(DomainError, match="values"):
             HolderSamples(points=pts, values=np.ones((len(pts), 3)))
 
+    def test_points_must_be_distinct(self):
+        pts = np.array([[0.5, 0.1], [0.5, 0.1], [0.2, 0.3]])
+        for values in ([1.0, 2.0, 3.0], [1.0, 1.0, 3.0]):
+            with pytest.raises(DomainError, match="distinct"):
+                HolderSamples(points=pts, values=np.array(values))
+
     @pytest.mark.parametrize("derivatives", [1, 2])
     def test_derivative_samples_reject_the_vertex(self, derivatives):
         # the central-difference step scales with |p| and vanishes there
@@ -206,6 +212,19 @@ class TestProductInequality:
         with pytest.raises(HypothesisError):
             holder_product_check(u, other, 0.5, 0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "betas",
+        [
+            (math.nan, 0.0, 0.0, 0.0),
+            (0.0, math.inf, math.inf, 0.0),
+        ],
+    )
+    def test_non_finite_weight_exponents(self, betas):
+        pts = sector_sample_points(1.0, 1e-1)
+        u = HolderSamples(points=pts, values=np.ones(len(pts)))
+        with pytest.raises(HypothesisError, match="finite"):
+            holder_product_check(u, u, 0.5, *betas)
+
 
 class TestInterpolation:
     def test_reports_finite_constant(self):
@@ -239,6 +258,14 @@ class TestInterpolation:
             holder_interpolation_check(samples, (2, 0.5, -4.0), (0, 1.0, 0.0), theta=0.5)
         with pytest.raises(HypothesisError):
             holder_interpolation_check(samples, (0, 0.5, -0.5), (0, 1.0, -1.0), theta=0.5)
+
+    def test_non_finite_weight_exponent(self):
+        pts = sector_sample_points(1.0, 1e-1)
+        samples = samples_from_function(lambda a, b: a, pts, derivatives=2)
+        with pytest.raises(HypothesisError, match="finite"):
+            holder_interpolation_check(
+                samples, (2, 0.5, math.nan), (0, 1.0, 0.0), theta=0.5
+            )
 
 
 class TestAgainstCertifiedSolution:

@@ -58,6 +58,9 @@ def reference_assemble(grid, oblique_s):
     rows, cols, vals = [], [], []
     kind = np.full(nr * nt, ROW_DIRICHLET, dtype=np.int8)
 
+    def node(i, j):
+        return i * nt + j
+
     def add(k, k2, v):
         rows.append(k)
         cols.append(k2)
@@ -81,7 +84,7 @@ def reference_assemble(grid, oblique_s):
 
     for i in range(nr):
         for j in range(nt):
-            k = grid.index(i, j)
+            k = node(i, j)
             if i == 0 or i == nr - 1 or (j == 0 and grid.m == 1):
                 add(k, k, 1.0)
                 continue
@@ -97,11 +100,11 @@ def reference_assemble(grid, oblique_s):
                 cr = math.cos(oblique_s - grid.theta0)
                 ct = math.sin(oblique_s - grid.theta0)
                 scale = -1.0 / ct
-                add(k, grid.index(i - 1, j), scale * cr * dm)
-                add(k, grid.index(i + 1, j), scale * cr * dp)
+                add(k, node(i - 1, j), scale * cr * dm)
+                add(k, node(i + 1, j), scale * cr * dp)
                 add(k, k, scale * (cr * d0 + ct * 3.0 / (2.0 * ht * r[i])))
-                add(k, grid.index(i, j - 1), scale * ct * (-4.0) / (2.0 * ht * r[i]))
-                add(k, grid.index(i, j - 2), scale * ct * 1.0 / (2.0 * ht * r[i]))
+                add(k, node(i, j - 1), scale * ct * (-4.0) / (2.0 * ht * r[i]))
+                add(k, node(i, j - 2), scale * ct * 1.0 / (2.0 * ht * r[i]))
                 kind[k] = ROW_OBLIQUE
                 continue
             kind[k] = ROW_INTERIOR
@@ -109,8 +112,8 @@ def reference_assemble(grid, oblique_s):
             w0 = -2.0 / (hm * hp) + (2.0 / r[i]) * d0
             wp = 2.0 / (hp * (hm + hp)) + (2.0 / r[i]) * dp
             inv_r2 = 1.0 / (r[i] * r[i])
-            add(k, grid.index(i - 1, j), -wm)
-            add(k, grid.index(i + 1, j), -wp)
+            add(k, node(i - 1, j), -wm)
+            add(k, node(i + 1, j), -wp)
             diag = -w0
             if grid.m == 0:
                 if j == 0:
@@ -120,15 +123,15 @@ def reference_assemble(grid, oblique_s):
                     am = 1.0 / (ht * ht) - cot / (2.0 * ht)
                     a0 = -2.0 / (ht * ht)
                     ap = 1.0 / (ht * ht) + cot / (2.0 * ht)
-                    add(k, grid.index(i, j - 1), -inv_r2 * am)
-                add(k, grid.index(i, j + 1), -inv_r2 * ap)
+                    add(k, node(i, j - 1), -inv_r2 * am)
+                add(k, node(i, j + 1), -inv_r2 * ap)
                 diag += -inv_r2 * a0
             else:
                 for col, w in angular_m1(j):
                     if col == j:
                         diag += -inv_r2 * w
                     else:
-                        add(k, grid.index(i, col), -inv_r2 * w)
+                        add(k, node(i, col), -inv_r2 * w)
             add(k, k, diag)
     A = sp.csr_matrix((vals, (rows, cols)), shape=(nr * nt, nr * nt))
     A.sum_duplicates()
@@ -150,7 +153,7 @@ def reference_solve(grid, data, rhs, oblique_s):
     b = np.zeros(A.shape[0])
     for i, r in enumerate(grid.r.tolist()):
         for j, t in enumerate(grid.theta.tolist()):
-            k = grid.index(i, j)
+            k = i * grid.n_theta + j
             if kind[k] == ROW_INTERIOR:
                 b[k] = -rhs(r, t)
             elif kind[k] == ROW_DIRICHLET and (i in (0, grid.n_r - 1) or j > 0):
@@ -273,6 +276,33 @@ class TestLaplacianResidual:
         grid = annulus_grids(THETA0, sizes=(25,), m=1)[0]
         with pytest.raises(DomainError):
             laplacian_residual(SeparableSolution(alpha=0.5, m=0), grid)
+
+
+class TestConvergenceStudy:
+    @pytest.mark.parametrize(
+        "hs,res",
+        [
+            ((0.1,), (0.01,)),
+            ((), ()),
+            ((0.1, 0.05), (0.01, 0.0025, 0.0006)),
+            ((0.1, 0.05), (0.01, 0.0)),
+            ((0.1, 0.05), (0.01, math.nan)),
+            ((0.1, math.inf), (0.01, 0.0025)),
+            ((0.1, -0.05), (0.01, 0.0025)),
+            ((0.1, 0.1), (0.01, 0.0025)),
+        ],
+        ids=[
+            "one-grid", "no-grid", "unequal-counts", "zero-residual",
+            "nan-residual", "inf-h", "negative-h", "repeated-h",
+        ],
+    )
+    def test_rejects_pairs_without_an_order(self, hs, res):
+        with pytest.raises(DomainError):
+            ConvergenceStudy(hs, res)
+
+    def test_residual_convergence_rejects_no_grids(self):
+        with pytest.raises(DomainError):
+            residual_convergence(SeparableSolution(alpha=0.5, m=0), [])
 
 
 class TestSeparableField:
