@@ -40,6 +40,7 @@ from .exponent import (
     RegimeReport,
     SeparableSolution,
     boundary_mismatch,
+    classify_many,
     classify_regime,
     critical_angle_s0,
     critical_exponent,

@@ -59,24 +59,22 @@ def _witness_digest(witnesses) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _classified(theta0: float, s: float):
-    """The geometry, the regime report and the fields that `classify` prints
-    and every phase-map row starts with."""
+def _classified(theta0: float, ss: list[float]):
+    """The geometry and, per oblique angle, the regime report and the fields
+    that `classify` prints and every phase-map row starts with: one
+    `classify_many` call for the whole theta0 row."""
     geom = ConeGeometry(theta0=theta0)
-    report = exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s))
-    fields = {
-        "theta0": theta0,
-        "s": s,
-        "label": report.label,
-        "critical_exponent": report.critical_exponent,
-        "s0": report.s0,
-    }
-    return geom, report, fields
+    reports = exp_mod.classify_many(geom, [ObliqueBC.for_cone(geom, s) for s in ss])
+    return geom, [
+        (report, {"theta0": theta0, "s": s, "label": report.label,
+                  "critical_exponent": report.critical_exponent, "s0": report.s0})
+        for s, report in zip(ss, reports)
+    ]
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    _, report, fields = _classified(
-        _radians(args.theta0, args.degrees), _radians(args.s, args.degrees)
+    _, [(report, fields)] = _classified(
+        _radians(args.theta0, args.degrees), [_radians(args.s, args.degrees)]
     )
     if args.json:
         witnesses = [
@@ -90,8 +88,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_values(args: argparse.Namespace) -> list[tuple[float, float, bool]]:
-    """(theta0, s, clamped) cells in deterministic row-major order."""
+def _sweep_values(args: argparse.Namespace) -> list[tuple[float, list[tuple[float, bool]]]]:
+    """(theta0, [(s, clamped), ...]) rows in deterministic row-major order."""
     if args.theta0_count < 2 or args.s_count < 2:
         raise ObliqueConeError("sweep counts must be at least 2")
     if args.s_mode == "fraction" and not (0.0 < args.s_lo <= args.s_hi < 1.0):
@@ -101,11 +99,12 @@ def _sweep_values(args: argparse.Namespace) -> list[tuple[float, float, bool]]:
         _radians(args.theta0_hi, args.degrees),
         args.theta0_count,
     )
-    cells: list[tuple[float, float, bool]] = []
+    rows: list[tuple[float, list[tuple[float, bool]]]] = []
     for theta0 in theta0s:
         theta0 = float(theta0)
         lo, hi = ConeGeometry(theta0=theta0).admissible_s_interval()
         inset = 1e-9 * (hi - lo)
+        cells: list[tuple[float, bool]] = []
         for t in np.linspace(args.s_lo, args.s_hi, args.s_count):
             if args.s_mode == "fraction":
                 s, clamped = lo + float(t) * (hi - lo), False
@@ -116,23 +115,22 @@ def _sweep_values(args: argparse.Namespace) -> list[tuple[float, float, bool]]:
                     s, clamped = lo + inset, True
                 elif s >= hi:
                     s, clamped = hi - inset, True
-            cells.append((theta0, float(s), clamped))
-    return cells
-
-
-def _phase_row(cell: tuple[float, float, bool]) -> dict:
-    theta0, s, clamped = cell
-    geom, report, fields = _classified(theta0, s)
-    return {
-        **fields,
-        "b_at_1": exp_mod.boundary_mismatch(geom, 1.0, s),
-        "witnesses_digest": _witness_digest(report.witnesses),
-        "clamped": int(clamped),
-    }
+            cells.append((float(s), clamped))
+        rows.append((theta0, cells))
+    return rows
 
 
 def cmd_phase_map(args: argparse.Namespace) -> int:
-    rows = [_phase_row(cell) for cell in _sweep_values(args)]
+    rows = []
+    for theta0, cells in _sweep_values(args):
+        geom, classified = _classified(theta0, [s for s, _ in cells])
+        for (s, clamped), (report, fields) in zip(cells, classified):
+            rows.append({
+                **fields,
+                "b_at_1": exp_mod.boundary_mismatch(geom, 1.0, s),
+                "witnesses_digest": _witness_digest(report.witnesses),
+                "clamped": int(clamped),
+            })
     try:
         handle = open(args.output, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
@@ -169,8 +167,8 @@ def cmd_exponent(args: argparse.Namespace) -> int:
             raise ObliqueConeError("--s is required unless --neumann is given")
         s = _radians(args.s, args.degrees)
         fields = {"s": s, "mode": 0}
-        root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
-        mismatch = None if root is None else exp_mod.boundary_mismatch(geom, root, s)
+        report = exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s))
+        root, mismatch = report.critical_exponent, report.mismatch_at_root
     return _emit(
         {"theta0": theta0, **fields, "exponent": root, "mismatch_at_root": mismatch},
         args.json,

@@ -11,9 +11,10 @@ components.  B(theta0, 0, s) = 0 always; a root in (0, 1) yields a Hoelder
 but not C^1 solution, and its existence is governed by the slope
 V(theta0, s) = dB/da at a = 0 and the endpoint value B(theta0, 1, s) = cos s.
 This module evaluates these functions, root-finds critical exponents and
-critical oblique angles, and classifies the regularity regime of a given
-(theta0, s) pair.  U1, U2, B and the Neumann mismatch W take a float or an
-ndarray of degrees; an ndarray gives the scalar loop's values bit for bit.
+critical oblique angles, and classifies the regularity regime of the
+(theta0, s) pairs of a theta0 row from one profile of U1 and U2.  U1, U2, B
+and the Neumann mismatch W take a float or an ndarray of degrees; an ndarray
+gives the scalar loop's values bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,6 +61,16 @@ def _check_theta_alpha(theta: float, alpha) -> None:
     if not (0.0 < theta < THETA0_MAX):
         raise DomainError(f"polar angle must lie in (0, {THETA0_MAX:.4f}), got {theta}")
     _check_range(alpha, 0.0, 2.0, "degree")
+
+
+def _check_polar_angle(theta) -> None:
+    """DomainError unless 0 <= theta < THETA0_MAX for the angle or each element
+    of the ndarray of angles, naming the first that fails (NaN fails)."""
+    if isinstance(theta, np.ndarray):
+        outside = theta[~((0.0 <= theta) & (theta < THETA0_MAX))]
+        theta = float(outside[0]) if outside.size else 0.0
+    if not (0.0 <= theta < THETA0_MAX):
+        raise DomainError(f"polar angle must lie in [0, {THETA0_MAX:.4f}), got {theta}")
 
 
 def _angular_factors(theta: float, alpha):
@@ -166,14 +177,8 @@ def critical_exponent_scan(
     Returns (None, 0) when the scan finds no sign change; the trivial root at
     a = 0 is excluded by ALPHA_MIN.
     """
-    if bc.theta0 != geom.theta0:
-        raise DomainError(f"bc built for theta0 = {bc.theta0}, cone has {geom.theta0}")
-    alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
-    mismatch = partial(_mismatch, geom, bc.s)
-    roots = _bracketed_roots(mismatch, alphas, mismatch(alphas), ROOT_XTOL)
-    if not roots:
-        return None, 0
-    return roots[0], len(roots)
+    report = classify_regime(geom, bc)
+    return report.critical_exponent, report.sign_changes
 
 
 def critical_exponent(geom: ConeGeometry, bc: ObliqueBC) -> Optional[float]:
@@ -183,8 +188,7 @@ def critical_exponent(geom: ConeGeometry, bc: ObliqueBC) -> Optional[float]:
     (0, ALPHA_MIN], which occurs for s close to s0, is not searched for and
     also gives None.
     """
-    root, _ = critical_exponent_scan(geom, bc)
-    return root
+    return classify_regime(geom, bc).critical_exponent
 
 
 def neumann_mismatch(geom: ConeGeometry, alpha):
@@ -241,8 +245,10 @@ class SeparableSolution:
         """Angular profile P^m_a(cos theta) at an angle or an ndarray of angles.
 
         An ndarray of angles goes through the kernel as one array and equals
-        the scalar loop bit for bit.
+        the scalar loop bit for bit.  Angles outside [0, THETA0_MAX) raise
+        DomainError.
         """
+        _check_polar_angle(theta)
         # a Python float angle, the hot case, skips _libm's ndarray test
         z = math.cos(theta) if type(theta) is float else _libm(math.cos, theta)
         if self.m == 0:
@@ -260,8 +266,10 @@ class SeparableSolution:
 
         `theta` is an angle or an ndarray of angles.  Below M1_AXIS_CUTOFF the
         derivative comes from the hypergeometric forms of `legendre`'s
-        `_dtheta_near_axis`, where the z-derivative identities cancel.
+        `_dtheta_near_axis`, where the z-derivative identities cancel.  Angles
+        outside [0, THETA0_MAX) raise DomainError.
         """
+        _check_polar_angle(theta)
         if isinstance(theta, np.ndarray):
             near = theta < M1_AXIS_CUTOFF
             deriv = np.empty(theta.shape)
@@ -293,8 +301,6 @@ def separable_eval(
     r, theta = float(point[0]), float(point[1])
     if not (0.0 < r < math.inf):
         raise DomainError(f"radius must be positive and finite, got {r}")
-    if not (0.0 <= theta < THETA0_MAX):
-        raise DomainError(f"polar angle must lie in [0, {THETA0_MAX:.4f}), got {theta}")
     a = sol.alpha
     f, fp = sol.profile(theta), sol.profile_deriv(theta)
     ct, st = math.cos(theta), math.sin(theta)
@@ -343,35 +349,44 @@ class RegimeReport:
         return None
 
 
-def classify_regime(geom: ConeGeometry, bc: ObliqueBC) -> RegimeReport:
-    """Classify the regularity regime of (theta0, s).
+def classify_many(geom: ConeGeometry, bcs: Sequence[ObliqueBC]) -> list[RegimeReport]:
+    """Classify the regularity regime of (theta0, s) for each BC of one cone.
 
+    U1 and U2 do not depend on s: the profile on the scan window (ALPHA_MIN, 1]
+    is computed once, and each s takes cos(s) U1 + sin(s) U2 from it with the
+    arithmetic of `_mismatch`, on which its roots are then bisected.
     IRREGULAR when a critical exponent exists (attached); REGULAR_BARRIER
     when cos(s) sin(s) > 0 and no root is found; AXIS_CONTINUOUS exactly at
     s = 0; UNKNOWN otherwise.  A root together with cos(s) sin(s) > 0 is a
     numerical inconsistency and yields UNKNOWN with both witnesses attached.
     """
-    root, count = critical_exponent_scan(geom, bc)
-    s0 = critical_angle_s0(geom)
-    slope = slope_at_zero(geom, bc.s)
-    cs = math.cos(bc.s) * math.sin(bc.s)
-    barrier_regime = cs > 0.0
-    if root is not None and barrier_regime:
-        label = UNKNOWN
-    elif root is not None:
-        label = IRREGULAR
-    elif barrier_regime:
-        label = REGULAR_BARRIER
-    elif bc.s == 0.0:
-        label = AXIS_CONTINUOUS
-    else:
-        label = UNKNOWN
-    return RegimeReport(
-        label=label,
-        critical_exponent=root,
-        s0=s0,
-        slope=slope,
-        cos_s_sin_s=cs,
-        sign_changes=count,
-        mismatch_at_root=None if root is None else boundary_mismatch(geom, root, bc.s),
-    )
+    for bc in bcs:
+        if bc.theta0 != geom.theta0:
+            raise DomainError(f"bc built for theta0 = {bc.theta0}, cone has {geom.theta0}")
+    alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
+    f1, f2 = _angular_factors(geom.theta0, alphas)
+    reports = []
+    for bc in bcs:
+        mismatch = partial(_mismatch, geom, bc.s)
+        cos_s, sin_s = math.cos(bc.s), math.sin(bc.s)
+        roots = _bracketed_roots(mismatch, alphas, cos_s * f1 + sin_s * f2, ROOT_XTOL)
+        root = roots[0] if roots else None
+        barrier_regime = cos_s * sin_s > 0.0
+        if root is not None:
+            label = UNKNOWN if barrier_regime else IRREGULAR
+        elif barrier_regime:
+            label = REGULAR_BARRIER
+        else:
+            label = AXIS_CONTINUOUS if bc.s == 0.0 else UNKNOWN
+        reports.append(RegimeReport(
+            label=label, critical_exponent=root, s0=critical_angle_s0(geom),
+            slope=slope_at_zero(geom, bc.s), cos_s_sin_s=cos_s * sin_s,
+            sign_changes=len(roots),
+            mismatch_at_root=None if root is None else mismatch(root),
+        ))
+    return reports
+
+
+def classify_regime(geom: ConeGeometry, bc: ObliqueBC) -> RegimeReport:
+    """Classify the regularity regime of one (theta0, s): a row of one."""
+    return classify_many(geom, (bc,))[0]

@@ -111,7 +111,8 @@ def reduce_to_axisymmetric(A: np.ndarray) -> tuple[np.ndarray, float]:
     (n-2) lam <= b21 <= (n-2) Lam is asserted against the ellipticity bounds
     lam, Lam, the extreme eigenvalues of A from `np.linalg.eigvalsh`.
 
-    Raises InvalidOperator on failed symmetry, invariance or ellipticity.
+    Raises InvalidOperator on a non-finite entry or failed symmetry, invariance
+    or ellipticity.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -119,6 +120,8 @@ def reduce_to_axisymmetric(A: np.ndarray) -> tuple[np.ndarray, float]:
     n = A.shape[0]
     if n < 3:
         raise InvalidOperator(f"ambient dimension must be >= 3, got {n}")
+    if not np.all(np.isfinite(A)):
+        raise InvalidOperator("coefficient matrix must be finite")
     tol = REDUCTION_RTOL * max(np.abs(A).max(), 1.0)
     if not np.allclose(A, A.T, atol=tol):
         raise InvalidOperator("coefficient matrix is not symmetric")

@@ -68,6 +68,8 @@ class HolderSamples:
             raise DomainError(
                 f"points must be (N, 2) and values (N,), got {pts.shape} and {vals.shape}"
             )
+        if len(pts) == 0:
+            raise DomainError("at least one sample point is required")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         if self.gradients is not None:

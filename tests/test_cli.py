@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from obliquecone import exponent
 from obliquecone.cli import main
 from obliquecone.exponent import boundary_mismatch
 from obliquecone.geometry import ConeGeometry
@@ -558,6 +560,25 @@ class TestPhaseMap:
         )
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == PHASE_MAP_SHA256
+
+    def test_one_mismatch_profile_per_theta0_row(self, capsys, tmp_path, monkeypatch):
+        # U1 and U2 do not depend on s: a row's cells share one profile, and
+        # only b_at_1 and the bisection evaluate single degrees
+        profiles = []
+        factors = exponent._angular_factors
+
+        def counted(theta, alpha):
+            if isinstance(alpha, np.ndarray):
+                profiles.append(theta)
+            return factors(theta, alpha)
+
+        monkeypatch.setattr(exponent, "_angular_factors", counted)
+        code, _, _ = run_cli(
+            capsys, "phase-map", "--theta0-lo", "0.2", "--theta0-hi", "3.09",
+            "--theta0-count", "20", "--s-count", "20", "--output", str(tmp_path / "map.csv"),
+        )
+        assert code == 0
+        assert len(profiles) == 20
 
     def test_csv_shape_and_header(self, capsys, tmp_path):
         path = tmp_path / "map.csv"

@@ -7,6 +7,7 @@ mismatch and gradient code paths it validates.
 
 import ast
 import math
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -24,6 +25,7 @@ from obliquecone.exponent import (
     SeparableSolution,
     _bracketed_roots,
     boundary_mismatch,
+    classify_many,
     classify_regime,
     critical_angle_s0,
     critical_exponent,
@@ -34,7 +36,7 @@ from obliquecone.exponent import (
     u1,
     u2,
 )
-from obliquecone.geometry import ConeGeometry, ObliqueBC
+from obliquecone.geometry import THETA0_MAX, ConeGeometry, ObliqueBC
 from obliquecone.legendre import (
     legendre_dp1_dz,
     legendre_p,
@@ -464,6 +466,24 @@ class TestSeparableEval:
         slope = SeparableSolution(alpha=0.7, m=1).profile_deriv(theta)
         assert slope == pytest.approx(-0.7 * 1.7 / 2, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("theta", [-0.5, 4.0, THETA0_MAX, math.inf, -math.inf, math.nan])
+    def test_angle_outside_every_cone_is_rejected(self, m, theta):
+        # profile and profile_deriv raise separable_eval's error and message
+        sol = SeparableSolution(alpha=0.7, m=m)
+        for call in (sol.profile, sol.profile_deriv, lambda t: separable_eval(sol, (1.0, t))):
+            with pytest.raises(DomainError, match=r"polar angle must lie in \[0, "):
+                call(theta)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_array_with_an_angle_outside_every_cone_is_rejected(self, m):
+        # the error names the first angle that fails
+        sol = SeparableSolution(alpha=0.7, m=m)
+        thetas = np.array([0.3, 1.0, 4.0, -0.5, math.nan, 2.0])
+        for call in (sol.profile, sol.profile_deriv):
+            with pytest.raises(DomainError, match=r"polar angle .* got 4\.0$"):
+                call(thetas)
+
     def test_axis_gradient_component_vanishes(self):
         sol = SeparableSolution(alpha=0.6, m=0)
         _, grad_axis = separable_eval(sol, (1.0, 0.0))
@@ -563,7 +583,7 @@ class TestClassification:
         # a root together with cos(s) sin(s) > 0 contradicts the barrier
         # argument; the scan never finds one, so a stub stands in for it
         geom = ConeGeometry(theta0=math.pi / 3)
-        monkeypatch.setattr(exponent, "critical_exponent_scan", lambda g, b: (0.5, 1))
+        monkeypatch.setattr(exponent, "_bracketed_roots", lambda f, grid, values, xtol: [0.5])
         report = classify_regime(geom, ObliqueBC.for_cone(geom, 0.6))
         assert report.label == UNKNOWN
         assert report.critical_exponent == 0.5
@@ -574,9 +594,35 @@ class TestClassification:
         # unchecked, this pair classifies as REGULAR_BARRIER on the wrong cone
         geom = ConeGeometry(theta0=2.0)
         other = ObliqueBC.for_cone(ConeGeometry(theta0=1.0), 0.5)
-        for call in (classify_regime, critical_exponent, exponent.critical_exponent_scan):
+        for call in (
+            classify_regime,
+            critical_exponent,
+            exponent.critical_exponent_scan,
+            lambda g, b: classify_many(g, [b]),
+        ):
             with pytest.raises(DomainError, match="cone"):
                 call(geom, other)
+
+    def test_classify_many_equals_one_cell_at_a_time(self):
+        # one profile per row gives each cell the report a row of one gives it
+        # (dataclass == compares the floats exactly), and the root and count
+        # of a scan of that cell's own mismatch profile
+        alphas = np.linspace(exponent.ALPHA_MIN, 1.0, exponent.SCAN_POINTS)
+        fractions = [k / 21 for k in range(1, 21)]
+        for theta0 in (*(f * THETA0_MAX for f in fractions), *EDGE_THETA0):
+            geom = ConeGeometry(theta0=theta0)
+            lo, hi = geom.admissible_s_interval()
+            bcs = [ObliqueBC.for_cone(geom, lo + f * (hi - lo)) for f in fractions]
+            reports = classify_many(geom, bcs)
+            assert reports == [classify_regime(geom, bc) for bc in bcs]
+            for bc, report in zip(bcs, reports):
+                mismatch = partial(boundary_mismatch, geom, s=bc.s)
+                roots = _bracketed_roots(mismatch, alphas, mismatch(alphas), exponent.ROOT_XTOL)
+                assert report.critical_exponent == (roots[0] if roots else None)
+                assert report.sign_changes == len(roots)
+
+    def test_classify_many_of_no_boundary_condition_is_empty(self):
+        assert classify_many(ConeGeometry(theta0=2.0), []) == []
 
     @pytest.mark.parametrize("theta0", EDGE_THETA0)
     def test_domain_edge_root(self, theta0):

@@ -121,6 +121,16 @@ class TestReduction:
         with pytest.raises(InvalidOperator):
             reduce_to_axisymmetric(np.diag([-1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (2, 2)])
+    def test_rejects_a_non_finite_entry(self, bad, entry):
+        # checked before np.allclose, whose tolerance would turn non-finite
+        # and warn; the test config makes that warning an error
+        A = np.eye(3)
+        A[entry] = bad
+        with pytest.raises(InvalidOperator, match="finite"):
+            reduce_to_axisymmetric(A)
+
 
 def _adds_negated_pi(node: ast.AST) -> bool:
     """True for `-math.pi + x` and `x + -math.pi`."""

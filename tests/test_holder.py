@@ -97,6 +97,11 @@ class TestSeminorm:
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             HolderSamples(**arrays)
 
+    def test_sample_set_must_not_be_empty(self):
+        # with no points the sup norms have nothing to reduce over
+        with pytest.raises(DomainError, match="at least one"):
+            HolderSamples(points=np.zeros((0, 2)), values=np.zeros(0))
+
     def test_values_must_be_one_per_point(self):
         pts = sector_sample_points(1.0, 1e-1)
         with pytest.raises(DomainError, match="values"):
