@@ -43,6 +43,12 @@ TILT_FLOOR = 1e-6
 ALPHA0_SCAN_POINTS = 400
 ALPHA0_XTOL = 1e-10
 
+#: Smallest barrier degree.  Off the axis F_a' comes from the identity of
+#: `legendre_dp_dz`, whose terms of size 1 cancel to a result of size a.  On
+#: 80 cones over the admissible range rounding took its sign at a = 3e-16 on
+#: most and at 1e-15 on none; the floor keeps three decades above that.
+BARRIER_DEGREE_MIN = 1e-12
+
 #: Size of the theta-grid on which `build_barrier` certifies the profile.
 BARRIER_CHECK_POINTS = 500
 
@@ -78,19 +84,25 @@ def alpha0(geom: ConeGeometry) -> float:
 
 
 def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
-    """Construct the barrier for 0 < alpha < alpha0(geom) and certify it.
+    """Construct the barrier for BARRIER_DEGREE_MIN <= alpha < alpha0(geom) -
+    ALPHA0_XTOL and certify it.
 
-    Verifies on a BARRIER_CHECK_POINTS theta-grid that c* <= F_a <= 1 with
-    c* = F_a(theta0) > 0, that F_a' < 0 on (0, theta0], and that
-    F_a'(0) = 0 to 1e-8 by Richardson-extrapolated one-sided differences.
-    Raises InvalidAlpha if alpha is out of range or any certification fails.
+    alpha0 lies within ALPHA0_XTOL / 2 of the first zero of a -> F_a(theta0),
+    so the margin keeps c* positive.  Verifies on a BARRIER_CHECK_POINTS
+    theta-grid that c* <= F_a <= 1 with c* = F_a(theta0) > 0, that F_a' < 0
+    on (0, theta0], and that F_a'(0) = 0 to 1e-8 by Richardson-extrapolated
+    one-sided differences.  Raises InvalidAlpha if alpha is out of range or
+    any certification fails.
     """
-    if not (0.0 < alpha < 1.0):
-        raise InvalidAlpha(f"barrier degree must lie in (0, 1), got {alpha}")
-    a0 = alpha0(geom)
-    if alpha >= a0:
+    if not (BARRIER_DEGREE_MIN <= alpha < 1.0):
         raise InvalidAlpha(
-            f"degree {alpha} is not below the positivity threshold {a0:.12g}"
+            f"barrier degree must lie in [{BARRIER_DEGREE_MIN:g}, 1), got {alpha}"
+        )
+    a0 = alpha0(geom)
+    if alpha >= a0 - ALPHA0_XTOL:
+        raise InvalidAlpha(
+            f"degree {alpha} is not below the positivity threshold {a0:.12g} "
+            f"by its tolerance {ALPHA0_XTOL:g}"
         )
     barrier = MillerBarrier(alpha=alpha, theta0=geom.theta0)
     if not (0.0 < barrier.cstar <= 1.0):
@@ -153,12 +165,14 @@ def rotate_coefficients(
     lam, Lam of a0; the bracket is asserted.
     b21 defaults to 1, the reduced Laplacian in R^3.
 
-    Raises InvalidOperator on a non-symmetric or indefinite a0 or a failed
-    bracket.
+    Raises InvalidOperator on a non-finite, non-symmetric or indefinite a0
+    or a failed bracket.
     """
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (2, 2):
         raise InvalidOperator(f"plane coefficients must be 2x2, got shape {a0.shape}")
+    if not np.all(np.isfinite(a0)):
+        raise InvalidOperator("plane coefficients must be finite")
     if abs(a0[0, 1] - a0[1, 0]) > 1e-12 * max(1.0, np.abs(a0).max()):
         raise InvalidOperator("plane coefficients are not symmetric")
     eigs = np.linalg.eigvalsh(a0)

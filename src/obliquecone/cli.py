@@ -94,6 +94,16 @@ def _sweep_values(args: argparse.Namespace) -> list[tuple[float, list[tuple[floa
         raise ObliqueConeError("sweep counts must be at least 2")
     if args.s_mode == "fraction" and not (0.0 < args.s_lo <= args.s_hi < 1.0):
         raise ObliqueConeError("fractions must lie strictly inside (0, 1)")
+    # np.linspace warns and returns NaN when a bound or the span is not finite
+    for name in ("theta0", "s"):
+        lo, hi = getattr(args, f"{name}_lo"), getattr(args, f"{name}_hi")
+        for option, value in ((f"--{name}-lo", lo), (f"--{name}-hi", hi)):
+            if not math.isfinite(value):
+                raise ObliqueConeError(f"{option} must be finite, got {value}")
+        if not math.isfinite(hi - lo):
+            raise ObliqueConeError(
+                f"--{name}-lo and --{name}-hi lie too far apart, got ({lo}, {hi})"
+            )
     theta0s = np.linspace(
         _radians(args.theta0_lo, args.degrees),
         _radians(args.theta0_hi, args.degrees),

@@ -20,6 +20,7 @@ gives the scalar loop's values bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -27,10 +28,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .geometry import THETA0_MAX, ConeGeometry, ObliqueBC
+from .geometry import THETA0_MIN, ConeGeometry, ObliqueBC, check_polar_angle
 from .grids import SectorGrid
 from .legendre import (
-    _check_range, _dtheta_near_axis, _libm, legendre_dp1_dz, legendre_dp_dz, legendre_p,
+    _dtheta_near_axis, _libm, check_each, legendre_dp1_dz, legendre_dp_dz, legendre_p,
     legendre_p1,
 )
 
@@ -57,20 +58,12 @@ AXIS_CONTINUOUS = "AXIS_CONTINUOUS"
 UNKNOWN = "UNKNOWN"
 
 
-def _check_theta_alpha(theta: float, alpha) -> None:
-    if not (0.0 < theta < THETA0_MAX):
-        raise DomainError(f"polar angle must lie in (0, {THETA0_MAX:.4f}), got {theta}")
-    _check_range(alpha, 0.0, 2.0, "degree")
-
-
-def _check_polar_angle(theta) -> None:
-    """DomainError unless 0 <= theta < THETA0_MAX for the angle or each element
-    of the ndarray of angles, naming the first that fails (NaN fails)."""
-    if isinstance(theta, np.ndarray):
-        outside = theta[~((0.0 <= theta) & (theta < THETA0_MAX))]
-        theta = float(outside[0]) if outside.size else 0.0
-    if not (0.0 <= theta < THETA0_MAX):
-        raise DomainError(f"polar angle must lie in [0, {THETA0_MAX:.4f}), got {theta}")
+def _check_degree(alpha, hi: float) -> None:
+    """DomainError unless 0 <= alpha <= hi, at a degree or each of an ndarray."""
+    if isinstance(alpha, np.ndarray):
+        return check_each(lambda a: _check_degree(a, hi), alpha)
+    if not (0.0 <= alpha <= hi):
+        raise DomainError(f"degree must lie in [0, {hi:g}], got {alpha}")
 
 
 def _angular_factors(theta: float, alpha):
@@ -89,7 +82,8 @@ def _angular_factors(theta: float, alpha):
 
 def u1(theta: float, alpha):
     """Angular factor of d(u_a)/dy1: (2a+1) cos t P_a(cos t) - (a+1) P_{a+1}(cos t)."""
-    _check_theta_alpha(theta, alpha)
+    check_polar_angle(theta, "polar angle", THETA0_MIN)
+    _check_degree(alpha, 2.0)
     return _angular_factors(theta, alpha)[0]
 
 
@@ -98,7 +92,8 @@ def u2(theta: float, alpha):
 
     sin t (a - (a+1) cos^2 t / sin^2 t) P_a(cos t) + (a+1) (cos t / sin t) P_{a+1}(cos t).
     """
-    _check_theta_alpha(theta, alpha)
+    check_polar_angle(theta, "polar angle", THETA0_MIN)
+    _check_degree(alpha, 2.0)
     return _angular_factors(theta, alpha)[1]
 
 
@@ -120,7 +115,7 @@ def boundary_mismatch(geom: ConeGeometry, alpha, s: float):
     Zero means u_a satisfies beta0 . Du = 0 on the cone edge.  s must lie
     in the closed admissible interval, as for `slope_at_zero`.
     """
-    _check_theta_alpha(geom.theta0, alpha)
+    _check_degree(alpha, 2.0)
     _check_oblique_angle(geom, s)
     return _mismatch(geom, s, alpha)
 
@@ -197,7 +192,7 @@ def neumann_mismatch(geom: ConeGeometry, alpha):
     Zero means the first non-axisymmetric separable mode satisfies the
     homogeneous Neumann condition on the lateral boundary.
     """
-    _check_range(alpha, 0.0, 1.0 + 1e-12, "degree")
+    _check_degree(alpha, 1.0 + 1e-12)
     return legendre_dp1_dz(alpha, geom.z0)
 
 
@@ -248,7 +243,7 @@ class SeparableSolution:
         the scalar loop bit for bit.  Angles outside [0, THETA0_MAX) raise
         DomainError.
         """
-        _check_polar_angle(theta)
+        check_polar_angle(theta, "polar angle", 0.0)
         # a Python float angle, the hot case, skips _libm's ndarray test
         z = math.cos(theta) if type(theta) is float else _libm(math.cos, theta)
         if self.m == 0:
@@ -269,7 +264,7 @@ class SeparableSolution:
         `_dtheta_near_axis`, where the z-derivative identities cancel.  Angles
         outside [0, THETA0_MAX) raise DomainError.
         """
-        _check_polar_angle(theta)
+        check_polar_angle(theta, "polar angle", 0.0)
         if isinstance(theta, np.ndarray):
             near = theta < M1_AXIS_CUTOFF
             deriv = np.empty(theta.shape)
@@ -299,8 +294,9 @@ def separable_eval(
     if len(point) != 2:
         raise DomainError(f"point must be (r, theta), got {len(point)} components")
     r, theta = float(point[0]), float(point[1])
-    if not (0.0 < r < math.inf):
-        raise DomainError(f"radius must be positive and finite, got {r}")
+    # below the smallest normal float, r ** (a - 1) overflows
+    if not (sys.float_info.min <= r < math.inf):
+        raise DomainError(f"radius must be a normal positive finite float, got {r}")
     a = sol.alpha
     f, fp = sol.profile(theta), sol.profile_deriv(theta)
     ct, st = math.cos(theta), math.sin(theta)

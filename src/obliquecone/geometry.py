@@ -8,10 +8,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidOperator
+from .legendre import check_each
 
 #: Largest admissible opening angle; cos(THETA0_MAX) stays above the Legendre
 #: kernel's argument cutoff -1 + Z_CUTOFF, so every admissible cone evaluates.
 THETA0_MAX = math.pi - 0.045
+
+#: Smallest admissible opening angle.  U2 at the cone's edge cancels terms of
+#: size 1/theta0: against mpmath its absolute error is about 3e-16/theta0
+#: (theta0 from 1e-10 to 1e-4), so from 1e-5 up it stays below the 1e-10
+#: tolerance of the mismatch witness.  Below about 1.5e-154, sin(theta0)^2
+#: underflows and U2 divides by zero.
+THETA0_MIN = 1e-5
+
+
+def check_polar_angle(theta, name: str, lo: float) -> None:
+    """DomainError unless lo <= theta < THETA0_MAX: lo is 0 in a cone, THETA0_MIN at its edge."""
+    # a Python float angle, the hot case, skips the slower ndarray test
+    if type(theta) is not float and isinstance(theta, np.ndarray):
+        return check_each(lambda t: check_polar_angle(t, name, lo), theta)
+    if not (lo <= theta < THETA0_MAX):
+        raise DomainError(f"{name} must lie in [{lo:g}, {THETA0_MAX:.4f}), got {theta}")
+
+
+def check_radii(r_min: float, r_max: float, name: str) -> None:
+    """DomainError unless 0 < r_min < r_max < inf, the radii of an annulus."""
+    if not (0.0 < r_min < r_max < math.inf):
+        raise DomainError(f"invalid {name}: need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
 
 
 @dataclass(frozen=True)
@@ -28,10 +51,8 @@ class ConeGeometry:
     theta0: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.theta0 < THETA0_MAX):
-            raise DomainError(
-                f"opening angle must lie in (0, {THETA0_MAX:.4f}), got {self.theta0}"
-            )
+        # float(): a cone has one angle, and the check takes an ndarray too
+        check_polar_angle(float(self.theta0), "opening angle", THETA0_MIN)
 
     @property
     def z0(self) -> float:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ConeGeometry
+from .geometry import ConeGeometry, check_radii
 
 #: Default radial grading ratio of the vertex-clustered grid.
 DEFAULT_GRADING = 1.05
@@ -40,10 +40,7 @@ class SectorGrid:
 
     def __post_init__(self) -> None:
         ConeGeometry(theta0=self.theta0)
-        if not (0.0 < self.r_min < self.r_max < math.inf):
-            raise DomainError(
-                f"need 0 < r_min < r_max < inf, got ({self.r_min}, {self.r_max})"
-            )
+        check_radii(self.r_min, self.r_max, "sector radii")
         counts = (self.n_r, self.n_theta)
         if not all(isinstance(n, (int, np.integer)) and n >= 3 for n in counts):
             raise DomainError(f"need integer node counts >= 3, got {counts}")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, HypothesisError
-from .geometry import ConeGeometry
+from .geometry import ConeGeometry, check_radii
 
 #: Central-difference step of `samples_from_function`, relative to the
 #: distance to the vertex (its square root for second derivatives).
@@ -46,10 +46,16 @@ class HolderSpec:
     def __post_init__(self) -> None:
         if self.k not in (0, 1):
             raise DomainError(f"seminorm order must be 0 or 1, got {self.k}")
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"exponent must lie in (0, 1], got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise DomainError(f"weight exponent must be finite, got {self.beta}")
+        _check_exponents(self.alpha, self.beta)
+
+
+def _check_exponents(alpha: float, beta: float) -> None:
+    """DomainError unless the exponent lies in (0, 1] and the weight exponent
+    is finite: `HolderSpec`'s rules, which `weighted_norm` shares."""
+    if not (0.0 < alpha <= 1.0):
+        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
+    if not math.isfinite(beta):
+        raise DomainError(f"weight exponent must be finite, got {beta}")
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,8 @@ def samples_from_function(
     raises DomainError.
     """
     pts = np.asarray(points, dtype=float)
+    # HolderSamples' rules for the points, before fn or a difference step sees one
+    HolderSamples(points=pts, values=np.zeros(pts.shape[:1]))
     vals = np.array([fn(float(p[0]), float(p[1])) for p in pts])
     grads = hess = None
     if derivatives >= 1:
@@ -158,8 +166,7 @@ def samples_from_function(
 def sector_sample_points(theta0: float, r_min: float, r_max: float = 1.0) -> np.ndarray:
     """Vertex-clustered (y1, y2) sample points: geometric shells times rays."""
     ConeGeometry(theta0=theta0)
-    if not (0.0 < r_min < r_max < math.inf):
-        raise DomainError(f"need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
+    check_radii(r_min, r_max, "sample radii")
     n_shells = max(2, int(round(SHELLS_PER_DECADE * math.log10(r_max / r_min))) + 1)
     radii = np.geomspace(r_min, r_max, n_shells)
     thetas = np.linspace(0.0, theta0, SAMPLE_RAYS)
@@ -207,7 +214,14 @@ def weighted_sup_norm(samples: HolderSamples, k: int, beta: float) -> float:
 
 
 def weighted_norm(samples: HolderSamples, k: int, alpha: float, beta: float) -> float:
-    """Full weighted norm: sup part plus the order-k seminorm."""
+    """Full weighted norm: sup part plus the order-k seminorm.
+
+    k is 0, 1 or 2, and the samples must carry its derivatives; alpha and
+    beta follow `HolderSpec`'s rules.
+    """
+    _check_exponents(alpha, beta)
+    # the order's rule, before range(k + 1) in the sup part sees it
+    samples.derivative_table(k)
     return weighted_sup_norm(samples, k, beta) + _seminorm_raw(samples, k, alpha, beta)
 
 

@@ -75,14 +75,15 @@ def _check_args(alpha: float, z: float) -> None:
         raise DomainError(f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}")
 
 
-def _check_range(x, lo: float, hi: float, name: str) -> None:
-    """DomainError unless lo <= x <= hi for the float x or each element of the
-    ndarray x, naming x or the first element that fails (NaN fails)."""
-    if isinstance(x, np.ndarray):
-        outside = x[~((lo <= x) & (x <= hi))]
-        x = float(outside[0]) if outside.size else lo
-    if not lo <= x <= hi:
-        raise DomainError(f"{name} must lie in [{lo:g}, {hi:g}], got {x}")
+def check_each(check, x: np.ndarray) -> None:
+    """check(v) at each element v of the ndarray x, naming the first that fails.
+    Each domain is an interval, so only a failure at x's extremes walks x."""
+    try:
+        for v in (x.min(), x.max()) if x.size else ():
+            check(float(v))
+    except DomainError:
+        for v in x.ravel().tolist():
+            check(float(v))
 
 
 def _libm(f, x):
@@ -211,18 +212,14 @@ def legendre_p_many(alphas, z) -> np.ndarray:
 
     Element by element it equals the scalar evaluation bit for bit.
     """
-    # the float is checked as it is, the ndarray through its first element
-    # outside the domain, if any
     if isinstance(z, np.ndarray):
         if isinstance(alphas, np.ndarray):
             raise DomainError("pass an ndarray of degrees or of arguments, not both")
         alphas, z = float(alphas), z.astype(float)
-        inside = (-1.0 + Z_CUTOFF < z) & (z <= 1.0)
-        _check_args(alphas, 1.0 if inside.all() else z[~inside][0])
+        check_each(lambda v: _check_args(alphas, v), z)
     else:
         alphas, z = np.asarray(alphas, dtype=float), float(z)
-        inside = (-1.0 <= alphas) & (alphas <= DEGREE_MAX)
-        _check_args(0.0 if inside.all() else alphas[~inside][0], z)
+        check_each(lambda a: _check_args(a, z), alphas)
     return _kernel_many(alphas, z)
 
 
@@ -279,11 +276,10 @@ def legendre_dp1_dz(alpha, z):
 def legendre_dp_dalpha(alpha, z: float):
     """Central finite difference of P_a(z) in the degree, step h = DEGREE_STEP.
 
-    `alpha` is a float or an ndarray of degrees.  Requires alpha - h >= -1 so
-    both stencil points stay in the domain.
+    `alpha` is a float or an ndarray of degrees.  Both stencil points must
+    lie in the kernel's domain, so alpha - h >= -1; the error names alpha - h.
     """
     h = DEGREE_STEP
-    _check_range(alpha - h, -1.0, math.inf, f"with the degree step {h}, alpha - h")
     return (legendre_p(alpha + h, z) - legendre_p(alpha - h, z)) / (2.0 * h)
 
 

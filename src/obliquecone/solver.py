@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DegenerateFit, DomainError, SingularSystem
 from .exponent import SeparableSolution
-from .geometry import ObliqueBC
+from .geometry import ObliqueBC, check_polar_angle, check_radii
 from .grids import DiscreteField, SectorGrid
 
 #: Target for the verified linear-solve residual: tol * ||rhs||_inf + tol.
@@ -549,14 +549,14 @@ def fit_exponent(
 
     For a DiscreteField the ray, which must lie in [0, theta0], snaps to the
     nearest theta column and uses the grid's own radial nodes inside the
-    window; for a callable, FIT_SAMPLES geometrically spaced radii are used.
-    Raises DegenerateFit when the window holds fewer than FIT_MIN_SAMPLES
-    points, contains sign changes, or touches near-zero values; a window
-    outside (0, inf) or a callable's non-finite sample raises DomainError.
+    window; for a callable, whose ray must lie in [0, THETA0_MAX),
+    FIT_SAMPLES geometrically spaced radii are used.  Raises DegenerateFit
+    when the window holds fewer than FIT_MIN_SAMPLES points, contains sign
+    changes, or touches near-zero values; a window outside (0, inf), a ray
+    outside its range or a callable's non-finite sample raises DomainError.
     """
     r_lo, r_hi = window
-    if not (0.0 < r_lo < r_hi < math.inf):
-        raise DomainError(f"invalid fit window {window}")
+    check_radii(r_lo, r_hi, "fit window")
     if isinstance(source, DiscreteField):
         if not (0.0 <= theta <= source.grid.theta0):
             raise DomainError(f"ray theta = {theta} outside [0, {source.grid.theta0}]")
@@ -565,6 +565,7 @@ def fit_exponent(
         rs = source.grid.r[mask]
         us = source.values[mask, jstar]
     else:
+        check_polar_angle(theta, "ray theta", 0.0)
         rs = np.geomspace(r_lo, r_hi, FIT_SAMPLES)
         us = np.array([source(float(r), float(theta)) for r in rs])
         if not np.all(np.isfinite(us)):

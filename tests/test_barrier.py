@@ -104,6 +104,23 @@ class TestBuildBarrier:
         with pytest.raises(InvalidAlpha):
             build_barrier(geom, 0.0)
 
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-16, 0.5 * barrier_module.BARRIER_DEGREE_MIN])
+    def test_rejects_a_degree_below_the_floor_up_front(self, alpha):
+        # at 1e-16 the off-axis F' rounds to 0 and certification used to fail
+        with pytest.raises(InvalidAlpha, match=r"must lie in \[1e-12, 1\)"):
+            build_barrier(ConeGeometry(theta0=1.5), alpha)
+        build_barrier(ConeGeometry(theta0=1.5), barrier_module.BARRIER_DEGREE_MIN)
+
+    @pytest.mark.parametrize("theta0", [1.61, 1.62, 2.5])
+    def test_degrees_within_the_threshold_tolerance_are_rejected(self, theta0):
+        # alpha0 is a bisection midpoint up to ALPHA0_XTOL / 2 above the zero
+        # of F_a(theta0): just below it c* could be negative
+        geom = ConeGeometry(theta0=theta0)
+        a0 = alpha0(geom)
+        with pytest.raises(InvalidAlpha, match="by its tolerance"):
+            build_barrier(geom, math.nextafter(a0, 0.0))
+        assert build_barrier(geom, a0 - barrier_module.ALPHA0_XTOL * 1.01).cstar > 0.0
+
     def test_cstar_is_derived_from_the_cone(self):
         # c* = F(theta0) is computed, so a barrier cannot carry a wrong one
         geom = ConeGeometry(theta0=1.0)
@@ -162,6 +179,13 @@ class TestRotateCoefficients:
             rotate_coefficients(np.diag([1.0, -1.0]), bc)
         with pytest.raises(InvalidOperator):
             rotate_coefficients(np.eye(2), bc, b21=0.0)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_entry_before_the_eigenvalues(self, entry):
+        bc = ObliqueBC(s=0.4, theta0=2.0)
+        for a0 in (np.diag([entry, 1.0]), np.array([[1.0, entry], [entry, 1.0]])):
+            with pytest.raises(InvalidOperator, match="^plane coefficients must be finite$"):
+                rotate_coefficients(a0, bc)
 
     @pytest.mark.parametrize("b21", [math.nan, math.inf])
     def test_rejects_non_finite_singular_term(self, b21):

@@ -725,6 +725,26 @@ class TestPhaseMap:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "bounds,option",
+        [
+            (("--s-mode", "absolute", "--s-lo=-inf"), "--s-lo"),
+            (("--s-mode", "absolute", "--s-hi=nan"), "--s-hi"),
+            (("--theta0-lo=-inf",), "--theta0-lo"),
+            (("--theta0-hi=inf", "--degrees"), "--theta0-hi"),
+            (("--s-mode", "absolute", "--s-lo=-1e308", "--s-hi=1e308"), "--s-lo and --s-hi"),
+        ],
+    )
+    def test_non_finite_bound_names_the_option(self, capsys, tmp_path, bounds, option):
+        # np.linspace warned twice and the error named a NaN cell instead
+        code, out, err = run_cli(
+            capsys, *self.ARGS, *bounds, "--output", str(tmp_path / "map.csv")
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {option} ")
+        assert "Warning" not in err
+        assert not (tmp_path / "map.csv").exists()
+
     def test_bad_counts(self, capsys):
         code, _, err = run_cli(
             capsys,

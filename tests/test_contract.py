@@ -1,0 +1,285 @@
+"""The input contract of the public API, as one table.
+
+Every name in `obliquecone.__all__` is either listed in TABLE, with a valid
+call and the kind of each argument, or in EXEMPT with the reason it takes no
+input to check.  Each argument is fed its kind's bad values (NaN, infinities,
+empty and repeated inputs, wrong shapes, values outside the cone or the
+admissible interval) with the others kept valid, and warnings raised as
+errors: the call must return or raise an `ObliqueConeError` subclass, never
+anything else.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import obliquecone as oc
+from obliquecone import (
+    ConeGeometry,
+    ObliqueBC,
+    ObliqueConeError,
+    SeparableSolution,
+    alpha0,
+    boundary_mismatch,
+    build_barrier,
+    classify_regime,
+    separable_eval,
+)
+from obliquecone.barrier import ALPHA0_XTOL, BARRIER_DEGREE_MIN
+from obliquecone.geometry import THETA0_MAX, THETA0_MIN
+from obliquecone.legendre import DEGREE_MAX, Z_CUTOFF
+
+NAN, INF = math.nan, math.inf
+
+THETA0 = 2.0
+GEOM = ConeGeometry(theta0=THETA0)
+S_LO, S_HI = GEOM.admissible_s_interval()
+BC = ObliqueBC(s=0.5, theta0=THETA0)
+OTHER_BC = ObliqueBC(s=0.5, theta0=1.0)
+BARRIER = build_barrier(GEOM, 0.05)
+RC = oc.rotate_coefficients(np.eye(2), BC)
+SOL = SeparableSolution(alpha=0.5)
+GRID = oc.SectorGrid(r_min=0.1, r_max=1.0, n_r=9, n_theta=9, theta0=THETA0)
+FINE_GRID = oc.SectorGrid(r_min=0.1, r_max=1.0, n_r=17, n_theta=17, theta0=THETA0)
+POINTS = oc.sector_sample_points(THETA0, 0.1)
+SAMPLES = oc.samples_from_function(lambda y1, y2: y1 + 2.0 * y2, POINTS, 2)
+FIELD = SOL.field(GRID)
+
+
+def power(y1, y2):
+    return math.hypot(y1, y2) ** 0.5
+
+
+#: Values outside most real domains: not finite, negative, zero, tiny, large.
+REAL = (NAN, INF, -INF, -0.5, 0.0, 1e-300, 4.5)
+ARRAYS = (np.array([0.3, NAN]), np.array([0.3, 4.5]), np.array([]), np.zeros((2, 0)))
+
+#: Bad values of each argument kind.
+BAD = {
+    "real": REAL,
+    "int": (-1, 0, 2, 3, 2.5, NAN),
+    "theta0": REAL + (THETA0_MAX, 0.5 * THETA0_MIN, 5e-324, 1e-200),
+    "s": REAL + (
+        S_LO, S_HI, math.nextafter(S_LO, -INF), math.nextafter(S_HI, INF),
+        math.nextafter(S_HI, 0.0),
+    ),
+    "degree": REAL + ARRAYS + (-1.0 - 1e-9, DEGREE_MAX + 1e-9, 5e-324),
+    "z": REAL + ARRAYS + (-1.0, -1.0 + Z_CUTOFF, 1.0, 1.0 + 1e-12),
+    "ray": REAL + (THETA0_MAX, THETA0),
+    "geom": tuple(
+        ConeGeometry(theta0=t)
+        for t in (THETA0_MIN, math.nextafter(THETA0_MAX, 0.0), 0.5 * math.pi)
+    ),
+    "bc": (OTHER_BC, ObliqueBC(s=math.nextafter(S_HI, 0.0), theta0=THETA0)),
+    "bcs": ((), (OTHER_BC,), (BC, OTHER_BC)),
+    "point": (
+        (NAN, 0.3), (1.0, NAN), (INF, 0.3), (0.0, 0.3), (5e-324, 0.3), (1.0, 4.0),
+        (1.0, -0.5), (1.0,), (1.0, 0.3, 0.0),
+    ),
+    "radius": REAL,
+    "window": ((NAN, 1.0), (0.5, 0.1), (0.0, 1.0), (1e-3, INF), (0.1, 0.1)),
+    "fit_source": (
+        lambda r, t: NAN, lambda r, t: 0.0, lambda r, t: r - 0.05, lambda r, t: INF,
+    ),
+    "matrix3": (
+        np.full((3, 3), NAN), np.diag([INF, 1.0, 1.0]), np.eye(2), np.eye(3)[:, :2],
+        np.zeros((0, 0)), -np.eye(3), np.diag([1.0, 2.0, 1.0]), np.ones((3, 3)),
+    ),
+    "matrix2": (
+        np.array([[NAN, 0.0], [0.0, 1.0]]), np.array([[INF, 0.0], [0.0, 1.0]]),
+        np.eye(3), np.zeros((0, 0)), -np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]),
+        np.ones((2, 2)),
+    ),
+    "points": (
+        np.zeros((0, 2)), np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((3, 3)),
+        np.array([[1.0, NAN]]), np.array([[INF, 0.0]]), np.array([[0.0, 0.0]]),
+    ),
+    "values": (
+        np.array([]), np.full(len(POINTS), NAN), np.ones(len(POINTS) + 1),
+        np.ones((len(POINTS), 2)),
+    ),
+    "field_values": (np.full(FIELD.shape, NAN), np.ones((9, 8)), np.array([])),
+    "gradients": (np.full((len(POINTS), 2), INF), np.ones((len(POINTS), 3))),
+    "hessians": (np.full((len(POINTS), 2, 2), NAN), np.ones((len(POINTS), 2))),
+    "samples": (
+        oc.HolderSamples(points=POINTS[:1], values=np.ones(1)),
+        oc.HolderSamples(points=POINTS, values=np.zeros(len(POINTS))),
+    ),
+    "exponent_tuple": ((0, NAN, 0.0), (0, 2.0, 0.0), (0, 0.5, INF), (0, 0.5, -1.0)),
+    "sequence": ((), (NAN, 0.1), (0.1, 0.1), (0.1,), (0.2, INF), (0.1, -0.1)),
+    "grids": ((), (GRID,), (GRID, GRID)),
+    "sol": (SeparableSolution(alpha=0.5, m=1), SeparableSolution(alpha=1.0)),
+    "edges": (
+        {}, {"r_min": 0.0}, {"r_min": 0.0, "r_max": NAN},
+        {"r_min": 0.0, "r_max": np.ones(3)}, {"r_min": 0.0, "r_max": 1.0, "cone": 0.0},
+        {"r_min": 0.0, "r_max": 1.0, "axis": 0.0}, {"r_min": 0.0, "r_max": lambda r, t: INF},
+    ),
+    "rhs": (NAN, np.ones(3), lambda r, t: NAN),
+}
+
+#: name -> (callable, valid arguments, kind of each argument; None where the
+#: argument is a checked object with no bad value of its own).
+TABLE = {
+    "ConeGeometry": (ConeGeometry, (THETA0,), ("theta0",)),
+    "ObliqueBC": (ObliqueBC, (0.5, THETA0), ("s", "theta0")),
+    "SectorGrid": (
+        oc.SectorGrid, (0.1, 1.0, 9, 9, THETA0, 1.05, 0),
+        ("radius", "radius", "int", "int", "theta0", "real", "int"),
+    ),
+    "DiscreteField": (oc.DiscreteField, (GRID, FIELD), (None, "field_values")),
+    "SeparableSolution": (SeparableSolution, (0.5, 1), ("real", "int")),
+    "MillerBarrier": (oc.MillerBarrier, (0.05, THETA0), ("real", "theta0")),
+    "HolderSpec": (oc.HolderSpec, (1, 0.5, 0.0), ("int", "real", "real")),
+    "HolderSamples": (
+        oc.HolderSamples,
+        (POINTS, np.ones(len(POINTS)), SAMPLES.gradients, SAMPLES.hessians),
+        ("points", "values", "gradients", "hessians"),
+    ),
+    "ConvergenceStudy": (
+        oc.ConvergenceStudy, ((0.2, 0.1), (1e-2, 2.5e-3)), ("sequence", "sequence"),
+    ),
+    "legendre_p": (oc.legendre_p, (0.5, 0.3), ("degree", "z")),
+    "legendre_p1": (oc.legendre_p1, (0.5, 0.3), ("degree", "z")),
+    "legendre_dp_dz": (oc.legendre_dp_dz, (0.5, 0.3), ("degree", "z")),
+    "legendre_dp_dalpha": (oc.legendre_dp_dalpha, (0.5, 0.3), ("degree", "z")),
+    "legendre_p_quadrature": (oc.legendre_p_quadrature, (0.5, 0.3), ("real", "real")),
+    "u1": (oc.u1, (THETA0, 0.5), ("theta0", "degree")),
+    "u2": (oc.u2, (THETA0, 0.5), ("theta0", "degree")),
+    "boundary_mismatch": (boundary_mismatch, (GEOM, 0.5, 0.5), ("geom", "degree", "s")),
+    "slope_at_zero": (oc.slope_at_zero, (GEOM, 0.5), ("geom", "s")),
+    "critical_angle_s0": (oc.critical_angle_s0, (GEOM,), ("geom",)),
+    "critical_exponent": (oc.critical_exponent, (GEOM, BC), ("geom", "bc")),
+    "classify_regime": (classify_regime, (GEOM, BC), ("geom", "bc")),
+    "classify_many": (oc.classify_many, (GEOM, (BC,)), ("geom", "bcs")),
+    "neumann_mismatch": (oc.neumann_mismatch, (GEOM, 0.5), ("geom", "degree")),
+    "neumann_exponent": (oc.neumann_exponent, (GEOM,), ("geom",)),
+    "separable_eval": (separable_eval, (SOL, (1.0, 0.3)), ("sol", "point")),
+    "reduce_to_axisymmetric": (oc.reduce_to_axisymmetric, (np.eye(3),), ("matrix3",)),
+    "alpha0": (alpha0, (GEOM,), ("geom",)),
+    "build_barrier": (build_barrier, (GEOM, 0.05), ("geom", "real")),
+    "rotate_coefficients": (
+        oc.rotate_coefficients, (np.eye(2), BC, 1.0), ("matrix2", "bc", "real"),
+    ),
+    "m1_coefficient": (oc.m1_coefficient, (BARRIER, BC, RC), (None, "bc", None)),
+    "m2_coefficient": (oc.m2_coefficient, (BARRIER, BC, RC, 0.5), (None, "bc", None, "real")),
+    "max_admissible_tilt": (oc.max_admissible_tilt, (BC, BARRIER, RC), ("bc", None, None)),
+    "laplacian_residual": (oc.laplacian_residual, (SOL, GRID), ("sol", None)),
+    "residual_convergence": (
+        oc.residual_convergence, (SOL, (GRID, FINE_GRID)), ("sol", "grids"),
+    ),
+    "check_m_matrix": (oc.check_m_matrix, (GRID, 0.5), (None, "s")),
+    "solve_dirichlet": (
+        oc.solve_dirichlet, (GRID, {"r_min": 0.0, "r_max": 1.0}, 1.0, 0.5),
+        (None, "edges", "rhs", "s"),
+    ),
+    "fit_exponent": (
+        oc.fit_exponent, (lambda r, t: r ** 0.5, 0.3, (1e-3, 1e-1)),
+        ("fit_source", "ray", "window"),
+    ),
+    "sector_sample_points": (
+        oc.sector_sample_points, (THETA0, 0.1, 1.0), ("theta0", "radius", "radius"),
+    ),
+    "samples_from_function": (
+        oc.samples_from_function, (power, POINTS, 1), ("fit_source", "points", "int"),
+    ),
+    "holder_seminorm": (oc.holder_seminorm, (SAMPLES, oc.HolderSpec(1, 0.5)), ("samples", None)),
+    "weighted_norm": (
+        oc.weighted_norm, (SAMPLES, 2, 0.5, 0.0), ("samples", "int", "real", "real"),
+    ),
+    "holder_product_check": (
+        oc.holder_product_check, (SAMPLES, SAMPLES, 0.5, 0.0, 0.0, 0.0, 0.0),
+        ("samples", "samples", "real", "real", "real", "real", "real"),
+    ),
+    "holder_interpolation_check": (
+        oc.holder_interpolation_check, (SAMPLES, (0, 0.5, 0.0), (1, 0.5, 0.0), 0.5),
+        ("samples", "exponent_tuple", "exponent_tuple", "real"),
+    ),
+}
+
+EXEMPT = {
+    **dict.fromkeys(
+        ("AXIS_CONTINUOUS", "IRREGULAR", "REGULAR_BARRIER", "UNKNOWN"),
+        "a regime label: a string constant",
+    ),
+    **{
+        name: "an exception class of the contract itself"
+        for name in oc.__all__
+        if isinstance(getattr(oc, name), type) and issubclass(getattr(oc, name), Exception)
+    },
+    **dict.fromkeys(
+        ("barrier", "errors", "exponent", "geometry", "grids", "holder", "legendre", "solver"),
+        "a submodule: its public names are listed here one by one",
+    ),
+    "RegimeReport": "a result record of classify_many, built from checked inputs",
+    "RotatedCoefficients": "a result record of rotate_coefficients",
+    "FitDiagnostics": "a result record of fit_exponent",
+    "MMatrixReport": "a result record of check_m_matrix",
+}
+
+
+def _escapes(fn, args, kinds) -> list[str]:
+    """The calls with one argument swapped for a bad value that raise
+    anything but an ObliqueConeError, a warning included."""
+    escaped = []
+    for i, kind in enumerate(kinds):
+        for bad in BAD[kind] if kind else ():
+            call = args[:i] + (bad,) + args[i + 1:]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    fn(*call)
+                except ObliqueConeError:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - the escape is the finding
+                    escaped.append(f"argument {i} = {bad!r}: {type(exc).__name__}: {exc}")
+    return escaped
+
+
+@pytest.mark.parametrize("name", oc.__all__)
+def test_only_contract_errors_escape(name):
+    if name in EXEMPT:
+        assert EXEMPT[name] and name not in TABLE
+        return
+    assert name in TABLE, f"{name} is public but not in the contract table"
+    fn, args, kinds = TABLE[name]
+    assert len(args) == len(kinds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fn(*args)
+    assert _escapes(fn, args, kinds) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta0=st.floats(THETA0_MIN, THETA0_MAX, exclude_max=True),
+    frac=st.floats(0.0, 1.0),
+    a=st.floats(0.0, 1.0),
+    r=st.floats(np.finfo(float).tiny, INF, exclude_max=True),
+    t=st.floats(0.0, 1.0),
+)
+def test_admissible_inputs_evaluate(theta0, frac, a, r, t):
+    """No exception escapes the regime, mismatch, separable-mode and barrier
+    entry points anywhere on their admissible domain."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        geom = ConeGeometry(theta0=theta0)
+        lo, hi = geom.admissible_s_interval()
+        s = min(lo + frac * (hi - lo), hi)
+        boundary_mismatch(geom, 2.0 * a, s)
+        try:
+            bc = ObliqueBC(s=s, theta0=theta0)
+        except ObliqueConeError:
+            bc = None  # s is an end of the interval, or its obliqueness rounds to 0
+        if bc is not None:
+            classify_regime(geom, bc)
+        if a > 0.0:
+            for m in (0, 1):
+                separable_eval(SeparableSolution(alpha=a, m=m), (r, t * theta0))
+        top = alpha0(geom) - ALPHA0_XTOL
+        degree = BARRIER_DEGREE_MIN + a * (top - BARRIER_DEGREE_MIN)
+        if degree < top:
+            build_barrier(geom, degree)

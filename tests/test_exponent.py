@@ -195,6 +195,14 @@ class TestArraysOfDegrees:
             neumann_mismatch(geom, np.array([0.2, 1.5, 3.0]))
 
 
+@pytest.mark.parametrize("theta", [5e-324, 1e-200, 1e-160])
+def test_edge_angle_below_the_floor_is_rejected(theta):
+    # sin(theta)^2 underflows to 0 here, and U2 divided by it
+    for fn in (u1, u2):
+        with pytest.raises(DomainError, match="polar angle"):
+            fn(theta, 0.5)
+
+
 class TestSlopeAndCriticalAngle:
     @pytest.mark.parametrize("theta0", THETA_GRID)
     def test_slope_endpoint_values(self, theta0):
@@ -483,6 +491,13 @@ class TestSeparableEval:
         for call in (sol.profile, sol.profile_deriv):
             with pytest.raises(DomainError, match=r"polar angle .* got 4\.0$"):
                 call(thetas)
+
+    @pytest.mark.parametrize("r", [5e-324, 1e-310])
+    def test_subnormal_radius_is_rejected(self, r):
+        # r ** (a - 1) overflows there
+        for m in (0, 1):
+            with pytest.raises(DomainError, match="radius"):
+                separable_eval(SeparableSolution(alpha=0.03125, m=m), (r, 0.0))
 
     def test_axis_gradient_component_vanishes(self):
         sol = SeparableSolution(alpha=0.6, m=0)

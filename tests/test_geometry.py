@@ -75,6 +75,14 @@ class TestObliqueBC:
         with pytest.raises(DomainError, match="opening angle"):
             ObliqueBC(s=s, theta0=theta0)
 
+    @pytest.mark.parametrize("theta0", [5e-324, 1e-200, 1e-100, 0.5 * geometry.THETA0_MIN])
+    def test_rejects_opening_angles_below_the_floor(self, theta0):
+        # sin(theta0)^2 underflows below about 1.5e-154, and U2's cancellation
+        # error grows like 1/theta0 above it
+        with pytest.raises(DomainError, match=r"opening angle must lie in \[1e-05, "):
+            ConeGeometry(theta0=theta0)
+        assert ConeGeometry(theta0=geometry.THETA0_MIN).theta0 == geometry.THETA0_MIN
+
     def test_for_cone(self):
         geom = ConeGeometry(theta0=2.0)
         bc = ObliqueBC.for_cone(geom, -1.0)

@@ -289,3 +289,32 @@ class TestAgainstCertifiedSolution:
                 assert at / prev_at <= 1.05
                 assert above / prev_above >= 2 ** 0.05
             prev_at, prev_above = at, above
+
+
+class TestWeightedNormContract:
+    SAMPLES = samples_from_function(lambda y1, y2: y1 * y1 - y2, sector_sample_points(1.0, 0.1), 2)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,match",
+        [(math.nan, 0.0, "exponent"), (5.0, 0.0, "exponent"), (0.0, 0.0, "exponent"),
+         (0.5, math.inf, "weight exponent"), (0.5, math.nan, "weight exponent")],
+    )
+    def test_rejects_what_the_spec_rejects(self, alpha, beta, match):
+        with pytest.raises(DomainError, match=match):
+            HolderSpec(0, alpha, beta)
+        with pytest.raises(DomainError, match=match):
+            weighted_norm(self.SAMPLES, 0, alpha, beta)
+
+    @pytest.mark.parametrize("k", [-1, 3, 0.5, math.nan])
+    def test_rejects_an_order_without_derivative_samples(self, k):
+        with pytest.raises(DomainError, match="derivative order"):
+            weighted_norm(self.SAMPLES, k, 0.5, 0.0)
+
+    def test_order_two_is_kept(self):
+        assert math.isfinite(weighted_norm(self.SAMPLES, 2, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("point", [[math.inf, 0.0], [math.nan, 1.0], [1.0, -math.inf]])
+def test_samples_from_function_checks_points_before_differencing(point):
+    with pytest.raises(DomainError, match="points must be finite"):
+        samples_from_function(lambda y1, y2: y1, np.array([[0.5, 0.5], point]), 1)

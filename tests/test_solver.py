@@ -742,6 +742,11 @@ class TestFitExponent:
             with pytest.raises(DomainError, match="ray"):
                 fit_exponent(field, theta, (0.1, 1.0))
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, -0.5, 4.0])
+    def test_callable_ray_outside_every_cone_is_rejected(self, theta):
+        with pytest.raises(DomainError, match=r"^ray theta must lie in \[0, "):
+            fit_exponent(lambda r, t: r, theta, (1e-3, 1e-1))
+
     def test_sign_change_rejected(self):
         with pytest.raises(DegenerateFit):
             fit_exponent(lambda r, t: math.sin(40.0 * r), 0.4, (1e-2, 1.0))
