@@ -58,17 +58,20 @@ class MillerBarrier(SeparableSolution):
     """Barrier v_a = r^a F_a(theta), the m = 0 separable mode, certified on build.
 
     F_a = P_a(cos .) is its profile and theta0 the cone it was certified on;
-    c* = F_a(theta0) is derived from both, never passed in.
+    c* = F_a(theta0) and the edge slope fprime = F_a'(theta0) are derived from
+    both, never passed in.
     """
 
     m: int = field(default=0, init=False)
     theta0: float
     cstar: float = field(init=False)
+    fprime: float = field(init=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         z0 = ConeGeometry(theta0=self.theta0).z0
         object.__setattr__(self, "cstar", legendre_p(self.alpha, z0))
+        object.__setattr__(self, "fprime", self.profile_deriv(self.theta0))
 
 
 def alpha0(geom: ConeGeometry) -> float:
@@ -171,14 +174,21 @@ def rotate_coefficients(
     a0 = np.asarray(a0, dtype=float)
     if a0.shape != (2, 2):
         raise InvalidOperator(f"plane coefficients must be 2x2, got shape {a0.shape}")
-    if not np.all(np.isfinite(a0)):
+    (a11, a12), (a21, a22) = a0.tolist()
+    if not all(map(math.isfinite, (a11, a12, a21, a22))):
         raise InvalidOperator("plane coefficients must be finite")
-    if abs(a0[0, 1] - a0[1, 0]) > 1e-12 * max(1.0, np.abs(a0).max()):
+    if abs(a12 - a21) > 1e-12 * max(1.0, abs(a11), abs(a12), abs(a21), abs(a22)):
         raise InvalidOperator("plane coefficients are not symmetric")
-    eigs = np.linalg.eigvalsh(a0)
-    if eigs.min() <= 0.0:
-        raise InvalidOperator(f"plane coefficients not positive definite: {eigs}")
-    lam, Lam = float(eigs.min()), float(eigs.max())
+    # the eigenvalues of the lower triangle in closed form; the smaller one as
+    # det / Lam, since mid - rad cancels when they are far apart
+    Lam = 0.5 * (a11 + a22) + math.hypot(0.5 * (a11 - a22), a21)
+    det = a11 * a22 - a21 * a21
+    if not (Lam > 0.0 and det > 0.0):
+        raise InvalidOperator(
+            f"plane coefficients not positive definite: largest eigenvalue {Lam}, "
+            f"determinant {det}"
+        )
+    lam = det / Lam
     if not (0.0 < b21 < math.inf):
         raise InvalidOperator(f"b21 must be finite and positive, got {b21}")
     b1, b2 = bc.beta0
@@ -187,7 +197,7 @@ def rotate_coefficients(
     atilde = J @ a0 @ J.T
     eps = bc.obliqueness
     hi = Lam / (eps * eps)
-    for entry in (atilde[0, 0], atilde[1, 1]):
+    for entry in atilde.diagonal().tolist():
         if not (lam * (1.0 - 1e-12) <= entry <= hi * (1.0 + 1e-12)):
             raise InvalidOperator(
                 f"rotated diagonal {entry} outside the ellipticity bracket "
@@ -214,8 +224,8 @@ def m2_coefficient(
 
     Preconditions: tilt >= 0, nu1 + tilt nu2 > 0, and beta2 - tilt beta1
     keeps the sign of beta2.  tilt = 0 is `m1_coefficient`.  The barrier and
-    bc must belong to the same cone; F(theta0) is then the barrier's c*.  rc
-    must be rotated for bc itself.
+    bc must belong to the same cone; F(theta0) and F'(theta0) are then the
+    barrier's c* and fprime.  rc must be rotated for bc itself.
     """
     if bc.theta0 != barrier.theta0:
         raise DomainError(f"bc built for theta0 = {bc.theta0}, barrier for {barrier.theta0}")
@@ -238,8 +248,7 @@ def m2_coefficient(
     eps = bc.obliqueness
     a = barrier.alpha
     theta0 = bc.theta0
-    f = barrier.cstar
-    fp = barrier.profile_deriv(theta0)
+    f, fp = barrier.cstar, barrier.fprime
     beta_dot_tau = b1 * t1 + b2 * t2
     q = (n1 + tilt * n2) / (b2 - tilt * b1)
     ratio = rc.a22 / rc.a11

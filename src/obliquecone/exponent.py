@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BracketError, DomainError
-from .geometry import THETA0_MIN, ConeGeometry, ObliqueBC, check_polar_angle
+from .geometry import THETA0_MIN, ConeGeometry, ObliqueBC, check_polar_angle, real_angle
 from .grids import SectorGrid
 from .legendre import (
     _dtheta_near_axis, _libm, check_each, legendre_dp1_dz, legendre_dp_dz, legendre_p,
@@ -82,7 +82,7 @@ def _angular_factors(theta: float, alpha):
 
 def u1(theta: float, alpha):
     """Angular factor of d(u_a)/dy1: (2a+1) cos t P_a(cos t) - (a+1) P_{a+1}(cos t)."""
-    check_polar_angle(theta, "polar angle", THETA0_MIN)
+    check_polar_angle(real_angle(theta, "polar angle"), "polar angle", THETA0_MIN)
     _check_degree(alpha, 2.0)
     return _angular_factors(theta, alpha)[0]
 
@@ -92,21 +92,26 @@ def u2(theta: float, alpha):
 
     sin t (a - (a+1) cos^2 t / sin^2 t) P_a(cos t) + (a+1) (cos t / sin t) P_{a+1}(cos t).
     """
-    check_polar_angle(theta, "polar angle", THETA0_MIN)
+    check_polar_angle(real_angle(theta, "polar angle"), "polar angle", THETA0_MIN)
     _check_degree(alpha, 2.0)
     return _angular_factors(theta, alpha)[1]
 
 
 def _check_oblique_angle(geom: ConeGeometry, s: float) -> None:
     lo, hi = geom.admissible_s_interval()
-    if not (lo <= s <= hi):
+    if not (lo <= real_angle(s, "oblique angle") <= hi):
         raise DomainError(f"oblique angle {s} outside [{lo:.6f}, {hi:.6f}]")
+
+
+def _combine(s: float, f1, f2):
+    """B(theta0, ., s) = cos(s) U1 + sin(s) U2 from a cone's factors (U1, U2),
+    the one place that writes B: U1 and U2 do not depend on s."""
+    return math.cos(s) * f1 + math.sin(s) * f2
 
 
 def _mismatch(geom: ConeGeometry, s: float, alpha):
     """B(theta0, ., s) at a float or an array of degrees, arguments unchecked."""
-    f1, f2 = _angular_factors(geom.theta0, alpha)
-    return math.cos(s) * f1 + math.sin(s) * f2
+    return _combine(s, *_angular_factors(geom.theta0, alpha))
 
 
 def boundary_mismatch(geom: ConeGeometry, alpha, s: float):
@@ -349,8 +354,8 @@ def classify_many(geom: ConeGeometry, bcs: Sequence[ObliqueBC]) -> list[RegimeRe
     """Classify the regularity regime of (theta0, s) for each BC of one cone.
 
     U1 and U2 do not depend on s: the profile on the scan window (ALPHA_MIN, 1]
-    is computed once, and each s takes cos(s) U1 + sin(s) U2 from it with the
-    arithmetic of `_mismatch`, on which its roots are then bisected.
+    is computed once, and each s takes cos(s) U1 + sin(s) U2 from it through
+    `_combine`, as `_mismatch` does, on which its roots are then bisected.
     IRREGULAR when a critical exponent exists (attached); REGULAR_BARRIER
     when cos(s) sin(s) > 0 and no root is found; AXIS_CONTINUOUS exactly at
     s = 0; UNKNOWN otherwise.  A root together with cos(s) sin(s) > 0 is a
@@ -365,7 +370,7 @@ def classify_many(geom: ConeGeometry, bcs: Sequence[ObliqueBC]) -> list[RegimeRe
     for bc in bcs:
         mismatch = partial(_mismatch, geom, bc.s)
         cos_s, sin_s = math.cos(bc.s), math.sin(bc.s)
-        roots = _bracketed_roots(mismatch, alphas, cos_s * f1 + sin_s * f2, ROOT_XTOL)
+        roots = _bracketed_roots(mismatch, alphas, _combine(bc.s, f1, f2), ROOT_XTOL)
         root = roots[0] if roots else None
         barrier_regime = cos_s * sin_s > 0.0
         if root is not None:

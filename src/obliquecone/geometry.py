@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,16 @@ THETA0_MAX = math.pi - 0.045
 #: tolerance of the mismatch witness.  Below about 1.5e-154, sin(theta0)^2
 #: underflows and U2 divides by zero.
 THETA0_MIN = 1e-5
+
+
+def real_angle(theta, name: str) -> float:
+    """theta as a float: DomainError unless it is one real number, so that an
+    ndarray, a string or None where one angle is documented names its argument."""
+    if type(theta) is not float and not isinstance(theta, numbers.Real):
+        raise DomainError(
+            f"{name} must be one real number, got {type(theta).__name__}"
+        )
+    return float(theta)
 
 
 def check_polar_angle(theta, name: str, lo: float) -> None:
@@ -51,8 +62,9 @@ class ConeGeometry:
     theta0: float
 
     def __post_init__(self) -> None:
-        # float(): a cone has one angle, and the check takes an ndarray too
-        check_polar_angle(float(self.theta0), "opening angle", THETA0_MIN)
+        # a cone has one angle, and check_polar_angle takes an ndarray too
+        theta0 = real_angle(self.theta0, "opening angle")
+        check_polar_angle(theta0, "opening angle", THETA0_MIN)
 
     @property
     def z0(self) -> float:
@@ -78,7 +90,7 @@ class ObliqueBC:
 
     def __post_init__(self) -> None:
         lo, hi = ConeGeometry(theta0=self.theta0).admissible_s_interval()
-        if not (lo < self.s < hi):
+        if not (lo < real_angle(self.s, "oblique angle s") < hi):
             raise DomainError(
                 f"oblique angle s = {self.s} outside the admissible interval "
                 f"({lo:.6f}, {hi:.6f}) for theta0 = {self.theta0}"

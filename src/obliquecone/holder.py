@@ -14,12 +14,13 @@ them are phrased under sample refinement, never as continuum claims.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError
+from .errors import DomainError, HypothesisError, ObliqueConeError
 from .geometry import ConeGeometry, check_radii
 
 #: Central-difference step of `samples_from_function`, relative to the
@@ -44,18 +45,27 @@ class HolderSpec:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.k not in (0, 1):
-            raise DomainError(f"seminorm order must be 0 or 1, got {self.k}")
-        _check_exponents(self.alpha, self.beta)
+        object.__setattr__(self, "k", _check_order(self.k, 1, "seminorm order"))
+        _check_exponents(DomainError, self.alpha, self.beta)
 
 
-def _check_exponents(alpha: float, beta: float) -> None:
-    """DomainError unless the exponent lies in (0, 1] and the weight exponent
-    is finite: `HolderSpec`'s rules, which `weighted_norm` shares."""
+def _check_order(k, top: int, name: str) -> int:
+    """k as an int: DomainError unless it is a real number equal to one of
+    0, ..., top, so the float 1.0 is the order 1."""
+    if not (isinstance(k, numbers.Real) and k in range(top + 1)):
+        raise DomainError(f"{name} must be an integer in [0, {top}], got {k!r}")
+    return int(k)
+
+
+def _check_exponents(error: type[ObliqueConeError], alpha: float, *betas: float) -> None:
+    """error unless the exponent lies in (0, 1] and each weight exponent is
+    finite: the rules of `HolderSpec`, `weighted_norm` and the two inequality
+    checks, which raise HypothesisError."""
     if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"exponent must lie in (0, 1], got {alpha}")
-    if not math.isfinite(beta):
-        raise DomainError(f"weight exponent must be finite, got {beta}")
+        raise error(f"exponent must lie in (0, 1], got {alpha}")
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise error(f"weight exponent must be finite, got {beta}")
 
 
 @dataclass(frozen=True)
@@ -107,18 +117,17 @@ class HolderSamples:
         return np.sqrt((self.derivative_table(order) ** 2).sum(axis=1))
 
     def derivative_table(self, order: int) -> np.ndarray:
-        """Flattened D^j u rows used for pairwise differences."""
+        """Flattened D^j u rows used for pairwise differences, j = 0, 1 or 2."""
+        order = _check_order(order, 2, "derivative order")
         if order == 0:
             return self.values[:, None]
         if order == 1:
             if self.gradients is None:
                 raise DomainError("gradient samples required for order 1")
             return self.gradients
-        if order == 2:
-            if self.hessians is None:
-                raise DomainError("hessian samples required for order 2")
-            return self.hessians.reshape(len(self), 4)
-        raise DomainError(f"derivative order {order} not supported")
+        if self.hessians is None:
+            raise DomainError("hessian samples required for order 2")
+        return self.hessians.reshape(len(self), 4)
 
 
 def samples_from_function(
@@ -219,8 +228,9 @@ def weighted_norm(samples: HolderSamples, k: int, alpha: float, beta: float) -> 
     k is 0, 1 or 2, and the samples must carry its derivatives; alpha and
     beta follow `HolderSpec`'s rules.
     """
-    _check_exponents(alpha, beta)
-    # the order's rule, before range(k + 1) in the sup part sees it
+    _check_exponents(DomainError, alpha, beta)
+    k = _check_order(k, 2, "derivative order")
+    # the samples must carry the order's derivatives
     samples.derivative_table(k)
     return weighted_sup_norm(samples, k, beta) + _seminorm_raw(samples, k, alpha, beta)
 
@@ -251,10 +261,7 @@ def holder_product_check(
     pointwise-pair bound, so it holds exactly over any finite sample set; it
     is still evaluated two-sided and reported.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise HypothesisError(f"exponent must lie in (0, 1], got {alpha}")
-    if not all(map(math.isfinite, (beta1, beta2, beta1p, beta2p))):
-        raise HypothesisError("weight exponents must be finite")
+    _check_exponents(HypothesisError, alpha, beta1, beta2, beta1p, beta2p)
     beta = beta1 + beta2
     if abs(beta - (beta1p + beta2p)) > 1e-12:
         raise HypothesisError(
@@ -303,10 +310,7 @@ def holder_interpolation_check(
     if not (0.0 < theta < 1.0):
         raise HypothesisError(f"interpolation parameter must lie in (0, 1), got {theta}")
     for k_j, a_j, b_j in (first, second):
-        if not (0.0 < a_j <= 1.0):
-            raise HypothesisError(f"exponent {a_j} outside (0, 1]")
-        if not math.isfinite(b_j):
-            raise HypothesisError(f"weight exponent {b_j} is not finite")
+        _check_exponents(HypothesisError, a_j, b_j)
         if k_j + a_j + b_j < 0.0:
             raise HypothesisError(f"tuple ({k_j}, {a_j}, {b_j}) has negative k+a+b")
     if max(

@@ -22,6 +22,10 @@ terms fixed in advance, so no accepted argument can fail to converge.
 Degrees above DEGREE_MAX, where both branches lose accuracy for z < 0, are
 rejected.
 
+The z-derivatives of P_a and P^1_a are identities in P_a and P_{a+1} alone,
+the second through Legendre's equation, so each evaluates the kernel once
+at each of the two degrees and accepts a degree up to DEGREE_MAX - 1.
+
 An independent quadrature oracle (`legendre_p_quadrature`) is provided for
 cross-validation only; nothing in the evaluation path depends on it.  It
 sums the Mehler-Dirichlet integral with a fixed Gauss-Legendre rule in
@@ -92,7 +96,7 @@ def _libm(f, x):
     platform: numpy's vectorised sin, cos and power need not match libm.
     """
     if isinstance(x, np.ndarray):
-        return np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+        return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return f(x)
 
 
@@ -257,20 +261,21 @@ def legendre_p1(alpha, z):
 
 
 def legendre_dp1_dz(alpha, z):
-    """d/dz of P^1_a, written out in terms of P at the degrees a, a+1 and a+2.
+    """d/dz of P^1_a, from P at the degrees a and a+1 alone.
 
-    It follows from P^1_a = -(1-z^2)^(1/2) P_a' and the derivative identity
-    of `legendre_dp_dz`.  `alpha` and `z` are as for `legendre_p`.  The
+    P^1_a = -(1-z^2)^(1/2) P_a' and Legendre's equation give
+    (P^1_a)' = -(z P_a' - a(a+1) P_a) / (1-z^2)^(1/2), with P_a' the identity
+    of `legendre_dp_dz`.  `alpha` and `z` are as for `legendre_p`, apart from
+    the degree, which must lie in [-1, DEGREE_MAX - 1] for P_{a+1}.  The
     identity is singular at z = 1, so that point is rejected.
     """
     if z == 1.0 if type(z) is float else np.any(z == 1.0):
         raise DomainError("derivative identity is singular at z = 1")
-    p0 = legendre_p(alpha, z)
-    p1, p2 = legendre_p(alpha + 1.0, z), legendre_p(alpha + 2.0, z)
+    p0, p1 = legendre_p(alpha, z), legendre_p(alpha + 1.0, z)
     one_m_z2 = 1.0 - z * z
-    return (
-        alpha * (alpha + 2.0) * (z * p1 - p2) - (alpha + 1.0) ** 2 * z * (z * p0 - p1)
-    ) / _libm(lambda w: w ** 1.5, one_m_z2)
+    a1 = alpha + 1.0
+    num = alpha * a1 * p0 - z * a1 * (z * p0 - p1) / one_m_z2
+    return num / _libm(math.sqrt, one_m_z2)
 
 
 def legendre_dp_dalpha(alpha, z: float):

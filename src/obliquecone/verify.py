@@ -79,6 +79,25 @@ def admissible_grid() -> list[tuple[float, float]]:
     return pairs
 
 
+def _rows(pairs) -> dict[float, list[float]]:
+    """The oblique angles s of each theta0 in (theta0, s) pairs, so that each
+    cone's quantities are computed once for its row."""
+    rows: dict[float, list[float]] = {}
+    for theta0, s in pairs:
+        rows.setdefault(theta0, []).append(s)
+    return rows
+
+
+def _classified(pairs) -> dict[tuple[float, float], exp_mod.RegimeReport]:
+    """The report of each (theta0, s) pair, from one `classify_many` call per cone."""
+    reports = {}
+    for theta0, ss in _rows(pairs).items():
+        geom = ConeGeometry(theta0=theta0)
+        row = exp_mod.classify_many(geom, [ObliqueBC.for_cone(geom, s) for s in ss])
+        reports.update(((theta0, s), report) for s, report in zip(ss, row))
+    return reports
+
+
 def _grids(theta0: float, m: int = 0) -> list[SectorGrid]:
     """The refinement study's square grids on [0.25, 1] x [0, theta0]."""
     return [
@@ -253,10 +272,12 @@ def _check_degree_derivative_identity() -> tuple[bool, str]:
 
 def _check_endpoints() -> tuple[bool, str]:
     worst0 = worst1 = 0.0
-    for theta0, s in admissible_grid():
-        geom = ConeGeometry(theta0=theta0)
-        worst0 = max(worst0, abs(exp_mod.boundary_mismatch(geom, 0.0, s)))
-        worst1 = max(worst1, abs(exp_mod.boundary_mismatch(geom, 1.0, s) - math.cos(s)))
+    for theta0, ss in _rows(admissible_grid()).items():
+        f1, f2 = exp_mod._angular_factors(theta0, np.array([0.0, 1.0]))
+        for s in ss:
+            b0, b1 = exp_mod._combine(s, f1, f2).tolist()
+            worst0 = max(worst0, abs(b0))
+            worst1 = max(worst1, abs(b1 - math.cos(s)))
     ok = worst0 <= 1e-12 and worst1 <= 1e-10
     return ok, f"|B(.,0,.)| <= {worst0:.2e}, |B(.,1,.) - cos s| <= {worst1:.2e}"
 
@@ -264,13 +285,12 @@ def _check_endpoints() -> tuple[bool, str]:
 def _check_slope() -> tuple[bool, str]:
     h = 1e-5
     worst = 0.0
-    for theta0, s in admissible_grid():
+    for theta0, ss in _rows(admissible_grid()).items():
         geom = ConeGeometry(theta0=theta0)
-        fd = (
-            exp_mod.boundary_mismatch(geom, h, s)
-            - exp_mod.boundary_mismatch(geom, 0.0, s)
-        ) / h
-        worst = max(worst, abs(fd - exp_mod.slope_at_zero(geom, s)))
+        f1, f2 = exp_mod._angular_factors(theta0, np.array([h, 0.0]))
+        for s in ss:
+            b_h, b_0 = exp_mod._combine(s, f1, f2).tolist()
+            worst = max(worst, abs((b_h - b_0) / h - exp_mod.slope_at_zero(geom, s)))
     return worst <= 1e-4, f"max |FD slope - V| = {worst:.3e}"
 
 
@@ -293,9 +313,10 @@ def _check_critical_angle() -> tuple[bool, str]:
 def _check_guaranteed_roots() -> tuple[bool, str]:
     radii = np.linspace(0.1, 1.0, 20)
     details = []
+    reports = _classified(GUARANTEED_IRREGULAR)
     for theta0, s in GUARANTEED_IRREGULAR:
         geom = ConeGeometry(theta0=theta0)
-        root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
+        root = reports[theta0, s].critical_exponent
         if root is None or not (0.0 < root < 1.0):
             return False, f"no interior root at (theta0={theta0:.4f}, s={s})"
         bval = abs(exp_mod.boundary_mismatch(geom, root, s))
@@ -309,9 +330,9 @@ def _check_guaranteed_roots() -> tuple[bool, str]:
 
 
 def _check_no_root_in_barrier_regime() -> tuple[bool, str]:
+    reports = _classified(BARRIER_REGIME_PAIRS)
     for theta0, s in BARRIER_REGIME_PAIRS:
-        geom = ConeGeometry(theta0=theta0)
-        root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
+        root = reports[theta0, s].critical_exponent
         if root is not None:
             return False, f"unexpected root {root} at (theta0={theta0:.4f}, s={s})"
     return True, f"no sign change for {len(BARRIER_REGIME_PAIRS)} pairs"
@@ -395,9 +416,9 @@ def _check_classification() -> tuple[bool, str]:
         (math.pi / 3.0, 0.0, exp_mod.AXIS_CONTINUOUS),
         (2.0 * math.pi / 3.0, -0.3, exp_mod.UNKNOWN),
     )
+    reports = _classified([(theta0, s) for theta0, s, _ in cases])
     for theta0, s, expected in cases:
-        geom = ConeGeometry(theta0=theta0)
-        report = exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s))
+        report = reports[theta0, s]
         if report.label != expected:
             return False, f"(theta0={theta0:.4f}, s={s}) -> {report.label}, expected {expected}"
     return True, f"{len(cases)} labelled cases and determinism"

@@ -24,7 +24,7 @@ from obliquecone.errors import (
     InvalidTilt,
     NoAdmissibleTilt,
 )
-from obliquecone.exponent import separable_eval
+from obliquecone.exponent import SeparableSolution, separable_eval
 from obliquecone.geometry import ConeGeometry, ObliqueBC
 from obliquecone.legendre import legendre_p
 from obliquecone.verify import (
@@ -128,6 +128,16 @@ class TestBuildBarrier:
         with pytest.raises(TypeError):
             MillerBarrier(alpha=0.05, theta0=1.0, cstar=7.0)
 
+    @pytest.mark.parametrize("theta0", [0.5, 1.0, 2.0, 3.0])
+    def test_edge_slope_is_the_profile_derivative_bit_for_bit(self, theta0):
+        # F'(theta0) is derived once, on both sides of M1_AXIS_CUTOFF = 1
+        for alpha in (1e-12, 0.05, 0.3):
+            b = MillerBarrier(alpha=alpha, theta0=theta0)
+            want = SeparableSolution(alpha=alpha).profile_deriv(theta0)
+            assert type(b.fprime) is float and b.fprime == want
+        with pytest.raises(TypeError):
+            MillerBarrier(alpha=0.05, theta0=1.0, fprime=7.0)
+
     def test_direct_barrier_on_no_cone_is_rejected(self):
         # unchecked, m2_coefficient would read F(5.0) as c*
         with pytest.raises(DomainError):
@@ -186,6 +196,27 @@ class TestRotateCoefficients:
         for a0 in (np.diag([entry, 1.0]), np.array([[1.0, entry], [entry, 1.0]])):
             with pytest.raises(InvalidOperator, match="^plane coefficients must be finite$"):
                 rotate_coefficients(a0, bc)
+
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_certifies_widely_spread_eigenvalues(self, s):
+        # at s = 0, a11~ = 1e-8 is the smaller eigenvalue itself: mid - rad
+        # gives it 5e-10 too large, outside the bracket's 1e-12 margin
+        bc = ObliqueBC(s=s, theta0=2.0)
+        rc = rotate_coefficients(np.diag([1e-8, 1.0]), bc)
+        if s == 0.0:
+            assert rc.atilde[0, 0] == 1e-8
+        assert 1e-8 * (1.0 - 1e-12) <= min(rc.a11, rc.a22)
+
+    def test_atilde_is_the_matrix_product_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            m = rng.uniform(-1.0, 1.0, (2, 2))
+            a0 = m @ m.T + 0.1 * np.eye(2)
+            theta0 = float(rng.uniform(0.3, 3.0))
+            s = float(rng.uniform(theta0 - math.pi + 0.1, theta0 - 0.1))
+            bc = ObliqueBC(s=s, theta0=theta0)
+            J = np.array([bc.beta0, bc.tau])
+            assert rotate_coefficients(a0, bc).atilde.tobytes() == (J @ a0 @ J.T).tobytes()
 
     @pytest.mark.parametrize("b21", [math.nan, math.inf])
     def test_rejects_non_finite_singular_term(self, b21):

@@ -120,23 +120,23 @@ STDOUT_PINS = {
         'theta0: 2.0943999999999998\n'
         'mode: 1\n'
         'exponent: 0.85631285351565434\n'
-        'mismatch_at_root: 1.9879329561470965e-13\n'
+        'mismatch_at_root: 2.0075787213075863e-13\n'
     ),
     'exponent --theta0 2.0944 --neumann --json': (
         '{"schema_version": 1, "theta0": 2.0944, "mode": 1, '
         '"exponent": 0.8563128535156543, '
-        '"mismatch_at_root": 1.9879329561470965e-13}\n'
+        '"mismatch_at_root": 2.0075787213075863e-13}\n'
     ),
     'exponent --theta0 3.08 --neumann': (
         'theta0: 3.0800000000000001\n'
         'mode: 1\n'
         'exponent: 0.99809675929312736\n'
-        'mismatch_at_root: 1.3600957586414353e-09\n'
+        'mismatch_at_root: 1.3614642642470426e-09\n'
     ),
     'exponent --theta0 3.08 --neumann --json': (
         '{"schema_version": 1, "theta0": 3.08, "mode": 1, '
         '"exponent": 0.9980967592931274, '
-        '"mismatch_at_root": 1.3600957586414353e-09}\n'
+        '"mismatch_at_root": 1.3614642642470426e-09}\n'
     ),
     'classify --theta0 1.0471975511965976 --s 0': (
         'theta0: 1.0471975511965976\n'
@@ -339,7 +339,7 @@ STDOUT_PINS = {
     'exponent --theta0 120 --neumann --degrees --json': (
         '{"schema_version": 1, "theta0": 2.0943951023931953, "mode": 1, '
         '"exponent": 0.8563132551458703, '
-        '"mismatch_at_root": 1.6033235554024732e-12}\n'
+        '"mismatch_at_root": 1.6018279177575083e-12}\n'
     ),
 }
 
@@ -374,10 +374,10 @@ VERIFY_DETAILS = {
     "exponent.no_root_in_barrier_regime": "no sign change for 5 pairs",
     "exponent.gradient_consistency": "max relative gradient gap = 4.364e-10",
     "exponent.neumann_identities": (
-        "|W(.,0)| <= 7.87e-15, |W(.,1)-cot| <= 7.11e-15, slope gap <= 4.80e-05"
+        "|W(.,0)| <= 7.87e-15, |W(.,1)-cot| <= 3.02e-14, slope gap <= 4.80e-05"
     ),
     "exponent.neumann_roots": (
-        "half-space root 0.9999999999995346, obtuse roots interior"
+        "half-space root 1.0, obtuse roots interior"
     ),
     "exponent.classification": "4 labelled cases and determinism",
     "exponent.axisymmetric_reduction": (

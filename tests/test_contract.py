@@ -4,7 +4,8 @@ Every name in `obliquecone.__all__` is either listed in TABLE, with a valid
 call and the kind of each argument, or in EXEMPT with the reason it takes no
 input to check.  Each argument is fed its kind's bad values (NaN, infinities,
 empty and repeated inputs, wrong shapes, values outside the cone or the
-admissible interval) with the others kept valid, and warnings raised as
+admissible interval, values of the wrong type where one angle is documented)
+with the others kept valid, and warnings raised as
 errors: the call must return or raise an `ObliqueConeError` subclass, never
 anything else.
 """
@@ -58,18 +59,21 @@ def power(y1, y2):
 REAL = (NAN, INF, -INF, -0.5, 0.0, 1e-300, 4.5)
 ARRAYS = (np.array([0.3, NAN]), np.array([0.3, 4.5]), np.array([]), np.zeros((2, 0)))
 
+#: Values of the wrong type where one angle is documented.
+NOT_ONE_ANGLE = (np.array([1.0, 2.0]), np.array([0.5]), np.array(0.5), "0.5", None)
+
 #: Bad values of each argument kind.
 BAD = {
     "real": REAL,
     "int": (-1, 0, 2, 3, 2.5, NAN),
-    "theta0": REAL + (THETA0_MAX, 0.5 * THETA0_MIN, 5e-324, 1e-200),
-    "s": REAL + (
+    "theta0": REAL + NOT_ONE_ANGLE + (THETA0_MAX, 0.5 * THETA0_MIN, 5e-324, 1e-200),
+    "s": REAL + NOT_ONE_ANGLE + (
         S_LO, S_HI, math.nextafter(S_LO, -INF), math.nextafter(S_HI, INF),
         math.nextafter(S_HI, 0.0),
     ),
     "degree": REAL + ARRAYS + (-1.0 - 1e-9, DEGREE_MAX + 1e-9, 5e-324),
     "z": REAL + ARRAYS + (-1.0, -1.0 + Z_CUTOFF, 1.0, 1.0 + 1e-12),
-    "ray": REAL + (THETA0_MAX, THETA0),
+    "ray": REAL + NOT_ONE_ANGLE + (THETA0_MAX, THETA0),
     "geom": tuple(
         ConeGeometry(theta0=t)
         for t in (THETA0_MIN, math.nextafter(THETA0_MAX, 0.0), 0.5 * math.pi)

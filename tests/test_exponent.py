@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from obliquecone import exponent
+from obliquecone import exponent, legendre
 from obliquecone.errors import BracketError, DomainError
 from obliquecone.exponent import (
     AXIS_CONTINUOUS,
@@ -118,6 +118,12 @@ class TestAngularFactors:
         with pytest.raises(DomainError):
             u2(1.0, 2.5)
 
+    @pytest.mark.parametrize("theta", [np.array([1.0, 2.0]), np.array([0.5]), "1.0", None])
+    def test_one_angle_is_documented_and_anything_else_is_named(self, theta):
+        for f in (u1, u2):
+            with pytest.raises(DomainError, match="^polar angle must be one real number"):
+                f(theta, 0.5)
+
 
 class TestBoundaryMismatch:
     @pytest.mark.parametrize("theta0", THETA_GRID)
@@ -151,6 +157,14 @@ class TestBoundaryMismatch:
             with pytest.raises(DomainError, match="oblique angle"):
                 boundary_mismatch(geom, 0.5, s)
         assert math.isfinite(boundary_mismatch(geom, 0.5, lo) + boundary_mismatch(geom, 0.5, hi))
+
+    @pytest.mark.parametrize("s", [np.array([1.0, 2.0]), np.array([0.5]), "0.5", None])
+    def test_an_oblique_angle_that_is_not_one_number_is_named(self, s):
+        geom = ConeGeometry(theta0=2.0)
+        with pytest.raises(DomainError, match="^oblique angle must be one real number"):
+            boundary_mismatch(geom, 0.5, s)
+        with pytest.raises(DomainError, match="^oblique angle must be one real number"):
+            slope_at_zero(geom, s)
 
 
 class TestArraysOfDegrees:
@@ -380,6 +394,32 @@ class TestNeumann:
     def test_acute_cone_raises_bracket_error(self):
         with pytest.raises(BracketError):
             neumann_exponent(ConeGeometry(theta0=math.pi / 3))
+
+    def test_half_space_exponent_is_the_exact_endpoint_root(self):
+        assert neumann_exponent(ConeGeometry(theta0=math.pi / 2)) == 1.0
+
+    @pytest.mark.parametrize("theta0", [math.pi / 2, 2 * math.pi / 3, 3.08])
+    def test_kernel_runs_at_degrees_a_and_a_plus_one_only(self, monkeypatch, theta0):
+        # each W evaluation, in the scan and in the bisection, calls the kernel
+        # twice: at the degrees a and a + 1, never at a + 2
+        calls, kernel_degrees = [], []
+        real_w, real_p = exponent.legendre_dp1_dz, legendre.legendre_p
+
+        def w_spy(alpha, z):
+            calls.append(np.asarray(alpha, dtype=float).copy())
+            return real_w(alpha, z)
+
+        def p_spy(alpha, z):
+            kernel_degrees.append(np.asarray(alpha, dtype=float).copy())
+            return real_p(alpha, z)
+
+        monkeypatch.setattr(exponent, "legendre_dp1_dz", w_spy)
+        monkeypatch.setattr(legendre, "legendre_p", p_spy)
+        neumann_exponent(ConeGeometry(theta0=theta0))
+        assert calls and len(kernel_degrees) == 2 * len(calls)
+        for alpha, lo, hi in zip(calls, kernel_degrees[::2], kernel_degrees[1::2]):
+            assert lo.tobytes() == alpha.tobytes()
+            assert hi.tobytes() == (alpha + 1.0).tobytes()
 
 
 class TestSeparableEval:

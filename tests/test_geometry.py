@@ -83,6 +83,18 @@ class TestObliqueBC:
             ConeGeometry(theta0=theta0)
         assert ConeGeometry(theta0=geometry.THETA0_MIN).theta0 == geometry.THETA0_MIN
 
+    @pytest.mark.parametrize("bad", [np.array([1.0, 2.0]), np.array([0.5]), "0.5", None])
+    def test_an_angle_that_is_not_one_number_is_named(self, bad):
+        with pytest.raises(DomainError, match="^opening angle must be one real number"):
+            ConeGeometry(theta0=bad)
+        with pytest.raises(DomainError, match="^opening angle must be one real number"):
+            ObliqueBC(s=0.5, theta0=bad)
+        with pytest.raises(DomainError, match="^oblique angle s must be one real number"):
+            ObliqueBC(s=bad, theta0=2.0)
+        # numpy scalars are real numbers
+        assert ConeGeometry(theta0=np.float64(2.0)) == ConeGeometry(theta0=2.0)
+        assert ObliqueBC(s=np.float64(0.5), theta0=2.0) == ObliqueBC(s=0.5, theta0=2.0)
+
     def test_for_cone(self):
         geom = ConeGeometry(theta0=2.0)
         bc = ObliqueBC.for_cone(geom, -1.0)

@@ -313,6 +313,38 @@ class TestWeightedNormContract:
     def test_order_two_is_kept(self):
         assert math.isfinite(weighted_norm(self.SAMPLES, 2, 0.5, 0.0))
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_an_integer_valued_order_is_that_integer(self, k):
+        # one order rule: the float 1.0 is the order 1 everywhere, as is np.int64(1)
+        want = weighted_norm(self.SAMPLES, k, 0.5, 0.0)
+        table = self.SAMPLES.derivative_table(k)
+        for same in (float(k), np.int64(k), np.float64(k)):
+            assert weighted_norm(self.SAMPLES, same, 0.5, 0.0) == want
+            assert self.SAMPLES.derivative_table(same).tobytes() == table.tobytes()
+            if k < 2:
+                assert HolderSpec(same, 0.5) == HolderSpec(k, 0.5)
+                assert type(HolderSpec(same, 0.5).k) is int
+
+
+@pytest.mark.parametrize(
+    "alpha,beta", [(0.0, 0.0), (1.5, 0.0), (math.nan, 0.0), (0.5, math.inf)]
+)
+def test_one_set_of_exponent_rules_with_the_caller_s_error(alpha, beta):
+    # HolderSpec and weighted_norm raise DomainError, the two inequality
+    # checks HypothesisError, all with the same message
+    pts = sector_sample_points(1.0, 1e-1)
+    samples = samples_from_function(lambda a, b: a, pts, derivatives=1)
+    with pytest.raises(DomainError) as spec:
+        HolderSpec(0, alpha, beta)
+    with pytest.raises(DomainError) as norm:
+        weighted_norm(samples, 0, alpha, beta)
+    with pytest.raises(HypothesisError) as product:
+        holder_product_check(samples, samples, alpha, beta, 0.0, beta, 0.0)
+    with pytest.raises(HypothesisError) as interpolation:
+        holder_interpolation_check(samples, (0, alpha, beta), (1, 0.5, 0.0), 0.5)
+    messages = {str(e.value) for e in (spec, norm, product, interpolation)}
+    assert len(messages) == 1
+
 
 @pytest.mark.parametrize("point", [[math.inf, 0.0], [math.nan, 1.0], [1.0, -math.inf]])
 def test_samples_from_function_checks_points_before_differencing(point):

@@ -377,6 +377,21 @@ class TestDerivatives:
             got = legendre_dp1_dz(alpha, z)
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
+    @pytest.mark.parametrize(
+        "alpha", [0.05, 0.3, 0.6, 0.85, 1.0, 1.25, 1.5, 1.9, 2.0, 2.3, 2.75, 3.0]
+    )
+    def test_dp1_dz_matches_mpmath_to_2e_11(self, alpha):
+        # the same oracle, over every degree that P at a and a + 1 admits and
+        # angles up to THETA0_MAX; the worst error on this grid is 1.4e-11
+        for theta in np.linspace(0.01, THETA0_MAX, 14):
+            z = math.cos(float(theta))
+            with mpmath.workdps(30):
+                x = mpmath.mpf(z)
+                p1_a, p1_next = (mpmath.legenp(d, 1, x, type=2) for d in (alpha, alpha + 1))
+                want = float(((alpha + 1) * x * p1_a - alpha * p1_next) / (1 - x * x))
+            got = legendre_dp1_dz(alpha, z)
+            assert abs(got - want) <= 2e-11 * max(1.0, abs(want))
+
     def test_dp1_dz_array_matches_scalar(self):
         alphas = np.linspace(0.05, 1.0, 9)
         for z in (-0.95, 0.3):
@@ -415,6 +430,17 @@ class TestDegreeDerivative:
             legendre_dp_dalpha(alphas, 0.3)
         with pytest.raises(DomainError, match="got 4.5"):
             legendre_dp_dalpha(np.array([0.5, 4.5 - 1e-5]), 0.3)
+
+
+def test_libm_equals_the_list_comprehension_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape in ((0,), (1,), (37,), (4, 6)):
+        x = rng.uniform(0.01, 3.1, shape)
+        for f in (math.sin, math.cos, math.log, lambda w: w ** 1.5):
+            want = np.array([f(v) for v in x.ravel().tolist()]).reshape(x.shape)
+            got = legendre._libm(f, x)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_only_the_kernel_imports_legendre_p_many():

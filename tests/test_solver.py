@@ -747,6 +747,14 @@ class TestFitExponent:
         with pytest.raises(DomainError, match=r"^ray theta must lie in \[0, "):
             fit_exponent(lambda r, t: r, theta, (1e-3, 1e-1))
 
+    @pytest.mark.parametrize("theta", [np.array([1.0, 2.0]), np.array([0.5]), "0.5", None])
+    def test_a_ray_that_is_not_one_number_is_named(self, theta):
+        grid = SectorGrid(r_min=0.1, r_max=1.0, n_r=17, n_theta=9, theta0=1.2)
+        field = DiscreteField.from_function(grid, lambda r, t: r ** 0.5)
+        for source in (lambda r, t: r, field):
+            with pytest.raises(DomainError, match="^ray theta must be one real number"):
+                fit_exponent(source, theta, (0.1, 1.0))
+
     def test_sign_change_rejected(self):
         with pytest.raises(DegenerateFit):
             fit_exponent(lambda r, t: math.sin(40.0 * r), 0.4, (1e-2, 1.0))
