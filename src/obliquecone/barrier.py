@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Optional
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .errors import (
     InvalidOperator,
     InvalidTilt,
     NoAdmissibleTilt,
+    real_number,
 )
 from .exponent import SeparableSolution, _bracketed_roots
 from .geometry import ConeGeometry, ObliqueBC
@@ -74,16 +76,30 @@ class MillerBarrier(SeparableSolution):
         object.__setattr__(self, "fprime", self.profile_deriv(self.theta0))
 
 
+def _alpha0_grid() -> np.ndarray:
+    return np.linspace(1e-6, 1.0, ALPHA0_SCAN_POINTS)
+
+
+def _first_zero(geom: ConeGeometry, alphas: np.ndarray) -> Optional[float]:
+    """The first zero of a -> P_a(cos theta0) that the sign scan on alphas, a
+    prefix of the alpha0 grid, brackets, bisected to ALPHA0_XTOL; None if none.
+
+    The scan and each bisection step are those of the whole grid, so a zero
+    that a prefix holds is the whole grid's first zero bit for bit.
+    """
+    p = partial(legendre_p, z=geom.z0)
+    roots = _bracketed_roots(p, alphas, p(alphas), ALPHA0_XTOL)
+    return roots[0] if roots else None
+
+
 def alpha0(geom: ConeGeometry) -> float:
     """Positivity threshold: smallest a in (0, 1] with P_a(cos theta0) = 0, else 1.
 
     P_0 = 1 > 0 and a -> P_a(cos theta0) is continuous, so the first zero is
     bracketed by a sign scan and pinned by bisection.
     """
-    p = partial(legendre_p, z=geom.z0)
-    alphas = np.linspace(1e-6, 1.0, ALPHA0_SCAN_POINTS)
-    roots = _bracketed_roots(p, alphas, p(alphas), ALPHA0_XTOL)
-    return roots[0] if roots else 1.0
+    root = _first_zero(geom, _alpha0_grid())
+    return 1.0 if root is None else root
 
 
 def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
@@ -91,18 +107,29 @@ def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
     ALPHA0_XTOL and certify it.
 
     alpha0 lies within ALPHA0_XTOL / 2 of the first zero of a -> F_a(theta0),
-    so the margin keeps c* positive.  Verifies on a BARRIER_CHECK_POINTS
-    theta-grid that c* <= F_a <= 1 with c* = F_a(theta0) > 0, that F_a' < 0
-    on (0, theta0], and that F_a'(0) = 0 to 1e-8 by Richardson-extrapolated
-    one-sided differences.  Raises InvalidAlpha if alpha is out of range or
-    any certification fails.
+    so the margin keeps c* positive.  The threshold test scans the alpha0 grid
+    only up to its first node g with g - ALPHA0_XTOL > alpha, about
+    alpha + ALPHA0_XTOL: a zero there is alpha0's own, and without one alpha0
+    is at least g, or 1 when the prefix is the whole grid; alpha0 itself
+    still scans the whole grid.  Verifies on a BARRIER_CHECK_POINTS theta-grid,
+    with one cosine and one F_a per angle, that c* <= F_a <= 1 with
+    c* = F_a(theta0) > 0, that F_a' < 0 on (0, theta0], and that F_a'(0) = 0
+    to 1e-8 by Richardson-extrapolated one-sided differences.  Raises
+    InvalidAlpha if alpha is not one real number, is out of range or any
+    certification fails.
     """
-    if not (BARRIER_DEGREE_MIN <= alpha < 1.0):
+    if not (BARRIER_DEGREE_MIN <= real_number(alpha, "barrier degree", InvalidAlpha) < 1.0):
         raise InvalidAlpha(
             f"barrier degree must lie in [{BARRIER_DEGREE_MIN:g}, 1), got {alpha}"
         )
-    a0 = alpha0(geom)
-    if alpha >= a0 - ALPHA0_XTOL:
+    grid = _alpha0_grid()
+    # a zero of the scan lies at or above its bracket's first node, so a
+    # prefix ending at a node g whose g - ALPHA0_XTOL exceeds alpha decides
+    end = int(np.searchsorted(grid - ALPHA0_XTOL, alpha, side="right")) + 1
+    a0 = _first_zero(geom, grid[:end])
+    if a0 is None and end > ALPHA0_SCAN_POINTS:
+        a0 = 1.0
+    if a0 is not None and alpha >= a0 - ALPHA0_XTOL:
         raise InvalidAlpha(
             f"degree {alpha} is not below the positivity threshold {a0:.12g} "
             f"by its tolerance {ALPHA0_XTOL:g}"
@@ -110,14 +137,12 @@ def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
     barrier = MillerBarrier(alpha=alpha, theta0=geom.theta0)
     if not (0.0 < barrier.cstar <= 1.0):
         raise InvalidAlpha(f"boundary value c* = {barrier.cstar} not in (0, 1]")
-    thetas = np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS)
-    values = barrier.profile(thetas)
+    values, derivs = barrier._p_and_deriv(np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS))
     if values.min() < barrier.cstar - 1e-12 or values.max() > 1.0 + 1e-12:
         raise InvalidAlpha(
             f"profile leaves [c*, 1]: range [{values.min()}, {values.max()}]"
         )
-    derivs = barrier.profile_deriv(thetas[1:])
-    if derivs.max() >= 0.0:
+    if derivs[1:].max() >= 0.0:
         raise InvalidAlpha("profile derivative is not strictly negative on (0, theta0]")
     # F(h) = 1 - a(a+1) h^2/4 + O(h^4): the one-sided quotient D(h) carries an
     # O(h) truncation error, which the Richardson combination 2 D(h/2) - D(h)
@@ -189,7 +214,7 @@ def rotate_coefficients(
             f"determinant {det}"
         )
     lam = det / Lam
-    if not (0.0 < b21 < math.inf):
+    if not (0.0 < real_number(b21, "b21", InvalidOperator) < math.inf):
         raise InvalidOperator(f"b21 must be finite and positive, got {b21}")
     b1, b2 = bc.beta0
     t1, t2 = bc.tau
@@ -233,7 +258,7 @@ def m2_coefficient(
         raise DomainError(f"coefficients rotated for {rc.bc}, not for {bc}")
     if bc.beta0[1] == 0.0:
         raise DegenerateBC("beta2 = 0: the boundary operator is degenerate")
-    if not (0.0 <= tilt < math.inf):
+    if not (0.0 <= real_number(tilt, "tilt", InvalidTilt) < math.inf):
         raise InvalidTilt(f"tilt must be finite and nonnegative, got {tilt}")
     b1, b2 = bc.beta0
     n1, n2 = bc.nu

@@ -1,4 +1,6 @@
-"""Exception hierarchy for the toolkit."""
+"""Exception hierarchy for the toolkit, and the type rule of its real arguments."""
+
+import numbers
 
 
 class ObliqueConeError(Exception):
@@ -43,3 +45,12 @@ class DegenerateFit(ObliqueConeError, ValueError):
 
 class HypothesisError(ObliqueConeError, ValueError):
     """Exponent bookkeeping of an inequality check violates its hypotheses."""
+
+
+def real_number(value, name: str, error: type[ObliqueConeError] = DomainError) -> float:
+    """value as a float: error unless it is one real number, so that an ndarray,
+    a string or None where one angle, degree, radius or exponent is documented
+    names its argument."""
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise error(f"{name} must be one real number, got {type(value).__name__}")
+    return float(value)

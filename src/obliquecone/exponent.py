@@ -27,12 +27,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketError, DomainError
-from .geometry import THETA0_MIN, ConeGeometry, ObliqueBC, check_polar_angle, real_angle
+from .errors import BracketError, DomainError, real_number
+from .geometry import THETA0_MIN, ConeGeometry, ObliqueBC, check_polar_angle
 from .grids import SectorGrid
 from .legendre import (
-    _dtheta_near_axis, _libm, check_each, legendre_dp1_dz, legendre_dp_dz, legendre_p,
-    legendre_p1,
+    _dp1_dz_identity, _dp_dz_identity, _dtheta_near_axis, _libm, check_each, legendre_dp1_dz,
+    legendre_dp_dz, legendre_p, legendre_p1,
 )
 
 #: Lower edge of the exponent search window; excludes the trivial root a = 0.
@@ -62,7 +62,7 @@ def _check_degree(alpha, hi: float) -> None:
     """DomainError unless 0 <= alpha <= hi, at a degree or each of an ndarray."""
     if isinstance(alpha, np.ndarray):
         return check_each(lambda a: _check_degree(a, hi), alpha)
-    if not (0.0 <= alpha <= hi):
+    if not (0.0 <= real_number(alpha, "degree") <= hi):
         raise DomainError(f"degree must lie in [0, {hi:g}], got {alpha}")
 
 
@@ -82,7 +82,7 @@ def _angular_factors(theta: float, alpha):
 
 def u1(theta: float, alpha):
     """Angular factor of d(u_a)/dy1: (2a+1) cos t P_a(cos t) - (a+1) P_{a+1}(cos t)."""
-    check_polar_angle(real_angle(theta, "polar angle"), "polar angle", THETA0_MIN)
+    check_polar_angle(real_number(theta, "polar angle"), "polar angle", THETA0_MIN)
     _check_degree(alpha, 2.0)
     return _angular_factors(theta, alpha)[0]
 
@@ -92,14 +92,14 @@ def u2(theta: float, alpha):
 
     sin t (a - (a+1) cos^2 t / sin^2 t) P_a(cos t) + (a+1) (cos t / sin t) P_{a+1}(cos t).
     """
-    check_polar_angle(real_angle(theta, "polar angle"), "polar angle", THETA0_MIN)
+    check_polar_angle(real_number(theta, "polar angle"), "polar angle", THETA0_MIN)
     _check_degree(alpha, 2.0)
     return _angular_factors(theta, alpha)[1]
 
 
 def _check_oblique_angle(geom: ConeGeometry, s: float) -> None:
     lo, hi = geom.admissible_s_interval()
-    if not (lo <= real_angle(s, "oblique angle") <= hi):
+    if not (lo <= real_number(s, "oblique angle") <= hi):
         raise DomainError(f"oblique angle {s} outside [{lo:.6f}, {hi:.6f}]")
 
 
@@ -236,6 +236,9 @@ class SeparableSolution:
     m: int = 0
 
     def __post_init__(self) -> None:
+        # a Python float degree, the hot case, skips the type rule's call
+        if type(self.alpha) is not float:
+            real_number(self.alpha, "degree")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"degree must lie in (0, 1], got {self.alpha}")
         if self.m not in (0, 1):
@@ -271,18 +274,30 @@ class SeparableSolution:
         """
         check_polar_angle(theta, "polar angle", 0.0)
         if isinstance(theta, np.ndarray):
-            near = theta < M1_AXIS_CUTOFF
-            deriv = np.empty(theta.shape)
-            deriv[near] = _dtheta_near_axis(self.alpha, self.m, theta[near])
-            deriv[~near] = self._deriv_off_axis(theta[~near])
-            return deriv
+            return self._p_and_deriv(theta)[1]
         if theta < M1_AXIS_CUTOFF:
             return float(_dtheta_near_axis(self.alpha, self.m, theta))
-        return self._deriv_off_axis(theta)
-
-    def _deriv_off_axis(self, theta):
         dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
-        return -_libm(math.sin, theta) * dz(self.alpha, _libm(math.cos, theta))
+        return -math.sin(theta) * dz(self.alpha, math.cos(theta))
+
+    def _p_and_deriv(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """P_a(cos theta) and F' at an ndarray of unchecked angles, with one
+        cosine and one P_a per angle: off the axis F' is the identity of
+        `legendre_dp_dz` (m = 0) or `legendre_dp1_dz` (m = 1) on P_a and
+        P_{a+1}.  For m = 0, P_a(cos theta) is the profile F itself."""
+        a = self.alpha
+        z = _libm(math.cos, theta)
+        p = legendre_p(a, z)
+        near = theta < M1_AXIS_CUTOFF
+        off = ~near
+        deriv = np.empty(theta.shape)
+        deriv[near] = _dtheta_near_axis(a, self.m, theta[near])
+        z_off = z[off]
+        identity = _dp_dz_identity if self.m == 0 else _dp1_dz_identity
+        deriv[off] = -_libm(math.sin, theta[off]) * identity(
+            a, z_off, p[off], legendre_p(a + 1.0, z_off)
+        )
+        return p, deriv
 
 
 def separable_eval(

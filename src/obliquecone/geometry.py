@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidOperator
+from .errors import DomainError, InvalidOperator, real_number
 from .legendre import check_each
 
 #: Largest admissible opening angle; cos(THETA0_MAX) stays above the Legendre
@@ -23,16 +22,6 @@ THETA0_MAX = math.pi - 0.045
 THETA0_MIN = 1e-5
 
 
-def real_angle(theta, name: str) -> float:
-    """theta as a float: DomainError unless it is one real number, so that an
-    ndarray, a string or None where one angle is documented names its argument."""
-    if type(theta) is not float and not isinstance(theta, numbers.Real):
-        raise DomainError(
-            f"{name} must be one real number, got {type(theta).__name__}"
-        )
-    return float(theta)
-
-
 def check_polar_angle(theta, name: str, lo: float) -> None:
     """DomainError unless lo <= theta < THETA0_MAX: lo is 0 in a cone, THETA0_MIN at its edge."""
     # a Python float angle, the hot case, skips the slower ndarray test
@@ -44,7 +33,8 @@ def check_polar_angle(theta, name: str, lo: float) -> None:
 
 def check_radii(r_min: float, r_max: float, name: str) -> None:
     """DomainError unless 0 < r_min < r_max < inf, the radii of an annulus."""
-    if not (0.0 < r_min < r_max < math.inf):
+    lo, hi = real_number(r_min, f"{name} r_min"), real_number(r_max, f"{name} r_max")
+    if not (0.0 < lo < hi < math.inf):
         raise DomainError(f"invalid {name}: need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
 
 
@@ -63,7 +53,7 @@ class ConeGeometry:
 
     def __post_init__(self) -> None:
         # a cone has one angle, and check_polar_angle takes an ndarray too
-        theta0 = real_angle(self.theta0, "opening angle")
+        theta0 = real_number(self.theta0, "opening angle")
         check_polar_angle(theta0, "opening angle", THETA0_MIN)
 
     @property
@@ -90,7 +80,7 @@ class ObliqueBC:
 
     def __post_init__(self) -> None:
         lo, hi = ConeGeometry(theta0=self.theta0).admissible_s_interval()
-        if not (lo < real_angle(self.s, "oblique angle s") < hi):
+        if not (lo < real_number(self.s, "oblique angle s") < hi):
             raise DomainError(
                 f"oblique angle s = {self.s} outside the admissible interval "
                 f"({lo:.6f}, {hi:.6f}) for theta0 = {self.theta0}"

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, real_number
 from .geometry import ConeGeometry, check_radii
 
 #: Default radial grading ratio of the vertex-clustered grid.
@@ -44,7 +44,7 @@ class SectorGrid:
         counts = (self.n_r, self.n_theta)
         if not all(isinstance(n, (int, np.integer)) and n >= 3 for n in counts):
             raise DomainError(f"need integer node counts >= 3, got {counts}")
-        if not (1.0 <= self.grading < math.inf):
+        if not (1.0 <= real_number(self.grading, "grading") < math.inf):
             raise DomainError(f"grading must be finite and >= 1, got {self.grading}")
         if self.m not in (0, 1):
             raise DomainError(f"mode must be 0 or 1, got {self.m}")

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ObliqueConeError
+from .errors import DomainError, HypothesisError, ObliqueConeError, real_number
 from .geometry import ConeGeometry, check_radii
 
 #: Central-difference step of `samples_from_function`, relative to the
@@ -45,26 +45,27 @@ class HolderSpec:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _check_order(self.k, 1, "seminorm order"))
+        object.__setattr__(self, "k", _check_order(DomainError, self.k, 1, "seminorm order"))
         _check_exponents(DomainError, self.alpha, self.beta)
 
 
-def _check_order(k, top: int, name: str) -> int:
-    """k as an int: DomainError unless it is a real number equal to one of
-    0, ..., top, so the float 1.0 is the order 1."""
+def _check_order(error: type[ObliqueConeError], k, top: int, name: str) -> int:
+    """k as an int: error unless it is a real number equal to one of
+    0, ..., top, so the float 1.0 is the order 1; the interpolation check
+    raises HypothesisError, the rest DomainError."""
     if not (isinstance(k, numbers.Real) and k in range(top + 1)):
-        raise DomainError(f"{name} must be an integer in [0, {top}], got {k!r}")
+        raise error(f"{name} must be an integer in [0, {top}], got {k!r}")
     return int(k)
 
 
 def _check_exponents(error: type[ObliqueConeError], alpha: float, *betas: float) -> None:
     """error unless the exponent lies in (0, 1] and each weight exponent is
-    finite: the rules of `HolderSpec`, `weighted_norm` and the two inequality
-    checks, which raise HypothesisError."""
-    if not (0.0 < alpha <= 1.0):
+    one finite real number: the rules of `HolderSpec`, `weighted_norm` and the
+    two inequality checks, which raise HypothesisError."""
+    if not (0.0 < real_number(alpha, "exponent", error) <= 1.0):
         raise error(f"exponent must lie in (0, 1], got {alpha}")
     for beta in betas:
-        if not math.isfinite(beta):
+        if not math.isfinite(real_number(beta, "weight exponent", error)):
             raise error(f"weight exponent must be finite, got {beta}")
 
 
@@ -118,7 +119,7 @@ class HolderSamples:
 
     def derivative_table(self, order: int) -> np.ndarray:
         """Flattened D^j u rows used for pairwise differences, j = 0, 1 or 2."""
-        order = _check_order(order, 2, "derivative order")
+        order = _check_order(DomainError, order, 2, "derivative order")
         if order == 0:
             return self.values[:, None]
         if order == 1:
@@ -229,7 +230,7 @@ def weighted_norm(samples: HolderSamples, k: int, alpha: float, beta: float) -> 
     beta follow `HolderSpec`'s rules.
     """
     _check_exponents(DomainError, alpha, beta)
-    k = _check_order(k, 2, "derivative order")
+    k = _check_order(DomainError, k, 2, "derivative order")
     # the samples must carry the order's derivatives
     samples.derivative_table(k)
     return weighted_sup_norm(samples, k, beta) + _seminorm_raw(samples, k, alpha, beta)
@@ -307,9 +308,10 @@ def holder_interpolation_check(
     b = theta b1 + (1-theta) b2.  The constant is not specified, so the check
     evaluates both sides and reports the empirical ratio.
     """
-    if not (0.0 < theta < 1.0):
+    if not (0.0 < real_number(theta, "interpolation parameter", HypothesisError) < 1.0):
         raise HypothesisError(f"interpolation parameter must lie in (0, 1), got {theta}")
     for k_j, a_j, b_j in (first, second):
+        _check_order(HypothesisError, k_j, 2, "derivative order")
         _check_exponents(HypothesisError, a_j, b_j)
         if k_j + a_j + b_j < 0.0:
             raise HypothesisError(f"tuple ({k_j}, {a_j}, {b_j}) has negative k+a+b")

@@ -40,7 +40,7 @@ import math
 import numpy as np
 from scipy.special import hyp2f1, psi
 
-from .errors import DomainError
+from .errors import DomainError, real_number
 
 #: Lower cutoff for the argument: z must satisfy z > -1 + Z_CUTOFF.
 Z_CUTOFF = 1e-3
@@ -73,10 +73,17 @@ DEGREE_MAX = 4.0
 
 
 def _check_args(alpha: float, z: float) -> None:
-    if not (-1.0 <= alpha <= DEGREE_MAX):
-        raise DomainError(f"degree must lie in [-1, {DEGREE_MAX}], got {alpha}")
-    if not (-1.0 + Z_CUTOFF < z <= 1.0):
-        raise DomainError(f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}")
+    try:
+        if not (-1.0 <= alpha <= DEGREE_MAX):
+            raise DomainError(f"degree must lie in [-1, {DEGREE_MAX}], got {alpha}")
+        if not (-1.0 + Z_CUTOFF < z <= 1.0):
+            raise DomainError(f"argument must lie in (-1 + {Z_CUTOFF}, 1], got {z}")
+    except TypeError:
+        # no float compares with it: the type rule names the argument, and
+        # the float fast path pays nothing for it
+        real_number(alpha, "degree")
+        real_number(z, "argument")
+        raise
 
 
 def check_each(check, x: np.ndarray) -> None:
@@ -219,10 +226,10 @@ def legendre_p_many(alphas, z) -> np.ndarray:
     if isinstance(z, np.ndarray):
         if isinstance(alphas, np.ndarray):
             raise DomainError("pass an ndarray of degrees or of arguments, not both")
-        alphas, z = float(alphas), z.astype(float)
+        alphas, z = real_number(alphas, "degree"), z.astype(float)
         check_each(lambda v: _check_args(alphas, v), z)
     else:
-        alphas, z = np.asarray(alphas, dtype=float), float(z)
+        alphas, z = np.asarray(alphas, dtype=float), real_number(z, "argument")
         check_each(lambda a: _check_args(a, z), alphas)
     return _kernel_many(alphas, z)
 
@@ -235,9 +242,12 @@ def legendre_dp_dz(alpha, z):
     """
     if z == 1.0 if type(z) is float else np.any(z == 1.0):
         raise DomainError("derivative identity is singular at z = 1")
-    return (alpha + 1.0) * (z * legendre_p(alpha, z) - legendre_p(alpha + 1.0, z)) / (
-        1.0 - z * z
-    )
+    return _dp_dz_identity(alpha, z, legendre_p(alpha, z), legendre_p(alpha + 1.0, z))
+
+
+def _dp_dz_identity(alpha, z, p0, p1):
+    """The identity of `legendre_dp_dz` from p0 = P_a(z) and p1 = P_{a+1}(z)."""
+    return (alpha + 1.0) * (z * p0 - p1) / (1.0 - z * z)
 
 
 def legendre_p1(alpha, z):
@@ -271,7 +281,11 @@ def legendre_dp1_dz(alpha, z):
     """
     if z == 1.0 if type(z) is float else np.any(z == 1.0):
         raise DomainError("derivative identity is singular at z = 1")
-    p0, p1 = legendre_p(alpha, z), legendre_p(alpha + 1.0, z)
+    return _dp1_dz_identity(alpha, z, legendre_p(alpha, z), legendre_p(alpha + 1.0, z))
+
+
+def _dp1_dz_identity(alpha, z, p0, p1):
+    """The identity of `legendre_dp1_dz` from p0 = P_a(z) and p1 = P_{a+1}(z)."""
     one_m_z2 = 1.0 - z * z
     a1 = alpha + 1.0
     num = alpha * a1 * p0 - z * a1 * (z * p0 - p1) / one_m_z2
@@ -284,6 +298,8 @@ def legendre_dp_dalpha(alpha, z: float):
     `alpha` is a float or an ndarray of degrees.  Both stencil points must
     lie in the kernel's domain, so alpha - h >= -1; the error names alpha - h.
     """
+    if not isinstance(alpha, np.ndarray):
+        real_number(alpha, "degree")
     h = DEGREE_STEP
     return (legendre_p(alpha + h, z) - legendre_p(alpha - h, z)) / (2.0 * h)
 
@@ -327,6 +343,7 @@ def legendre_p_quadrature(alpha: float, z: float) -> float:
     converges geometrically, and a rule of _QUADRATURE_NODES nodes sits at
     the roundoff floor everywhere in the domain.
     """
+    alpha, z = real_number(alpha, "degree"), real_number(z, "argument")
     _check_args(alpha, z)
     if z == 1.0:
         return 1.0

@@ -49,9 +49,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateFit, DomainError, SingularSystem
+from .errors import DegenerateFit, DomainError, SingularSystem, real_number
 from .exponent import SeparableSolution
-from .geometry import ObliqueBC, check_polar_angle, check_radii, real_angle
+from .geometry import ObliqueBC, check_polar_angle, check_radii
 from .grids import DiscreteField, SectorGrid
 
 #: Target for the verified linear-solve residual: tol * ||rhs||_inf + tol.
@@ -555,7 +555,7 @@ def fit_exponent(
     changes, or touches near-zero values; a window outside (0, inf), a ray
     outside its range or a callable's non-finite sample raises DomainError.
     """
-    theta = real_angle(theta, "ray theta")
+    theta = real_number(theta, "ray theta")
     r_lo, r_hi = window
     check_radii(r_lo, r_hi, "fit window")
     if isinstance(source, DiscreteField):

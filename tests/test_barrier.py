@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from obliquecone import barrier as barrier_module
+from obliquecone import exponent, legendre
 from obliquecone.barrier import (
+    ALPHA0_XTOL,
+    BARRIER_CHECK_POINTS,
+    BARRIER_DEGREE_MIN,
     TILT_FLOOR,
     MillerBarrier,
     alpha0,
@@ -24,7 +28,7 @@ from obliquecone.errors import (
     InvalidTilt,
     NoAdmissibleTilt,
 )
-from obliquecone.exponent import SeparableSolution, separable_eval
+from obliquecone.exponent import M1_AXIS_CUTOFF, SeparableSolution, separable_eval
 from obliquecone.geometry import ConeGeometry, ObliqueBC
 from obliquecone.legendre import legendre_p
 from obliquecone.verify import (
@@ -368,3 +372,95 @@ class TestMaxAdmissibleTilt:
         _, bc, b, rc = make_setup(2 * math.pi / 3, 1.8, 0.05)
         with pytest.raises(NoAdmissibleTilt):
             max_admissible_tilt(bc, b, rc)
+
+
+#: Cones of the threshold table: a sweep of the admissible range and the
+#: cones the other barrier tests pin.
+TABLE_CONES = np.linspace(0.2, 3.09, 60).tolist() + [
+    math.pi / 3, 2 * math.pi / 3, 3 * math.pi / 4, 1.61, 1.62, 2.5,
+]
+
+
+def full_scan_outcome(geom, alpha):
+    """build_barrier's outcome, (c*, fprime) or the error's type and text,
+    with the threshold taken from the whole alpha0 scan."""
+    try:
+        if not (BARRIER_DEGREE_MIN <= alpha < 1.0):
+            raise InvalidAlpha(
+                f"barrier degree must lie in [{BARRIER_DEGREE_MIN:g}, 1), got {alpha}"
+            )
+        a0 = alpha0(geom)
+        if alpha >= a0 - ALPHA0_XTOL:
+            raise InvalidAlpha(
+                f"degree {alpha} is not below the positivity threshold {a0:.12g} "
+                f"by its tolerance {ALPHA0_XTOL:g}"
+            )
+    except InvalidAlpha as exc:
+        return type(exc), str(exc)
+    b = MillerBarrier(alpha=alpha, theta0=geom.theta0)
+    # no degree of the table fails the certificate itself
+    thetas = np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS)
+    values = b.profile(thetas)
+    assert 0.0 < b.cstar <= 1.0
+    assert b.cstar - 1e-12 <= values.min() and values.max() <= 1.0 + 1e-12
+    assert b.profile_deriv(thetas[1:]).max() < 0.0
+    return b.cstar, b.fprime
+
+
+@pytest.mark.parametrize("seed,theta0", list(enumerate(TABLE_CONES)))
+def test_threshold_from_a_prefix_of_the_scan_decides_as_the_whole_scan(seed, theta0):
+    # build_barrier scans alpha0's grid only as far as alpha needs; on a cone
+    # with no zero alpha0 is 1, so the degrees in [1 - ALPHA0_XTOL, 1) stay
+    # rejected there
+    geom = ConeGeometry(theta0=theta0)
+    a0 = alpha0(geom)
+    degrees = [
+        1e-12, 1e-4, 0.05, 0.3, 0.7, 1.0 - 1e-10, math.nextafter(1.0, 0.0),
+        a0 - 1.01 * ALPHA0_XTOL, a0 - ALPHA0_XTOL, math.nextafter(a0, 0.0), a0,
+        *np.random.default_rng(seed).uniform(BARRIER_DEGREE_MIN, 1.0, 5).tolist(),
+    ]
+    for alpha in degrees:
+        try:
+            b = build_barrier(geom, alpha)
+            got = b.cstar, b.fprime
+        except InvalidAlpha as exc:
+            got = type(exc), str(exc)
+        assert got == full_scan_outcome(geom, alpha), alpha
+
+
+def test_threshold_scan_and_certificate_evaluate_each_point_once(monkeypatch):
+    # at 2pi/3 alpha0 is 0.60, so a = 0.05 needs about a twentieth of the
+    # 400-node scan; the certificate takes P_a once at each grid angle and
+    # P_{a+1} once at each angle off the axis
+    geom, alpha = ConeGeometry(theta0=2 * math.pi / 3), 0.05
+    scan, grid_calls = [], []
+
+    def spy(calls, real):
+        def p(a, z):
+            calls.append((np.asarray(a, dtype=float).copy(), np.asarray(z, dtype=float).copy()))
+            return real(a, z)
+        return p
+
+    monkeypatch.setattr(barrier_module, "legendre_p", spy(scan, legendre_p))
+    monkeypatch.setattr(exponent, "legendre_p", spy(grid_calls, legendre_p))
+    monkeypatch.setattr(legendre, "legendre_p", spy(grid_calls, legendre_p))
+    build_barrier(geom, alpha)
+    # the one scalar call at alpha itself is c*
+    scanned = [a for a, _ in scan if not (a.ndim == 0 and a == alpha)]
+    assert 0 < sum(a.size for a in scanned) <= 25
+    thetas = np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS)
+    cosines = np.array([math.cos(t) for t in thetas])
+    at_a = np.concatenate([z for a, z in grid_calls if z.ndim == 1 and a == alpha])
+    at_a1 = np.concatenate([z for a, z in grid_calls if z.ndim == 1 and a == alpha + 1.0])
+    assert np.isin(cosines, at_a).all()
+    assert np.isin(at_a, cosines).sum() == BARRIER_CHECK_POINTS
+    assert sorted(at_a1) == sorted(cosines[thetas >= M1_AXIS_CUTOFF])
+
+
+@pytest.mark.parametrize("bad", ["0.05", None, np.array([0.05]), np.array(0.05)])
+def test_a_barrier_degree_of_no_real_type_is_named(bad):
+    with pytest.raises(InvalidAlpha, match="^barrier degree must be one real number"):
+        build_barrier(ConeGeometry(theta0=2.0), bad)
+    # numpy scalars are real numbers
+    geom = ConeGeometry(theta0=2.0)
+    assert build_barrier(geom, np.float64(0.05)) == build_barrier(geom, 0.05)

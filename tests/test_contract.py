@@ -4,8 +4,9 @@ Every name in `obliquecone.__all__` is either listed in TABLE, with a valid
 call and the kind of each argument, or in EXEMPT with the reason it takes no
 input to check.  Each argument is fed its kind's bad values (NaN, infinities,
 empty and repeated inputs, wrong shapes, values outside the cone or the
-admissible interval, values of the wrong type where one angle is documented)
-with the others kept valid, and warnings raised as
+admissible interval, values of the wrong type where one angle, degree, radius
+or exponent is documented, strings and None where a degree or an argument may
+also be an ndarray) with the others kept valid, and warnings raised as
 errors: the call must return or raise an `ObliqueConeError` subclass, never
 anything else.
 """
@@ -59,20 +60,23 @@ def power(y1, y2):
 REAL = (NAN, INF, -INF, -0.5, 0.0, 1e-300, 4.5)
 ARRAYS = (np.array([0.3, NAN]), np.array([0.3, 4.5]), np.array([]), np.zeros((2, 0)))
 
-#: Values of the wrong type where one angle is documented.
-NOT_ONE_ANGLE = (np.array([1.0, 2.0]), np.array([0.5]), np.array(0.5), "0.5", None)
+#: Values of no real type, for the kinds that take an ndarray too.
+NOT_REAL = ("0.5", None)
+
+#: Values of the wrong type where one real number is documented.
+NOT_ONE_ANGLE = (np.array([1.0, 2.0]), np.array([0.5]), np.array(0.5)) + NOT_REAL
 
 #: Bad values of each argument kind.
 BAD = {
-    "real": REAL,
+    "real": REAL + NOT_ONE_ANGLE,
     "int": (-1, 0, 2, 3, 2.5, NAN),
     "theta0": REAL + NOT_ONE_ANGLE + (THETA0_MAX, 0.5 * THETA0_MIN, 5e-324, 1e-200),
     "s": REAL + NOT_ONE_ANGLE + (
         S_LO, S_HI, math.nextafter(S_LO, -INF), math.nextafter(S_HI, INF),
         math.nextafter(S_HI, 0.0),
     ),
-    "degree": REAL + ARRAYS + (-1.0 - 1e-9, DEGREE_MAX + 1e-9, 5e-324),
-    "z": REAL + ARRAYS + (-1.0, -1.0 + Z_CUTOFF, 1.0, 1.0 + 1e-12),
+    "degree": REAL + ARRAYS + NOT_REAL + (-1.0 - 1e-9, DEGREE_MAX + 1e-9, 5e-324),
+    "z": REAL + ARRAYS + NOT_REAL + (-1.0, -1.0 + Z_CUTOFF, 1.0, 1.0 + 1e-12),
     "ray": REAL + NOT_ONE_ANGLE + (THETA0_MAX, THETA0),
     "geom": tuple(
         ConeGeometry(theta0=t)
@@ -84,7 +88,7 @@ BAD = {
         (NAN, 0.3), (1.0, NAN), (INF, 0.3), (0.0, 0.3), (5e-324, 0.3), (1.0, 4.0),
         (1.0, -0.5), (1.0,), (1.0, 0.3, 0.0),
     ),
-    "radius": REAL,
+    "radius": REAL + NOT_ONE_ANGLE,
     "window": ((NAN, 1.0), (0.5, 0.1), (0.0, 1.0), (1e-3, INF), (0.1, 0.1)),
     "fit_source": (
         lambda r, t: NAN, lambda r, t: 0.0, lambda r, t: r - 0.05, lambda r, t: INF,

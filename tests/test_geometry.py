@@ -16,6 +16,7 @@ from obliquecone.geometry import (
     ObliqueBC,
     reduce_to_axisymmetric,
 )
+from obliquecone.grids import SectorGrid
 from obliquecone.legendre import Z_CUTOFF, legendre_p
 
 
@@ -179,3 +180,13 @@ def test_only_geometry_writes_the_admissible_interval():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _adds_negated_pi(node)
         ]
     assert [where.split(":")[0] for where in found] == ["geometry.py"], found
+
+
+@pytest.mark.parametrize("bad", [np.array([0.1, 0.2]), np.array(0.1), "0.1", None])
+def test_radii_and_grading_of_no_real_type_are_named(bad):
+    with pytest.raises(DomainError, match="^sector radii r_min must be one real number"):
+        SectorGrid(bad, 1.0, 5, 5, 1.0)
+    with pytest.raises(DomainError, match="^sector radii r_max must be one real number"):
+        SectorGrid(0.1, bad, 5, 5, 1.0)
+    with pytest.raises(DomainError, match="^grading must be one real number"):
+        SectorGrid(0.1, 1.0, 5, 5, 1.0, bad)

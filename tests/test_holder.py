@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obliquecone import holder
 from obliquecone.errors import DomainError, HypothesisError
 from obliquecone.exponent import SeparableSolution, critical_exponent
 from obliquecone.geometry import ConeGeometry, ObliqueBC
@@ -350,3 +351,33 @@ def test_one_set_of_exponent_rules_with_the_caller_s_error(alpha, beta):
 def test_samples_from_function_checks_points_before_differencing(point):
     with pytest.raises(DomainError, match="points must be finite"):
         samples_from_function(lambda y1, y2: y1, np.array([[0.5, 0.5], point]), 1)
+
+
+@pytest.mark.parametrize("bad", [(0.5, 0.5, 0.0), (3, 0.5, 0.0), (-1, 0.5, 2.0)])
+def test_interpolation_checks_each_order_before_any_norm(monkeypatch, bad):
+    # weighted_norm's order rule, raised as a hypothesis of the check before
+    # the left-hand norm is computed
+    pts = sector_sample_points(1.0, 1e-1)
+    samples = samples_from_function(lambda a, b: a, pts, derivatives=2)
+    norms = []
+    monkeypatch.setattr(holder, "weighted_norm", lambda *args: norms.append(args))
+    for first, second in ((bad, (1, 0.5, 0.0)), ((1, 0.5, 0.0), bad)):
+        with pytest.raises(HypothesisError, match=r"^derivative order must be an integer in \[0, 2\]"):
+            holder_interpolation_check(samples, first, second, 0.5)
+    assert norms == []
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, np.array([0.5]), np.array(0.5)])
+def test_an_exponent_of_no_real_type_is_named(bad):
+    pts = sector_sample_points(1.0, 1e-1)
+    samples = samples_from_function(lambda a, b: a, pts, derivatives=1)
+    with pytest.raises(DomainError, match="^exponent must be one real number"):
+        HolderSpec(0, bad)
+    with pytest.raises(DomainError, match="^weight exponent must be one real number"):
+        weighted_norm(samples, 0, 0.5, bad)
+    with pytest.raises(HypothesisError, match="^exponent must be one real number"):
+        holder_product_check(samples, samples, bad, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(HypothesisError, match="^interpolation parameter must be one real number"):
+        holder_interpolation_check(samples, (0, 0.5, 0.0), (1, 0.5, 0.0), bad)
+    with pytest.raises(DomainError, match="^sample radii r_min must be one real number"):
+        sector_sample_points(1.0, bad)

@@ -463,3 +463,18 @@ def test_only_the_kernel_imports_legendre_p_many():
             ):
                 importers.append((path.name, "scipy.special"))
     assert importers == []
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, 1j])
+def test_a_degree_or_argument_of_no_real_type_is_named(bad):
+    # the type rule runs only once a comparison has failed: floats pay nothing
+    for f in (legendre_p, legendre_p1, legendre_dp_dz, legendre_dp1_dz, legendre_dp_dalpha,
+              legendre_p_quadrature):
+        with pytest.raises(DomainError, match="^degree must be one real number"):
+            f(bad, 0.3)
+        with pytest.raises(DomainError, match="^argument must be one real number"):
+            f(0.5, bad)
+    with pytest.raises(DomainError, match="^degree must be one real number"):
+        legendre_p(bad, np.array([0.3]))
+    with pytest.raises(DomainError, match="^argument must be one real number"):
+        legendre_p(np.array([0.5]), bad)
