@@ -32,6 +32,7 @@ from .errors import (
     InvalidOperator,
     InvalidTilt,
     NoAdmissibleTilt,
+    real_array,
     real_number,
 )
 from .exponent import SeparableSolution, _bracketed_roots
@@ -71,9 +72,10 @@ class MillerBarrier(SeparableSolution):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        z0 = ConeGeometry(theta0=self.theta0).z0
-        object.__setattr__(self, "cstar", legendre_p(self.alpha, z0))
-        object.__setattr__(self, "fprime", self.profile_deriv(self.theta0))
+        ConeGeometry(theta0=self.theta0)
+        cstar, fprime = self._p_and_deriv(self.theta0)
+        object.__setattr__(self, "cstar", cstar)
+        object.__setattr__(self, "fprime", fprime)
 
 
 def _alpha0_grid() -> np.ndarray:
@@ -193,15 +195,12 @@ def rotate_coefficients(
     lam, Lam of a0; the bracket is asserted.
     b21 defaults to 1, the reduced Laplacian in R^3.
 
-    Raises InvalidOperator on a non-finite, non-symmetric or indefinite a0
-    or a failed bracket.
+    Raises InvalidOperator on an a0 that is not a 2x2 array of finite real
+    numbers (`errors.real_array`), is not symmetric or is indefinite, or on a
+    failed bracket.
     """
-    a0 = np.asarray(a0, dtype=float)
-    if a0.shape != (2, 2):
-        raise InvalidOperator(f"plane coefficients must be 2x2, got shape {a0.shape}")
+    a0 = real_array(a0, "plane coefficients", (2, 2), InvalidOperator)
     (a11, a12), (a21, a22) = a0.tolist()
-    if not all(map(math.isfinite, (a11, a12, a21, a22))):
-        raise InvalidOperator("plane coefficients must be finite")
     if abs(a12 - a21) > 1e-12 * max(1.0, abs(a11), abs(a12), abs(a21), abs(a22)):
         raise InvalidOperator("plane coefficients are not symmetric")
     # the eigenvalues of the lower triangle in closed form; the smaller one as

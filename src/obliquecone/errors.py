@@ -1,6 +1,10 @@
-"""Exception hierarchy for the toolkit, and the type rule of its real arguments."""
+"""Exception hierarchy for the toolkit, and the type rules of its real and
+real-array arguments."""
 
+import math
 import numbers
+
+import numpy as np
 
 
 class ObliqueConeError(Exception):
@@ -54,3 +58,29 @@ def real_number(value, name: str, error: type[ObliqueConeError] = DomainError) -
     if type(value) is not float and not isinstance(value, numbers.Real):
         raise error(f"{name} must be one real number, got {type(value).__name__}")
     return float(value)
+
+
+def real_array(value, name: str, shape=None, error=DomainError, finite: bool = True) -> np.ndarray:
+    """value, an ndarray or a nested sequence, as a float ndarray: error unless
+    its dtype is bool, integer or float, read before numpy casts a numeric
+    string or a complex number to float; its shape fits `shape`, where None
+    leaves a length free (a `shape` of None, every length); and, with
+    `finite`, no entry is NaN or infinite.  A float64 ndarray is not copied."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a rectangular array of real numbers") from None
+    if arr.dtype.char != "d":
+        if arr.dtype.kind not in "biuf":
+            raise error(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(float)
+    if shape is not None and arr.shape != shape and (
+        arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+    ):
+        raise error(f"{name} of shape {arr.shape} does not fit {shape}")
+    # a few entries, a 2x2 matrix's say, read faster as Python floats
+    if finite and not (
+        np.isfinite(arr).all() if arr.size > 16 else all(map(math.isfinite, arr.ravel().tolist()))
+    ):
+        raise error(f"{name} must be finite")
+    return arr

@@ -32,7 +32,7 @@ from .geometry import THETA0_MIN, ConeGeometry, ObliqueBC, check_polar_angle
 from .grids import SectorGrid
 from .legendre import (
     _dp1_dz_identity, _dp_dz_identity, _dtheta_near_axis, _libm, check_each, legendre_dp1_dz,
-    legendre_dp_dz, legendre_p, legendre_p1,
+    legendre_p, legendre_p1,
 )
 
 #: Lower edge of the exponent search window; excludes the trivial root a = 0.
@@ -61,8 +61,8 @@ UNKNOWN = "UNKNOWN"
 def _check_degree(alpha, hi: float) -> None:
     """DomainError unless 0 <= alpha <= hi, at a degree or each of an ndarray."""
     if isinstance(alpha, np.ndarray):
-        return check_each(lambda a: _check_degree(a, hi), alpha)
-    if not (0.0 <= real_number(alpha, "degree") <= hi):
+        check_each(lambda a: _check_degree(a, hi), alpha, "degree")
+    elif not (0.0 <= real_number(alpha, "degree") <= hi):
         raise DomainError(f"degree must lie in [0, {hi:g}], got {alpha}")
 
 
@@ -273,27 +273,26 @@ class SeparableSolution:
         outside [0, THETA0_MAX) raise DomainError.
         """
         check_polar_angle(theta, "polar angle", 0.0)
-        if isinstance(theta, np.ndarray):
-            return self._p_and_deriv(theta)[1]
-        if theta < M1_AXIS_CUTOFF:
-            return float(_dtheta_near_axis(self.alpha, self.m, theta))
-        dz = legendre_dp_dz if self.m == 0 else legendre_dp1_dz
-        return -math.sin(theta) * dz(self.alpha, math.cos(theta))
+        return self._p_and_deriv(theta)[1]
 
-    def _p_and_deriv(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """P_a(cos theta) and F' at an ndarray of unchecked angles, with one
-        cosine and one P_a per angle: off the axis F' is the identity of
+    def _p_and_deriv(self, theta):
+        """P_a(cos theta) and F' at an unchecked angle or ndarray of angles, with
+        one cosine and one P_a per angle: off the axis F' is the identity of
         `legendre_dp_dz` (m = 0) or `legendre_dp1_dz` (m = 1) on P_a and
         P_{a+1}.  For m = 0, P_a(cos theta) is the profile F itself."""
         a = self.alpha
         z = _libm(math.cos, theta)
         p = legendre_p(a, z)
+        identity = _dp_dz_identity if self.m == 0 else _dp1_dz_identity
+        if not isinstance(theta, np.ndarray):
+            if theta < M1_AXIS_CUTOFF:
+                return p, float(_dtheta_near_axis(a, self.m, theta))
+            return p, -math.sin(theta) * identity(a, z, p, legendre_p(a + 1.0, z))
         near = theta < M1_AXIS_CUTOFF
         off = ~near
         deriv = np.empty(theta.shape)
         deriv[near] = _dtheta_near_axis(a, self.m, theta[near])
         z_off = z[off]
-        identity = _dp_dz_identity if self.m == 0 else _dp1_dz_identity
         deriv[off] = -_libm(math.sin, theta[off]) * identity(
             a, z_off, p[off], legendre_p(a + 1.0, z_off)
         )
@@ -309,11 +308,16 @@ def separable_eval(
     With F the profile, the gradient is the in-plane polar formula
     r^(a-1) (a cos t F - sin t F', a sin t F + cos t F').  For m = 0 it is
     r^(a-1) (U1(t, a), U2(t, a)); on the axis F' takes its limit from
-    `SeparableSolution.profile_deriv`.
+    `SeparableSolution.profile_deriv`.  point is two real numbers
+    (`errors.real_number`); anything else raises DomainError.
     """
-    if len(point) != 2:
-        raise DomainError(f"point must be (r, theta), got {len(point)} components")
-    r, theta = float(point[0]), float(point[1])
+    try:
+        n = len(point)
+    except TypeError:  # None, or one number
+        n = 0
+    if n != 2:
+        raise DomainError(f"point must be (r, theta), got {n} components")
+    r, theta = real_number(point[0], "radius"), real_number(point[1], "polar angle")
     # below the smallest normal float, r ** (a - 1) overflows
     if not (sys.float_info.min <= r < math.inf):
         raise DomainError(f"radius must be a normal positive finite float, got {r}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidOperator, real_number
+from .errors import DomainError, InvalidOperator, real_array, real_number
 from .legendre import check_each
 
 #: Largest admissible opening angle; cos(THETA0_MAX) stays above the Legendre
@@ -26,8 +26,8 @@ def check_polar_angle(theta, name: str, lo: float) -> None:
     """DomainError unless lo <= theta < THETA0_MAX: lo is 0 in a cone, THETA0_MIN at its edge."""
     # a Python float angle, the hot case, skips the slower ndarray test
     if type(theta) is not float and isinstance(theta, np.ndarray):
-        return check_each(lambda t: check_polar_angle(t, name, lo), theta)
-    if not (lo <= theta < THETA0_MAX):
+        check_each(lambda t: check_polar_angle(t, name, lo), theta, name)
+    elif not (lo <= theta < THETA0_MAX):
         raise DomainError(f"{name} must lie in [{lo:g}, {THETA0_MAX:.4f}), got {theta}")
 
 
@@ -134,17 +134,14 @@ def reduce_to_axisymmetric(A: np.ndarray) -> tuple[np.ndarray, float]:
     (n-2) lam <= b21 <= (n-2) Lam is asserted against the ellipticity bounds
     lam, Lam, the extreme eigenvalues of A from `np.linalg.eigvalsh`.
 
-    Raises InvalidOperator on a non-finite entry or failed symmetry, invariance
-    or ellipticity.
+    Raises InvalidOperator on an entry that is not a finite real number
+    (`errors.real_array`), a shape that is not square, or failed symmetry,
+    invariance or ellipticity.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InvalidOperator(f"coefficient matrix must be square, got shape {A.shape}")
+    A = real_array(A, "coefficient matrix", (None, None), InvalidOperator)
     n = A.shape[0]
-    if n < 3:
-        raise InvalidOperator(f"ambient dimension must be >= 3, got {n}")
-    if not np.all(np.isfinite(A)):
-        raise InvalidOperator("coefficient matrix must be finite")
+    if A.shape != (n, n) or n < 3:
+        raise InvalidOperator(f"coefficient matrix must be square of size >= 3, got {A.shape}")
     tol = REDUCTION_RTOL * max(np.abs(A).max(), 1.0)
     if not np.allclose(A, A.T, atol=tol):
         raise InvalidOperator("coefficient matrix is not symmetric")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, real_number
+from .errors import DomainError, real_array, real_number
 from .geometry import ConeGeometry, check_radii
 
 #: Default radial grading ratio of the vertex-clustered grid.
@@ -94,30 +94,21 @@ class SectorGrid:
 
 @dataclass(frozen=True)
 class DiscreteField:
-    """Nodal values on a SectorGrid, shape (n_r, n_theta)."""
+    """Nodal values on a SectorGrid: finite real numbers of shape (n_r, n_theta)
+    (`errors.real_array`), else DomainError."""
 
     grid: SectorGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_r, self.grid.n_theta):
-            raise DomainError(
-                f"values shape {values.shape} does not match grid "
-                f"({self.grid.n_r}, {self.grid.n_theta})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("field values must be finite at every node")
-        object.__setattr__(self, "values", values)
+        shape = (self.grid.n_r, self.grid.n_theta)
+        object.__setattr__(self, "values", real_array(self.values, "field values", shape))
 
     @classmethod
     def from_function(cls, grid: SectorGrid, fn) -> "DiscreteField":
         """Sample fn(r, theta) at the nodes."""
         thetas = grid.theta.tolist()
-        vals = np.array(
-            [[fn(ri, tj) for tj in thetas] for ri in grid.r.tolist()], dtype=float
-        )
-        return cls(grid=grid, values=vals)
+        return cls(grid=grid, values=[[fn(ri, tj) for tj in thetas] for ri in grid.r.tolist()])
 
     def max_norm(self) -> float:
         return float(np.abs(self.values).max())

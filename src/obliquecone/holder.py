@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ObliqueConeError, real_number
+from .errors import DomainError, HypothesisError, ObliqueConeError, real_array, real_number
 from .geometry import ConeGeometry, check_radii
 
 #: Central-difference step of `samples_from_function`, relative to the
@@ -71,7 +71,9 @@ def _check_exponents(error: type[ObliqueConeError], alpha: float, *betas: float)
 
 @dataclass(frozen=True)
 class HolderSamples:
-    """Point-value samples in the (y1, y2) plane, with optional derivatives."""
+    """Point-value samples in the (y1, y2) plane, with optional derivatives:
+    N >= 1 distinct points (N, 2), values (N,), gradients (N, 2) and hessians
+    (N, 2, 2), all finite real numbers (`errors.real_array`), else DomainError."""
 
     points: np.ndarray
     values: np.ndarray
@@ -79,30 +81,15 @@ class HolderSamples:
     hessians: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or vals.shape != (pts.shape[0],):
-            raise DomainError(
-                f"points must be (N, 2) and values (N,), got {pts.shape} and {vals.shape}"
-            )
-        if len(pts) == 0:
+        pts = real_array(self.points, "points", (None, 2))
+        n = len(pts)
+        if n == 0:
             raise DomainError("at least one sample point is required")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-        if self.gradients is not None:
-            g = np.asarray(self.gradients, dtype=float)
-            if g.shape != (pts.shape[0], 2):
-                raise DomainError("gradients must be (N, 2)")
-            object.__setattr__(self, "gradients", g)
-        if self.hessians is not None:
-            h = np.asarray(self.hessians, dtype=float)
-            if h.shape != (pts.shape[0], 2, 2):
-                raise DomainError("hessians must be (N, 2, 2)")
-            object.__setattr__(self, "hessians", h)
-        for name in ("points", "values", "gradients", "hessians"):
-            arr = getattr(self, name)
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise DomainError(f"{name} must be finite")
+        object.__setattr__(self, "values", real_array(self.values, "values", (n,)))
+        for name, shape in (("gradients", (n, 2)), ("hessians", (n, 2, 2))):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, real_array(getattr(self, name), name, shape))
         # a repeated point has zero separation, so no pair quotient exists
         if len(np.unique(pts, axis=0)) < len(pts):
             raise DomainError("points must be distinct")
@@ -132,61 +119,51 @@ class HolderSamples:
 
 
 def samples_from_function(
-    fn: Callable[[float, float], float],
-    points: np.ndarray,
-    derivatives: int = 0,
+    fn: Callable[[float, float], float], points: np.ndarray, derivatives: int = 0
 ) -> HolderSamples:
-    """Sample fn (and optionally FD derivatives) at the given (y1, y2) points.
+    """Sample fn, and its FD derivatives up to order `derivatives` (0, 1 or 2),
+    at (y1, y2) points that follow `HolderSamples`' rules, checked before fn
+    sees one; fn takes Python floats.
 
     Derivative samples use central differences with steps proportional to
     the distance to the vertex, adequate for the reported-constant checks;
     the step vanishes at the vertex, so a vertex point with derivatives
-    raises DomainError.
+    raises DomainError.  The second differences reuse the point's own value.
     """
-    pts = np.asarray(points, dtype=float)
-    # HolderSamples' rules for the points, before fn or a difference step sees one
-    HolderSamples(points=pts, values=np.zeros(pts.shape[:1]))
-    vals = np.array([fn(float(p[0]), float(p[1])) for p in pts])
-    grads = hess = None
-    if derivatives >= 1:
-        grads = np.empty((len(pts), 2))
-        for idx, p in enumerate(pts):
-            h = FD_SCALE * math.hypot(p[0], p[1])
+    order = _check_order(DomainError, derivatives, 2, "derivative order")
+    pts = real_array(points, "points", (None, 2))
+    HolderSamples(points=pts, values=np.zeros(len(pts)))
+    vals, grads, hess = [], [], []
+    for x, y in pts.tolist():
+        f0 = fn(x, y)
+        vals.append(f0)
+        if order >= 1:
+            h = FD_SCALE * math.hypot(x, y)
             if h == 0.0:
-                raise DomainError(f"no difference step at the vertex {p.tolist()}")
-            grads[idx, 0] = (fn(p[0] + h, p[1]) - fn(p[0] - h, p[1])) / (2 * h)
-            grads[idx, 1] = (fn(p[0], p[1] + h) - fn(p[0], p[1] - h)) / (2 * h)
-    if derivatives >= 2:
-        hess = np.empty((len(pts), 2, 2))
-        for idx, p in enumerate(pts):
-            h = (FD_SCALE ** 0.5) * math.hypot(p[0], p[1])
-            f00 = fn(p[0], p[1])
-            hess[idx, 0, 0] = (fn(p[0] + h, p[1]) - 2 * f00 + fn(p[0] - h, p[1])) / (h * h)
-            hess[idx, 1, 1] = (fn(p[0], p[1] + h) - 2 * f00 + fn(p[0], p[1] - h)) / (h * h)
+                raise DomainError(f"no difference step at the vertex {[x, y]}")
+            grads.append(((fn(x + h, y) - fn(x - h, y)) / (2 * h),
+                          (fn(x, y + h) - fn(x, y - h)) / (2 * h)))
+        if order == 2:
+            h = (FD_SCALE ** 0.5) * math.hypot(x, y)
             mixed = (
-                fn(p[0] + h, p[1] + h)
-                - fn(p[0] + h, p[1] - h)
-                - fn(p[0] - h, p[1] + h)
-                + fn(p[0] - h, p[1] - h)
+                fn(x + h, y + h) - fn(x + h, y - h) - fn(x - h, y + h) + fn(x - h, y - h)
             ) / (4 * h * h)
-            hess[idx, 0, 1] = hess[idx, 1, 0] = mixed
-    return HolderSamples(points=pts, values=vals, gradients=grads, hessians=hess)
+            hess.append((((fn(x + h, y) - 2 * f0 + fn(x - h, y)) / (h * h), mixed),
+                         (mixed, (fn(x, y + h) - 2 * f0 + fn(x, y - h)) / (h * h))))
+    return HolderSamples(points=pts, values=vals, gradients=grads or None, hessians=hess or None)
 
 
 def sector_sample_points(theta0: float, r_min: float, r_max: float = 1.0) -> np.ndarray:
-    """Vertex-clustered (y1, y2) sample points: geometric shells times rays."""
+    """Vertex-clustered (y1, y2) sample points: geometric shells times rays,
+    the outer product of the radii and the rays' unit vectors.  Radii whose
+    ratio r_max / r_min overflows raise DomainError."""
     ConeGeometry(theta0=theta0)
     check_radii(r_min, r_max, "sample radii")
+    if r_max / r_min == math.inf:
+        raise DomainError(f"sample radii span more than the float range: ({r_min}, {r_max})")
     n_shells = max(2, int(round(SHELLS_PER_DECADE * math.log10(r_max / r_min))) + 1)
-    radii = np.geomspace(r_min, r_max, n_shells)
-    thetas = np.linspace(0.0, theta0, SAMPLE_RAYS)
-    pts = np.empty((n_shells * SAMPLE_RAYS, 2))
-    idx = 0
-    for r in radii:
-        for t in thetas:
-            pts[idx] = (r * math.cos(t), r * math.sin(t))
-            idx += 1
-    return pts
+    rays = [(math.cos(t), math.sin(t)) for t in np.linspace(0.0, theta0, SAMPLE_RAYS).tolist()]
+    return np.multiply.outer(np.geomspace(r_min, r_max, n_shells), rays).reshape(-1, 2)
 
 
 def _pair_quotients(samples: HolderSamples, k: int, alpha: float, wexp: float) -> np.ndarray:
@@ -306,18 +283,20 @@ def holder_interpolation_check(
 
     with k + a = theta (k1 + a1) + (1-theta)(k2 + a2) and
     b = theta b1 + (1-theta) b2.  The constant is not specified, so the check
-    evaluates both sides and reports the empirical ratio.
+    evaluates both sides and reports the empirical ratio.  Each tuple is three
+    real numbers (`errors.real_array`), its order k one of 0, 1, 2; any other
+    tuple raises HypothesisError before a norm is computed.
     """
     if not (0.0 < real_number(theta, "interpolation parameter", HypothesisError) < 1.0):
         raise HypothesisError(f"interpolation parameter must lie in (0, 1), got {theta}")
+    first = real_array(first, "first tuple", (3,), HypothesisError, finite=False).tolist()
+    second = real_array(second, "second tuple", (3,), HypothesisError, finite=False).tolist()
     for k_j, a_j, b_j in (first, second):
         _check_order(HypothesisError, k_j, 2, "derivative order")
         _check_exponents(HypothesisError, a_j, b_j)
         if k_j + a_j + b_j < 0.0:
             raise HypothesisError(f"tuple ({k_j}, {a_j}, {b_j}) has negative k+a+b")
-    if max(
-        first[0] + first[1] + first[2], second[0] + second[1] + second[2]
-    ) <= 0.0:
+    if max(sum(first), sum(second)) <= 0.0:
         raise HypothesisError("at least one tuple must have k + a + b > 0")
     total = theta * (first[0] + first[1]) + (1.0 - theta) * (second[0] + second[1])
     k = int(math.ceil(total)) - 1
@@ -326,17 +305,9 @@ def holder_interpolation_check(
         raise HypothesisError(f"derived smoothness k + a = {total} is below 1")
     beta = theta * first[2] + (1.0 - theta) * second[2]
     lhs = weighted_norm(samples, k, alpha, beta)
-    rhs1 = weighted_norm(samples, first[0], first[1], first[2])
-    rhs2 = weighted_norm(samples, second[0], second[1], second[2])
+    rhs1, rhs2 = weighted_norm(samples, *first), weighted_norm(samples, *second)
     rhs = (rhs1 ** theta) * (rhs2 ** (1.0 - theta))
-    constant = lhs / rhs if rhs > 0.0 else math.inf
     return InterpolationCheckReport(
-        lhs=lhs,
-        rhs_first=rhs1,
-        rhs_second=rhs2,
-        theta=theta,
-        k=k,
-        alpha=alpha,
-        beta=beta,
-        empirical_constant=constant,
+        lhs=lhs, rhs_first=rhs1, rhs_second=rhs2, theta=theta, k=k, alpha=alpha, beta=beta,
+        empirical_constant=lhs / rhs if rhs > 0.0 else math.inf,
     )

@@ -40,7 +40,7 @@ import math
 import numpy as np
 from scipy.special import hyp2f1, psi
 
-from .errors import DomainError, real_number
+from .errors import DomainError, real_array, real_number
 
 #: Lower cutoff for the argument: z must satisfy z > -1 + Z_CUTOFF.
 Z_CUTOFF = 1e-3
@@ -86,15 +86,18 @@ def _check_args(alpha: float, z: float) -> None:
         raise
 
 
-def check_each(check, x: np.ndarray) -> None:
-    """check(v) at each element v of the ndarray x, naming the first that fails.
+def check_each(check, x, name: str) -> np.ndarray:
+    """x as a float ndarray (the dtype rule of `errors.real_array`), after
+    check(v) at each element v, naming the first that fails, NaN included.
     Each domain is an interval, so only a failure at x's extremes walks x."""
+    x = real_array(x, name, finite=False)
     try:
         for v in (x.min(), x.max()) if x.size else ():
             check(float(v))
     except DomainError:
         for v in x.ravel().tolist():
             check(float(v))
+    return x
 
 
 def _libm(f, x):
@@ -219,18 +222,18 @@ def legendre_p(alpha, z):
 
 def legendre_p_many(alphas, z) -> np.ndarray:
     """Vectorized `legendre_p`: an array of degrees at a float argument, or a
-    float degree at an ndarray of arguments.
+    float degree at an ndarray of arguments, of bool, integer or float dtype.
 
     Element by element it equals the scalar evaluation bit for bit.
     """
     if isinstance(z, np.ndarray):
         if isinstance(alphas, np.ndarray):
             raise DomainError("pass an ndarray of degrees or of arguments, not both")
-        alphas, z = real_number(alphas, "degree"), z.astype(float)
-        check_each(lambda v: _check_args(alphas, v), z)
+        alphas = real_number(alphas, "degree")
+        z = check_each(lambda v: _check_args(alphas, v), z, "argument")
     else:
-        alphas, z = np.asarray(alphas, dtype=float), real_number(z, "argument")
-        check_each(lambda a: _check_args(a, z), alphas)
+        z = real_number(z, "argument")
+        alphas = check_each(lambda a: _check_args(a, z), alphas, "degree")
     return _kernel_many(alphas, z)
 
 
@@ -298,8 +301,8 @@ def legendre_dp_dalpha(alpha, z: float):
     `alpha` is a float or an ndarray of degrees.  Both stencil points must
     lie in the kernel's domain, so alpha - h >= -1; the error names alpha - h.
     """
-    if not isinstance(alpha, np.ndarray):
-        real_number(alpha, "degree")
+    alpha = (real_array(alpha, "degree", finite=False) if isinstance(alpha, np.ndarray)
+             else real_number(alpha, "degree"))
     h = DEGREE_STEP
     return (legendre_p(alpha + h, z) - legendre_p(alpha - h, z)) / (2.0 * h)
 

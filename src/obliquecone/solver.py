@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateFit, DomainError, SingularSystem, real_number
+from .errors import DegenerateFit, DomainError, SingularSystem, real_array, real_number
 from .exponent import SeparableSolution
 from .geometry import ObliqueBC, check_polar_angle, check_radii
 from .grids import DiscreteField, SectorGrid
@@ -166,34 +167,29 @@ def laplacian_residual(
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Refinement study: residual max norms, mesh sizes, and observed order."""
+    """Refinement study: residual max norms, mesh sizes, and observed order;
+    DomainError unless `errors.real_array` reads two or more distinct mesh
+    sizes and one residual each, all positive and finite."""
 
     h_values: tuple[float, ...]
     residuals: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n_h, n_res = len(self.h_values), len(self.residuals)
-        if n_h < 2 or n_h != n_res:
-            raise DomainError(
-                f"need two or more (h, residual) pairs, got {n_h} h and {n_res} residuals"
-            )
-        if not all(0.0 < v < math.inf for v in (*self.h_values, *self.residuals)):
-            raise DomainError("mesh sizes and residuals must be positive and finite")
-        if len(set(self.h_values)) < n_h:
+        hs = real_array(self.h_values, "mesh sizes", (None,))
+        res = real_array(self.residuals, "residuals", hs.shape)
+        if len(hs) < 2 or min(hs.min(), res.min()) <= 0.0:
+            raise DomainError(f"need two or more positive (h, residual) pairs, got {hs}, {res}")
+        if len(np.unique(hs)) < len(hs):
             raise DomainError(f"mesh sizes must be distinct, got {self.h_values}")
 
     @property
     def observed_order(self) -> float:
         """Least-squares slope of log(residual) against log(h)."""
-        x = np.log(np.asarray(self.h_values))
-        y = np.log(np.asarray(self.residuals))
-        slope = np.polyfit(x, y, 1)[0]
-        return float(slope)
+        return float(np.polyfit(np.log(self.h_values), np.log(self.residuals), 1)[0])
 
     @property
     def pairwise_orders(self) -> tuple[float, ...]:
-        res = self.residuals
-        hs = self.h_values
+        res, hs = self.residuals, self.h_values
         return tuple(
             math.log(res[i] / res[i + 1]) / math.log(hs[i] / hs[i + 1])
             for i in range(len(res) - 1)
@@ -271,17 +267,14 @@ def _apply(cols: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _edge_values(name: str, data: _EdgeData, rs: np.ndarray, ths: np.ndarray) -> np.ndarray:
-    """The named data at the nodes (rs, ths); DomainError unless it fits and is finite."""
+    """The named data at the nodes (rs, ths): a callable's values there, one
+    real number at each node, or an array of one value per node, each finite
+    and real (`errors.real_array`); DomainError otherwise."""
     if callable(data):
         data = [data(a, b) for a, b in zip(rs.tolist(), ths.tolist())]
-    vals = np.asarray(data, dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(len(rs), float(vals))
-    if vals.shape != rs.shape:
-        raise DomainError(f"{name} data of length {vals.shape} does not fit {rs.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise DomainError(f"{name} data must be finite at every node")
-    return vals
+    elif np.isscalar(data) or isinstance(data, np.ndarray) and data.ndim == 0:
+        data = np.full(rs.shape, data)
+    return real_array(data, f"{name} data", rs.shape)
 
 
 def _singular(
@@ -401,9 +394,11 @@ def solve_dirichlet(
     edges; "cone" (theta = theta0) is Dirichlet unless `oblique_s` is given,
     in which case the homogeneous oblique condition is imposed there.  The
     axis edge is the symmetry condition for m = 0 and Dirichlet 0 for m = 1.
-    Missing data, data for any other edge ("cone" with `oblique_s` included),
-    or non-finite data raises DomainError naming the edge ("rhs" for the
-    right-hand side), before assembly.  Corner nodes belong to the radial edges.
+    A boundary_values that is no mapping, missing data, data for any other
+    edge ("cone" with `oblique_s` included), or data that are not finite real
+    numbers of the edge's shape (`errors.real_array`) raise DomainError naming
+    the edge ("rhs" for the right-hand side), before assembly.  Corner nodes
+    belong to the radial edges.
 
     The assembled system is solved through its tensor structure: fast
     diagonalisation of the radial and angular factors (Lynch, Rice & Thomas
@@ -413,6 +408,8 @@ def solve_dirichlet(
     certifies the residual SOLVE_TOL * ||rhs|| + SOLVE_TOL; a failure names
     its stage and the grid in the SingularSystem it raises.
     """
+    if not isinstance(boundary_values, Mapping):
+        raise DomainError(f"boundary data must map edge names to data, got {boundary_values!r}")
     required = {"r_min", "r_max"} | ({"cone"} if oblique_s is None else set())
     if set(boundary_values) != required:
         raise DomainError(
@@ -552,11 +549,13 @@ def fit_exponent(
     window; for a callable, whose ray must lie in [0, THETA0_MAX),
     FIT_SAMPLES geometrically spaced radii are used.  Raises DegenerateFit
     when the window holds fewer than FIT_MIN_SAMPLES points, contains sign
-    changes, or touches near-zero values; a window outside (0, inf), a ray
-    outside its range or a callable's non-finite sample raises DomainError.
+    changes, or touches near-zero values; a window that is not a pair of
+    real numbers (`errors.real_array`) in (0, inf), a ray outside its range
+    or a callable's sample that is not one finite real number raises
+    DomainError.
     """
     theta = real_number(theta, "ray theta")
-    r_lo, r_hi = window
+    r_lo, r_hi = real_array(window, "fit window", (2,), finite=False).tolist()
     check_radii(r_lo, r_hi, "fit window")
     if isinstance(source, DiscreteField):
         if not (0.0 <= theta <= source.grid.theta0):
@@ -568,8 +567,8 @@ def fit_exponent(
     else:
         check_polar_angle(theta, "ray theta", 0.0)
         rs = np.geomspace(r_lo, r_hi, FIT_SAMPLES)
-        us = np.array([source(float(r), float(theta)) for r in rs])
-        if not np.all(np.isfinite(us)):
+        us = real_array([source(r, theta) for r in rs.tolist()], "samples", rs.shape, finite=False)
+        if not np.isfinite(us).all():
             raise DomainError(f"non-finite samples of the callable in window {window}")
     if len(rs) < FIT_MIN_SAMPLES:
         raise DegenerateFit(
@@ -590,5 +589,5 @@ def fit_exponent(
         intercept=float(intercept),
         max_abs_residual=float(np.abs(fit_res).max()),
         n_samples=len(rs),
-        window=(float(r_lo), float(r_hi)),
+        window=(r_lo, r_hi),
     )

@@ -464,3 +464,19 @@ def test_a_barrier_degree_of_no_real_type_is_named(bad):
     # numpy scalars are real numbers
     geom = ConeGeometry(theta0=2.0)
     assert build_barrier(geom, np.float64(0.05)) == build_barrier(geom, 0.05)
+
+
+@pytest.mark.parametrize("theta0", [0.5, 2.0])
+def test_construction_takes_p_a_at_the_edge_once(monkeypatch, theta0):
+    # c* and F'(theta0) come from one P_a(cos theta0), on either side of
+    # M1_AXIS_CUTOFF
+    calls = []
+
+    def spy(a, z):
+        calls.append((a, z))
+        return legendre_p(a, z)
+
+    for module in (barrier_module, exponent, legendre):
+        monkeypatch.setattr(module, "legendre_p", spy)
+    MillerBarrier(alpha=0.3, theta0=theta0)
+    assert calls.count((0.3, math.cos(theta0))) == 1

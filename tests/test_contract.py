@@ -6,7 +6,9 @@ input to check.  Each argument is fed its kind's bad values (NaN, infinities,
 empty and repeated inputs, wrong shapes, values outside the cone or the
 admissible interval, values of the wrong type where one angle, degree, radius
 or exponent is documented, strings and None where a degree or an argument may
-also be an ndarray) with the others kept valid, and warnings raised as
+also be an ndarray, and strings, None, ragged lists, lists holding a string,
+complex and numeric-string ndarrays and tuples of the wrong length where an
+array or a tuple is) with the others kept valid, and warnings raised as
 errors: the call must return or raise an `ObliqueConeError` subclass, never
 anything else.
 """
@@ -32,6 +34,7 @@ from obliquecone import (
     separable_eval,
 )
 from obliquecone.barrier import ALPHA0_XTOL, BARRIER_DEGREE_MIN
+from obliquecone.errors import real_array
 from obliquecone.geometry import THETA0_MAX, THETA0_MIN
 from obliquecone.legendre import DEGREE_MAX, Z_CUTOFF
 
@@ -66,6 +69,17 @@ NOT_REAL = ("0.5", None)
 #: Values of the wrong type where one real number is documented.
 NOT_ONE_ANGLE = (np.array([1.0, 2.0]), np.array([0.5]), np.array(0.5)) + NOT_REAL
 
+#: Values of no real array type, for the kinds that take an array or a tuple:
+#: a string, None, a ragged list and a list holding a string.
+NOT_ARRAY = ("0.5", None, [[0.5, 0.5], [0.5]], [0.5, "0.5"])
+
+
+def retyped(valid) -> tuple:
+    """A valid array or tuple as a complex and as a numeric-string ndarray."""
+    valid = np.asarray(valid, dtype=float)
+    return (valid + 0.5j, valid.astype(str))
+
+
 #: Bad values of each argument kind.
 BAD = {
     "real": REAL + NOT_ONE_ANGLE,
@@ -75,8 +89,10 @@ BAD = {
         S_LO, S_HI, math.nextafter(S_LO, -INF), math.nextafter(S_HI, INF),
         math.nextafter(S_HI, 0.0),
     ),
-    "degree": REAL + ARRAYS + NOT_REAL + (-1.0 - 1e-9, DEGREE_MAX + 1e-9, 5e-324),
-    "z": REAL + ARRAYS + NOT_REAL + (-1.0, -1.0 + Z_CUTOFF, 1.0, 1.0 + 1e-12),
+    "degree": REAL + ARRAYS + NOT_REAL + (-1.0 - 1e-9, DEGREE_MAX + 1e-9, 5e-324)
+    + NOT_ARRAY + retyped([0.5, 0.3]),
+    "z": REAL + ARRAYS + NOT_REAL + (-1.0, -1.0 + Z_CUTOFF, 1.0, 1.0 + 1e-12)
+    + NOT_ARRAY + retyped([0.5, 0.3]),
     "ray": REAL + NOT_ONE_ANGLE + (THETA0_MAX, THETA0),
     "geom": tuple(
         ConeGeometry(theta0=t)
@@ -87,46 +103,55 @@ BAD = {
     "point": (
         (NAN, 0.3), (1.0, NAN), (INF, 0.3), (0.0, 0.3), (5e-324, 0.3), (1.0, 4.0),
         (1.0, -0.5), (1.0,), (1.0, 0.3, 0.0),
-    ),
+    ) + NOT_ARRAY + retyped((1.0, 0.3)) + (("1", 0.3), (np.array([1.0]), 0.3), (1.0, None)),
     "radius": REAL + NOT_ONE_ANGLE,
-    "window": ((NAN, 1.0), (0.5, 0.1), (0.0, 1.0), (1e-3, INF), (0.1, 0.1)),
+    "window": ((NAN, 1.0), (0.5, 0.1), (0.0, 1.0), (1e-3, INF), (0.1, 0.1))
+    + NOT_ARRAY + retyped((1e-3, 1e-1)) + ((1e-3, 1e-2, 1e-1), (1e-3,), ("1e-3", 1e-1)),
     "fit_source": (
         lambda r, t: NAN, lambda r, t: 0.0, lambda r, t: r - 0.05, lambda r, t: INF,
     ),
     "matrix3": (
         np.full((3, 3), NAN), np.diag([INF, 1.0, 1.0]), np.eye(2), np.eye(3)[:, :2],
         np.zeros((0, 0)), -np.eye(3), np.diag([1.0, 2.0, 1.0]), np.ones((3, 3)),
-    ),
+    ) + NOT_ARRAY + retyped(np.eye(3)) + ([["a", 0, 0], [0, 1, 0], [0, 0, 1]],),
     "matrix2": (
         np.array([[NAN, 0.0], [0.0, 1.0]]), np.array([[INF, 0.0], [0.0, 1.0]]),
         np.eye(3), np.zeros((0, 0)), -np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]),
         np.ones((2, 2)),
-    ),
+    ) + NOT_ARRAY + retyped(np.eye(2)) + ([["a", 0], [0, 1]],),
     "points": (
         np.zeros((0, 2)), np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones((3, 3)),
         np.array([[1.0, NAN]]), np.array([[INF, 0.0]]), np.array([[0.0, 0.0]]),
-    ),
+    ) + NOT_ARRAY + retyped(POINTS),
     "values": (
         np.array([]), np.full(len(POINTS), NAN), np.ones(len(POINTS) + 1),
         np.ones((len(POINTS), 2)),
-    ),
-    "field_values": (np.full(FIELD.shape, NAN), np.ones((9, 8)), np.array([])),
-    "gradients": (np.full((len(POINTS), 2), INF), np.ones((len(POINTS), 3))),
-    "hessians": (np.full((len(POINTS), 2, 2), NAN), np.ones((len(POINTS), 2))),
+    ) + NOT_ARRAY + retyped(np.ones(len(POINTS))),
+    "field_values": (np.full(FIELD.shape, NAN), np.ones((9, 8)), np.array([]))
+    + NOT_ARRAY + retyped(FIELD),
+    "gradients": (np.full((len(POINTS), 2), INF), np.ones((len(POINTS), 3)))
+    + NOT_ARRAY + retyped(SAMPLES.gradients),
+    "hessians": (np.full((len(POINTS), 2, 2), NAN), np.ones((len(POINTS), 2)))
+    + NOT_ARRAY + retyped(SAMPLES.hessians),
     "samples": (
         oc.HolderSamples(points=POINTS[:1], values=np.ones(1)),
         oc.HolderSamples(points=POINTS, values=np.zeros(len(POINTS))),
     ),
-    "exponent_tuple": ((0, NAN, 0.0), (0, 2.0, 0.0), (0, 0.5, INF), (0, 0.5, -1.0)),
-    "sequence": ((), (NAN, 0.1), (0.1, 0.1), (0.1,), (0.2, INF), (0.1, -0.1)),
+    "exponent_tuple": ((0, NAN, 0.0), (0, 2.0, 0.0), (0, 0.5, INF), (0, 0.5, -1.0))
+    + NOT_ARRAY + retyped((0, 0.5, 0.0)) + ((0, 0.5), (0, 0.5, 0.0, 0.0), ("0", 0.5, 0.0)),
+    "sequence": ((), (NAN, 0.1), (0.1, 0.1), (0.1,), (0.2, INF), (0.1, -0.1))
+    + NOT_ARRAY + retyped((0.2, 0.1)) + (("a", "b"), (0.2, "0.1")),
     "grids": ((), (GRID,), (GRID, GRID)),
     "sol": (SeparableSolution(alpha=0.5, m=1), SeparableSolution(alpha=1.0)),
     "edges": (
         {}, {"r_min": 0.0}, {"r_min": 0.0, "r_max": NAN},
         {"r_min": 0.0, "r_max": np.ones(3)}, {"r_min": 0.0, "r_max": 1.0, "cone": 0.0},
         {"r_min": 0.0, "r_max": 1.0, "axis": 0.0}, {"r_min": 0.0, "r_max": lambda r, t: INF},
-    ),
-    "rhs": (NAN, np.ones(3), lambda r, t: NAN),
+    ) + tuple(
+        {"r_min": 0.0, "r_max": bad} for bad in NOT_ARRAY + retyped(np.ones(GRID.n_theta))
+    ) + (None, "r_min", {"r_min": 0.0, "r_max": lambda r, t: "1"}),
+    "rhs": (NAN, np.ones(3), lambda r, t: NAN)
+    + NOT_ARRAY + retyped(np.ones((GRID.n_r - 2) * (GRID.n_theta - 1))),
 }
 
 #: name -> (callable, valid arguments, kind of each argument; None where the
@@ -291,3 +316,128 @@ def test_admissible_inputs_evaluate(theta0, frac, a, r, t):
         degree = BARRIER_DEGREE_MIN + a * (top - BARRIER_DEGREE_MIN)
         if degree < top:
             build_barrier(geom, degree)
+
+
+#: One call for each array or tuple argument that escaped the contract, or
+#: evaluated a value of no real type: (call, error class, message).
+LEAKS = {
+    "numeric-string-degrees": (
+        lambda: oc.legendre_p(np.array(["0.5"]), 0.3), oc.DomainError, "^degree must be",
+    ),
+    "complex-degrees": (
+        lambda: oc.legendre_p(np.array([0.5 + 0.5j]), 0.3), oc.DomainError, "^degree must be",
+    ),
+    "u1-numeric-string-degrees": (
+        lambda: oc.u1(2.0, np.array(["0.5"])), oc.DomainError, "^degree must be",
+    ),
+    "string-plane-coefficients": (
+        lambda: oc.rotate_coefficients([["a", 0], [0, 1]], BC), oc.InvalidOperator,
+        "^plane coefficients must be",
+    ),
+    "numeric-string-coefficient-matrix": (
+        lambda: oc.reduce_to_axisymmetric(np.eye(3).astype(str)), oc.InvalidOperator,
+        "^coefficient matrix must be",
+    ),
+    "string-field-values": (
+        lambda: oc.DiscreteField(GRID, "x"), oc.DomainError, "^field values must be",
+    ),
+    "string-sample-points": (
+        lambda: oc.HolderSamples("x", [1.0]), oc.DomainError, "^points must be",
+    ),
+    "string-edge-data": (
+        lambda: oc.solve_dirichlet(GRID, {"r_min": "x", "r_max": 1.0, "cone": 0.0}),
+        oc.DomainError, "^r_min data must be",
+    ),
+    "string-rhs": (
+        lambda: oc.solve_dirichlet(GRID, {"r_min": 0.0, "r_max": 1.0, "cone": 0.0}, "x"),
+        oc.DomainError, "^rhs data must be",
+    ),
+    "three-element-window": (
+        lambda: oc.fit_exponent(lambda r, t: r, 0.3, (1e-3, 1e-2, 1e-1)), oc.DomainError,
+        r"^fit window of shape \(3,\) does not fit",
+    ),
+    "two-element-exponent-tuple": (
+        lambda: oc.holder_interpolation_check(SAMPLES, (0, 0.5, 0.0), (1, 0.5), 0.5),
+        oc.HypothesisError, r"^second tuple of shape \(2,\) does not fit",
+    ),
+    "string-fit-samples": (
+        lambda: oc.fit_exponent(lambda r, t: "1", 0.3, (1e-3, 1e-1)), oc.DomainError,
+        "^samples must be",
+    ),
+    "string-mesh-sizes": (
+        lambda: oc.ConvergenceStudy(("a", "b"), (1.0, 2.0)), oc.DomainError,
+        "^mesh sizes must be",
+    ),
+    "numeric-string-point": (
+        lambda: separable_eval(SOL, ("1", 0.3)), oc.DomainError,
+        "^radius must be one real number",
+    ),
+    "array-in-point": (
+        lambda: separable_eval(SOL, (np.array([1.0]), 0.3)), oc.DomainError,
+        "^radius must be one real number",
+    ),
+    "no-point": (lambda: separable_eval(SOL, None), oc.DomainError, "got 0 components"),
+    "no-edge-mapping": (
+        lambda: oc.solve_dirichlet(GRID, None), oc.DomainError, "^boundary data must map",
+    ),
+    "derivative-order-3": (
+        lambda: oc.samples_from_function(power, POINTS, 3), oc.DomainError,
+        "^derivative order must be",
+    ),
+    "derivative-order-negative": (
+        lambda: oc.samples_from_function(power, POINTS, -1), oc.DomainError,
+        "^derivative order must be",
+    ),
+    "derivative-order-fraction": (
+        lambda: oc.samples_from_function(power, POINTS, 2.5), oc.DomainError,
+        "^derivative order must be",
+    ),
+    "derivative-order-string": (
+        lambda: oc.samples_from_function(power, POINTS, "1"), oc.DomainError,
+        "^derivative order must be",
+    ),
+    "overflowing-sample-radii": (
+        lambda: oc.sector_sample_points(THETA0, 1e-300, 1e300), oc.DomainError,
+        "^sample radii span",
+    ),
+}
+
+
+@pytest.mark.parametrize("leak", LEAKS)
+def test_an_array_or_tuple_of_no_real_type_is_named(leak):
+    call, error, match = LEAKS[leak]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            call()
+
+
+def test_the_array_rule_keeps_a_fitting_float64_array_uncopied():
+    values = np.ones((3, 2))
+    assert real_array(values, "values", (None, 2)) is values
+    assert real_array(values, "values", (3, 2)) is values
+    got = real_array([[1, 2]], "values", (1, 2))
+    assert got.dtype == np.float64 and got.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "value,shape,finite,match",
+    [
+        (np.array(["0.5"]), None, False, "dtype <U3"),
+        (np.array([0.5 + 0j]), None, False, "dtype complex128"),
+        ([0.5, None], None, False, "dtype object"),
+        ([[0.5], [0.5, 0.5]], None, False, "rectangular"),
+        (np.ones(3), (2,), True, r"of shape \(3,\) does not fit \(2,\)$"),
+        (np.ones((3, 3)), (None, 2), True, r"does not fit \(None, 2\)$"),
+        (np.ones(3), (None, 2), True, r"does not fit \(None, 2\)$"),
+        (np.array([0.5, NAN]), (None,), True, "^x must be finite$"),
+    ],
+    ids=["string", "complex", "object", "ragged", "length", "width", "rank", "nan"],
+)
+def test_the_array_rule_reads_dtype_then_shape_then_finiteness(value, shape, finite, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oc.HypothesisError, match=match):
+            real_array(value, "x", shape, oc.HypothesisError, finite=finite)
+    # without the finiteness rule a NaN is the caller's to name
+    assert math.isnan(real_array([NAN], "x", (1,), finite=False)[0])

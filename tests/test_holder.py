@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from obliquecone import holder
 from obliquecone.errors import DomainError, HypothesisError
-from obliquecone.exponent import SeparableSolution, critical_exponent
+from obliquecone.exponent import SeparableSolution, critical_exponent, separable_eval
 from obliquecone.geometry import ConeGeometry, ObliqueBC
 from obliquecone.holder import (
     HolderSamples,
@@ -381,3 +381,51 @@ def test_an_exponent_of_no_real_type_is_named(bad):
         holder_interpolation_check(samples, (0, 0.5, 0.0), (1, 0.5, 0.0), bad)
     with pytest.raises(DomainError, match="^sample radii r_min must be one real number"):
         sector_sample_points(1.0, bad)
+
+
+def _reference_samples(fn, pts):
+    """Values, gradients and Hessians as one loop per order over the points'
+    numpy floats, the Hessian taking its centre value afresh."""
+    vals = np.array([fn(float(p[0]), float(p[1])) for p in pts])
+    grads, hess = np.empty((len(pts), 2)), np.empty((len(pts), 2, 2))
+    for idx, p in enumerate(pts):
+        h = holder.FD_SCALE * math.hypot(p[0], p[1])
+        grads[idx, 0] = (fn(p[0] + h, p[1]) - fn(p[0] - h, p[1])) / (2 * h)
+        grads[idx, 1] = (fn(p[0], p[1] + h) - fn(p[0], p[1] - h)) / (2 * h)
+    for idx, p in enumerate(pts):
+        h = (holder.FD_SCALE ** 0.5) * math.hypot(p[0], p[1])
+        f00 = fn(p[0], p[1])
+        hess[idx, 0, 0] = (fn(p[0] + h, p[1]) - 2 * f00 + fn(p[0] - h, p[1])) / (h * h)
+        hess[idx, 1, 1] = (fn(p[0], p[1] + h) - 2 * f00 + fn(p[0], p[1] - h)) / (h * h)
+        hess[idx, 0, 1] = hess[idx, 1, 0] = (
+            fn(p[0] + h, p[1] + h) - fn(p[0] + h, p[1] - h)
+            - fn(p[0] - h, p[1] + h) + fn(p[0] - h, p[1] - h)
+        ) / (4 * h * h)
+    return vals, grads, hess
+
+
+def _reference_points(theta0, r_min):
+    n_shells = max(2, int(round(holder.SHELLS_PER_DECADE * math.log10(1.0 / r_min))) + 1)
+    return np.array([
+        (r * math.cos(t), r * math.sin(t))
+        for r in np.geomspace(r_min, 1.0, n_shells)
+        for t in np.linspace(0.0, theta0, holder.SAMPLE_RAYS)
+    ])
+
+
+@pytest.mark.parametrize("theta0,r_min", [(THETA0, 1e-2), (3.0, 1e-4)])
+def test_sampler_matches_the_reference_loop_bit_for_bit(theta0, r_min):
+    pts = sector_sample_points(theta0, r_min)
+    assert pts.tobytes() == _reference_points(theta0, r_min).tobytes()
+    sol = SeparableSolution(alpha=0.4)
+    for fn in (
+        lambda y1, y2: math.hypot(y1, y2) ** 0.7,
+        lambda y1, y2: y1 * y1 * y2 - 3.0 * y2 + 0.5,
+        lambda y1, y2: math.exp(y1) * math.sin(3.0 * y2),
+        # the axisymmetric mode is even in the angle, which the axis stencils cross
+        lambda y1, y2: separable_eval(sol, (math.hypot(y1, y2), abs(math.atan2(y2, y1))))[0],
+    ):
+        samples = samples_from_function(fn, pts, derivatives=2)
+        got = (samples.values, samples.gradients, samples.hessians)
+        for have, want in zip(got, _reference_samples(fn, pts)):
+            assert have.tobytes() == want.tobytes()
