@@ -73,7 +73,7 @@ class MillerBarrier(SeparableSolution):
     def __post_init__(self) -> None:
         super().__post_init__()
         ConeGeometry(theta0=self.theta0)
-        cstar, fprime = self._p_and_deriv(self.theta0)
+        cstar, fprime = self._profile_and_deriv(self.theta0)
         object.__setattr__(self, "cstar", cstar)
         object.__setattr__(self, "fprime", fprime)
 
@@ -139,7 +139,7 @@ def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
     barrier = MillerBarrier(alpha=alpha, theta0=geom.theta0)
     if not (0.0 < barrier.cstar <= 1.0):
         raise InvalidAlpha(f"boundary value c* = {barrier.cstar} not in (0, 1]")
-    values, derivs = barrier._p_and_deriv(np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS))
+    values, derivs = barrier._profile_and_deriv(np.linspace(0.0, geom.theta0, BARRIER_CHECK_POINTS))
     if values.min() < barrier.cstar - 1e-12 or values.max() > 1.0 + 1e-12:
         raise InvalidAlpha(
             f"profile leaves [c*, 1]: range [{values.min()}, {values.max()}]"

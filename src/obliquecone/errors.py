@@ -54,10 +54,13 @@ class HypothesisError(ObliqueConeError, ValueError):
 def real_number(value, name: str, error: type[ObliqueConeError] = DomainError) -> float:
     """value as a float: error unless it is one real number, so that an ndarray,
     a string or None where one angle, degree, radius or exponent is documented
-    names its argument."""
+    names its argument, and so does an int or a fraction beyond the float range."""
     if type(value) is not float and not isinstance(value, numbers.Real):
         raise error(f"{name} must be one real number, got {type(value).__name__}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{name} must lie within the float range") from None
 
 
 def real_array(value, name: str, shape=None, error=DomainError, finite: bool = True) -> np.ndarray:

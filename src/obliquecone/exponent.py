@@ -273,30 +273,46 @@ class SeparableSolution:
         outside [0, THETA0_MAX) raise DomainError.
         """
         check_polar_angle(theta, "polar angle", 0.0)
-        return self._p_and_deriv(theta)[1]
+        return self._profile_and_deriv(theta)[1]
 
-    def _p_and_deriv(self, theta):
-        """P_a(cos theta) and F' at an unchecked angle or ndarray of angles, with
-        one cosine and one P_a per angle: off the axis F' is the identity of
-        `legendre_dp_dz` (m = 0) or `legendre_dp1_dz` (m = 1) on P_a and
-        P_{a+1}.  For m = 0, P_a(cos theta) is the profile F itself."""
-        a = self.alpha
+    def _profile_and_deriv(self, theta):
+        """F and F' at an unchecked angle or ndarray of angles, from one cosine
+        and one P_a per angle, and one P_{a+1} where either needs it.
+
+        Off the axis F' is the identity of `legendre_dp_dz` (m = 0) or
+        `legendre_dp1_dz` (m = 1) on P_a and P_{a+1}.  For m = 0, F is P_a
+        itself; for m = 1, F = P^1_a is `legendre_p1`'s -(1-z^2)^(1/2) P_a'
+        from the same pair, and 0 where z = 1.  Each equals `profile` and
+        `profile_deriv` bit for bit."""
+        a, m = self.alpha, self.m
         z = _libm(math.cos, theta)
         p = legendre_p(a, z)
-        identity = _dp_dz_identity if self.m == 0 else _dp1_dz_identity
+        identity = _dp_dz_identity if m == 0 else _dp1_dz_identity
         if not isinstance(theta, np.ndarray):
-            if theta < M1_AXIS_CUTOFF:
-                return p, float(_dtheta_near_axis(a, self.m, theta))
-            return p, -math.sin(theta) * identity(a, z, p, legendre_p(a + 1.0, z))
+            near = theta < M1_AXIS_CUTOFF
+            p1 = None if z == 1.0 or near and m == 0 else legendre_p(a + 1.0, z)
+            f = p
+            if m == 1:
+                f = 0.0 if p1 is None else _dp_dz_identity(a, z, p, p1) * -math.sqrt(1.0 - z * z)
+            if near:
+                return f, float(_dtheta_near_axis(a, m, theta))
+            return f, -math.sin(theta) * identity(a, z, p, p1)
         near = theta < M1_AXIS_CUTOFF
         off = ~near
+        # off the axis z < cos(1), so the m = 1 pairs cover the off-axis ones
+        pair = off if m == 0 else z != 1.0
+        p1 = np.empty(theta.shape)
+        p1[pair] = legendre_p(a + 1.0, z[pair])
         deriv = np.empty(theta.shape)
-        deriv[near] = _dtheta_near_axis(a, self.m, theta[near])
+        deriv[near] = _dtheta_near_axis(a, m, theta[near])
         z_off = z[off]
-        deriv[off] = -_libm(math.sin, theta[off]) * identity(
-            a, z_off, p[off], legendre_p(a + 1.0, z_off)
-        )
-        return p, deriv
+        deriv[off] = -_libm(math.sin, theta[off]) * identity(a, z_off, p[off], p1[off])
+        if m == 0:
+            return p, deriv
+        f = np.zeros(theta.shape)
+        z_in = z[pair]
+        f[pair] = _dp_dz_identity(a, z_in, p[pair], p1[pair]) * -np.sqrt(1.0 - z_in * z_in)
+        return f, deriv
 
 
 def separable_eval(
@@ -308,7 +324,9 @@ def separable_eval(
     With F the profile, the gradient is the in-plane polar formula
     r^(a-1) (a cos t F - sin t F', a sin t F + cos t F').  For m = 0 it is
     r^(a-1) (U1(t, a), U2(t, a)); on the axis F' takes its limit from
-    `SeparableSolution.profile_deriv`.  point is two real numbers
+    `SeparableSolution.profile_deriv`.  F and F' come from one pass over
+    P_a and P_{a+1}, each equal to `profile` and `profile_deriv` bit for bit.
+    point is two real numbers
     (`errors.real_number`); anything else raises DomainError.
     """
     try:
@@ -321,8 +339,9 @@ def separable_eval(
     # below the smallest normal float, r ** (a - 1) overflows
     if not (sys.float_info.min <= r < math.inf):
         raise DomainError(f"radius must be a normal positive finite float, got {r}")
+    check_polar_angle(theta, "polar angle", 0.0)
     a = sol.alpha
-    f, fp = sol.profile(theta), sol.profile_deriv(theta)
+    f, fp = sol._profile_and_deriv(theta)
     ct, st = math.cos(theta), math.sin(theta)
     return r ** a * f, (
         r ** (a - 1.0) * (a * ct * f - st * fp),

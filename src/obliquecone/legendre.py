@@ -9,7 +9,7 @@ Evaluation uses the Gauss hypergeometric identity (DLMF 14.3.1)
 
     P_a(z) = 2F1(-a, a + 1; 1; (1 - z)/2)
 
-through the compiled ufunc `scipy.special.hyp2f1`.  For z < Z_SWITCH that
+through scipy's compiled ufunc hyp2f1.  For z < Z_SWITCH that
 ufunc goes over to its 1 - x transformation, which loses up to four digits
 at degrees just below an integer, so there the non-integer degrees are
 summed from the connection formula around z = -1 (`_connection_series`)
@@ -30,17 +30,70 @@ An independent quadrature oracle (`legendre_p_quadrature`) is provided for
 cross-validation only; nothing in the evaluation path depends on it.  It
 sums the Mehler-Dirichlet integral with a fixed Gauss-Legendre rule in
 numpy, so checking the kernel loads no `scipy.integrate`.
+
+The ufuncs hyp2f1 and psi are taken from scipy's compiled module
+`scipy/special/_special_ufuncs`, loaded from its file (`_load_ufuncs`).  They
+are the very objects that `scipy.special` exports, so every value is the
+same; what the direct load skips is the package `__init__`, whose array-API
+layer imports `numpy.testing`, `unittest` and `email` and takes most of a
+cold start.  Where that file is missing, fails to load or lacks either name
+(an older scipy, say), they come from `scipy.special` itself.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 
 import numpy as np
-from scipy.special import hyp2f1, psi
 
 from .errors import DomainError, real_array, real_number
+
+_UFUNCS_MODULE = "scipy.special._special_ufuncs"
+
+
+def _ufuncs_file():
+    """The file of scipy's compiled `special/_special_ufuncs` module, or None.
+    `find_spec` reads the install directory without running scipy's code."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    stem = os.path.join(spec.submodule_search_locations[0], "special", "_special_ufuncs")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            return stem + suffix
+    return None
+
+
+def _load_ufuncs():
+    """hyp2f1 and psi from the file of `_ufuncs_file`, or from `scipy.special`
+    where there is no such file, it fails to load or lacks either name."""
+    # once scipy.special is imported, its own module is at hand
+    path = None if _UFUNCS_MODULE in sys.modules else _ufuncs_file()
+    if path is not None:
+        loader = importlib.machinery.ExtensionFileLoader(_UFUNCS_MODULE, path)
+        try:
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_loader(_UFUNCS_MODULE, loader)
+            )
+            loader.exec_module(module)
+            return module.hyp2f1, module.psi
+        except (ImportError, AttributeError):
+            pass
+        finally:
+            # a later `import scipy.special` registers the module itself, as an
+            # attribute of the package too, with these same ufunc objects
+            sys.modules.pop(_UFUNCS_MODULE, None)
+    from scipy.special import hyp2f1, psi
+
+    return hyp2f1, psi
+
+
+hyp2f1, psi = _load_ufuncs()
 
 #: Lower cutoff for the argument: z must satisfy z > -1 + Z_CUTOFF.
 Z_CUTOFF = 1e-3

@@ -3,7 +3,7 @@
 Every name in `obliquecone.__all__` is either listed in TABLE, with a valid
 call and the kind of each argument, or in EXEMPT with the reason it takes no
 input to check.  Each argument is fed its kind's bad values (NaN, infinities,
-empty and repeated inputs, wrong shapes, values outside the cone or the
+an int beyond the float range, empty and repeated inputs, wrong shapes, values outside the cone or the
 admissible interval, values of the wrong type where one angle, degree, radius
 or exponent is documented, strings and None where a degree or an argument may
 also be an ndarray, and strings, None, ragged lists, lists holding a string,
@@ -59,8 +59,9 @@ def power(y1, y2):
     return math.hypot(y1, y2) ** 0.5
 
 
-#: Values outside most real domains: not finite, negative, zero, tiny, large.
-REAL = (NAN, INF, -INF, -0.5, 0.0, 1e-300, 4.5)
+#: Values outside most real domains: not finite, negative, zero, tiny, large,
+#: and an int beyond the float range.
+REAL = (NAN, INF, -INF, -0.5, 0.0, 1e-300, 4.5, 10**400)
 ARRAYS = (np.array([0.3, NAN]), np.array([0.3, 4.5]), np.array([]), np.zeros((2, 0)))
 
 #: Values of no real type, for the kinds that take an ndarray too.
@@ -441,3 +442,21 @@ def test_the_array_rule_reads_dtype_then_shape_then_finiteness(value, shape, fin
             real_array(value, "x", shape, oc.HypothesisError, finite=finite)
     # without the finiteness rule a NaN is the caller's to name
     assert math.isnan(real_array([NAN], "x", (1,), finite=False)[0])
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: ConeGeometry(theta0=10**400), "^opening angle must lie within the float range"),
+        (lambda: oc.SectorGrid(0.1, 10**400, 9, 9, 2.0), "^sector radii r_max must lie within"),
+        (lambda: oc.HolderSpec(0, 0.5, 10**400), "^weight exponent must lie within"),
+        # the degree's range is compared first, exactly, and keeps its message
+        (lambda: oc.legendre_p(10**400, 0.3), r"^degree must lie in \[-1, "),
+    ],
+    ids=["theta0", "r_max", "beta", "degree"],
+)
+def test_an_int_beyond_the_float_range_is_named(call, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oc.DomainError, match=match):
+            call()

@@ -568,6 +568,44 @@ class TestSeparableEval:
         v_plus, _ = separable_eval(sol, (math.hypot(1.0, h), math.atan2(h, 1.0)))
         assert v_plus / h == pytest.approx(grad[1], abs=1e-5)
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_value_and_gradient_are_the_profile_and_its_derivative(self, m):
+        # one pass gives profile and profile_deriv bit for bit, on the axis,
+        # where cos t rounds to 1, and on both sides of M1_AXIS_CUTOFF
+        thetas = [0.0, 1e-9, 1e-4, 0.5, math.nextafter(M1_AXIS_CUTOFF, 0.0),
+                  M1_AXIS_CUTOFF, 2.0, 3.09]
+        for alpha in (1e-3, 0.5, 1.0):
+            sol = SeparableSolution(alpha=alpha, m=m)
+            for r, theta in zip((0.5, 1.0, 7.0) * 3, thetas):
+                f, fp = sol.profile(theta), sol.profile_deriv(theta)
+                ct, st = math.cos(theta), math.sin(theta)
+                want = (r ** alpha * f, (
+                    r ** (alpha - 1.0) * (alpha * ct * f - st * fp),
+                    r ** (alpha - 1.0) * (alpha * st * f + ct * fp),
+                ))
+                assert separable_eval(sol, (r, theta)) == want
+            f, fp = sol._profile_and_deriv(np.array(thetas))
+            assert f.tobytes() == sol.profile(np.array(thetas)).tobytes()
+            assert fp.tolist() == [sol.profile_deriv(t) for t in thetas]
+
+    @pytest.mark.parametrize("m", [0, 1])
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_each_point_takes_each_degree_once(self, monkeypatch, m, theta):
+        # F and F' share P_a(cos theta), and P_{a+1} where either needs it: on
+        # either side of M1_AXIS_CUTOFF
+        calls = []
+
+        def spy(a, z):
+            calls.append((a, z))
+            return legendre_p(a, z)
+
+        for module in (exponent, legendre):
+            monkeypatch.setattr(module, "legendre_p", spy)
+        separable_eval(SeparableSolution(alpha=0.5, m=m), (0.5, theta))
+        z = math.cos(theta)
+        degrees = (0.5,) if m == 0 and theta < M1_AXIS_CUTOFF else (0.5, 1.5)
+        assert calls == [(a, z) for a in degrees]
+
     def test_rejects_bad_points(self):
         sol = SeparableSolution(alpha=0.5)
         for r in (0.0, math.nan, math.inf):

@@ -5,7 +5,11 @@ finite differences, all independent of the hypergeometric evaluation path.
 """
 
 import ast
+import importlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -478,3 +482,66 @@ def test_a_degree_or_argument_of_no_real_type_is_named(bad):
         legendre_p(bad, np.array([0.3]))
     with pytest.raises(DomainError, match="^argument must be one real number"):
         legendre_p(np.array([0.5]), bad)
+
+
+def _compiled_ufuncs_exist() -> bool:
+    """Whether scipy has a compiled `special/_special_ufuncs` with hyp2f1 and psi."""
+    try:
+        module = importlib.import_module("scipy.special._special_ufuncs")
+    except ImportError:
+        return False
+    return hasattr(module, "hyp2f1") and hasattr(module, "psi")
+
+
+class TestUfuncLoader:
+    @pytest.mark.skipif(not _compiled_ufuncs_exist(), reason="scipy has no _special_ufuncs")
+    def test_cli_import_loads_no_scipy_special_package(self):
+        # the package __init__ is what imports numpy.testing and unittest; a
+        # later import of the package still finds its compiled module
+        src = str(Path(legendre.__file__).resolve().parents[1])
+        code = (
+            "import sys, obliquecone.cli; print(' '.join(m for m in "
+            "('scipy.special', 'numpy.testing', 'unittest') if m in sys.modules))\n"
+            "import scipy.special; from obliquecone.legendre import psi\n"
+            "print(scipy.special._special_ufuncs.psi(1.5) == psi(1.5))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert out.stdout.split("\n")[:2] == ["", "True"]
+
+    def test_kernel_ufuncs_equal_scipy_special_bit_for_bit(self):
+        import scipy.special
+
+        # degrees across [-1, DEGREE_MAX], integers included, and x = (1 - z)/2
+        # on both sides of Z_SWITCH's x = 0.9, up to the domain edge
+        a = np.concatenate([np.linspace(-1.0, DEGREE_MAX, 41), np.arange(-1.0, 5.0)])[:, None]
+        x = np.linspace(0.0, 0.5 * (2.0 - legendre.Z_CUTOFF), 41)[None, :]
+        for args in ((-a, a + 1.0, 1.0, x), (1.0 - a, a + 2.0, 2.0, x),
+                     (2.0 - a, a + 3.0, 3.0, x)):
+            assert legendre.hyp2f1(*args).tobytes() == scipy.special.hyp2f1(*args).tobytes()
+        # the connection series' psi(1) and psi(1 + a)
+        w = np.concatenate([[1.0], 1.0 + a.ravel()])
+        assert legendre.psi(w).tobytes() == scipy.special.psi(w).tobytes()
+
+    @pytest.mark.parametrize("lookup", ["none", "no-extension"])
+    def test_without_the_compiled_file_the_ufuncs_come_from_scipy_special(
+        self, monkeypatch, tmp_path, lookup
+    ):
+        import scipy.special
+
+        bogus = tmp_path / "_special_ufuncs.so"
+        bogus.write_bytes(b"not a shared object")
+        looked = []
+
+        def ufuncs_file():
+            looked.append(lookup)
+            return None if lookup == "none" else str(bogus)
+
+        monkeypatch.delitem(sys.modules, legendre._UFUNCS_MODULE, raising=False)
+        monkeypatch.setattr(legendre, "_ufuncs_file", ufuncs_file)
+        hyp2f1, psi = legendre._load_ufuncs()
+        assert looked == [lookup]
+        assert hyp2f1 is scipy.special.hyp2f1 and psi is scipy.special.psi
+        assert legendre._UFUNCS_MODULE not in sys.modules
