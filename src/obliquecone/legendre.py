@@ -32,12 +32,13 @@ sums the Mehler-Dirichlet integral with a fixed Gauss-Legendre rule in
 numpy, so checking the kernel loads no `scipy.integrate`.
 
 The ufuncs hyp2f1 and psi are taken from scipy's compiled module
-`scipy/special/_special_ufuncs`, loaded from its file (`_load_ufuncs`).  They
-are the very objects that `scipy.special` exports, so every value is the
-same; what the direct load skips is the package `__init__`, whose array-API
-layer imports `numpy.testing`, `unittest` and `email` and takes most of a
-cold start.  Where that file is missing, fails to load or lacks either name
-(an older scipy, say), they come from `scipy.special` itself.
+`scipy/special/_special_ufuncs`, loaded from its file by `_load_compiled`,
+which loads the solver's LAPACK routines too.  They are the very objects
+that `scipy.special` exports, so every value is the same; what the direct
+load skips is the package `__init__`, whose array-API layer imports
+`numpy.testing`, `unittest` and `email` and takes most of a cold start.
+Where that file is missing, fails to load or lacks either name (an older
+scipy, say), they come from `scipy.special` itself.
 """
 
 from __future__ import annotations
@@ -56,44 +57,42 @@ from .errors import DomainError, real_array, real_number
 _UFUNCS_MODULE = "scipy.special._special_ufuncs"
 
 
-def _ufuncs_file():
-    """The file of scipy's compiled `special/_special_ufuncs` module, or None.
-    `find_spec` reads the install directory without running scipy's code."""
+def _compiled_file(module: str):
+    """The file of scipy's compiled `module` (a dotted name under `scipy`), or
+    None.  `find_spec` reads the install directory without running scipy's code."""
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         return None
-    stem = os.path.join(spec.submodule_search_locations[0], "special", "_special_ufuncs")
+    stem = os.path.join(spec.submodule_search_locations[0], *module.split(".")[1:])
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(stem + suffix):
             return stem + suffix
     return None
 
 
-def _load_ufuncs():
-    """hyp2f1 and psi from the file of `_ufuncs_file`, or from `scipy.special`
-    where there is no such file, it fails to load or lacks either name."""
-    # once scipy.special is imported, its own module is at hand
-    path = None if _UFUNCS_MODULE in sys.modules else _ufuncs_file()
+def _load_compiled(module: str, names: tuple[str, ...], fallback: str) -> tuple:
+    """The named objects of scipy's compiled `module`, loaded from the file of
+    `_compiled_file`, or of the module `fallback`, imported as usual, where
+    there is no such file, it fails to load or lacks a name."""
+    # once the package is imported, its own module is at hand
+    path = None if module in sys.modules else _compiled_file(module)
     if path is not None:
-        loader = importlib.machinery.ExtensionFileLoader(_UFUNCS_MODULE, path)
+        loader = importlib.machinery.ExtensionFileLoader(module, path)
         try:
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_loader(_UFUNCS_MODULE, loader)
-            )
-            loader.exec_module(module)
-            return module.hyp2f1, module.psi
+            loaded = importlib.util.module_from_spec(importlib.util.spec_from_loader(module, loader))
+            loader.exec_module(loaded)
+            return tuple(getattr(loaded, name) for name in names)
         except (ImportError, AttributeError):
             pass
         finally:
-            # a later `import scipy.special` registers the module itself, as an
-            # attribute of the package too, with these same ufunc objects
-            sys.modules.pop(_UFUNCS_MODULE, None)
-    from scipy.special import hyp2f1, psi
+            # a later import of the package registers the module itself, as an
+            # attribute of the package too, with these same objects
+            sys.modules.pop(module, None)
+    loaded = importlib.import_module(fallback)
+    return tuple(getattr(loaded, name) for name in names)
 
-    return hyp2f1, psi
 
-
-hyp2f1, psi = _load_ufuncs()
+hyp2f1, psi = _load_compiled(_UFUNCS_MODULE, ("hyp2f1", "psi"), "scipy.special")
 
 #: Lower cutoff for the argument: z must satisfy z > -1 + Z_CUTOFF.
 Z_CUTOFF = 1e-3

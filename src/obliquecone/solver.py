@@ -38,12 +38,21 @@ diagonalisation (Lynch, Rice & Thomas 1964) inverts with four dense products;
 an oblique cone column adds a dense Schur complement in the cone values, the
 capacitance matrix of Buzbee, Dorr, George & Golub (1971).  Iterative
 refinement against the assembled matrix certifies every solve.
+
+The dense work goes to three LAPACK routines, taken from scipy's compiled
+module `scipy/linalg/_flapack` on the first solve (`_lapack`): dstevd for
+the symmetrised tridiagonal eigenproblems, and getrf and getrs, with the
+d or z prefix of the matrix's dtype, to factor the Schur complement once and
+solve with it per right-hand side.  The direct load skips the `scipy.linalg`
+package, whose import costs more than the solves of the verify suite.  A
+tridiagonal factor that cannot be symmetrised goes to numpy's `eig` and
+`inv`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -54,6 +63,7 @@ from .errors import DegenerateFit, DomainError, SingularSystem, real_array, real
 from .exponent import SeparableSolution
 from .geometry import ObliqueBC, check_polar_angle, check_radii
 from .grids import DiscreteField, SectorGrid
+from .legendre import _load_compiled
 
 #: Target for the verified linear-solve residual: tol * ||rhs||_inf + tol.
 SOLVE_TOL = 1e-12
@@ -231,7 +241,9 @@ def _assemble(
     which are scaled positive-diagonal.  A slot with no neighbour (the lower
     one of the first interior column, and every slot but the centre of a
     Dirichlet row) points at the diagonal with weight 0.  An inadmissible
-    oblique angle raises DomainError.
+    oblique angle raises DomainError, and so do radii whose stencil weights
+    overflow, divide by zero or turn NaN in floating point: the table must be
+    finite, and weights that overflowed to 0 would leave rows empty.
     """
     if oblique_s is not None:
         ObliqueBC(s=oblique_s, theta0=grid.theta0)
@@ -243,20 +255,28 @@ def _assemble(
     kind = np.full((nr, nt), ROW_DIRICHLET, dtype=np.int8)
     j0 = grid.m  # first interior column; the m = 1 axis is Dirichlet 0
     kind[1:-1, j0:-1] = ROW_INTERIOR
-    first, (wm, w0, wp) = _radial_weights(r)
-    inv_r2 = (1.0 / (r[1:-1] * r[1:-1]))[:, None]
-    lower, centre, upper = _angular_weights(grid)
     cols[:, 1:-1, j0:-1] += np.array([-nt, -1, 0, 1, nt])[:, None, None]
     cols[1, 1:-1, j0] += 1  # the first interior column has no lower neighbour
-    weights[0, 1:-1, j0:-1] = -wm[:, None]
-    weights[1, 1:-1, j0 + 1:-1] = -inv_r2 * lower
-    weights[2, 1:-1, j0:-1] = -w0[:, None] - inv_r2 * centre
-    weights[3, 1:-1, j0:-1] = -inv_r2 * upper
-    weights[4, 1:-1, j0:-1] = -wp[:, None]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            first, (wm, w0, wp) = _radial_weights(r)
+            inv_r2 = (1.0 / (r[1:-1] * r[1:-1]))[:, None]
+            lower, centre, upper = _angular_weights(grid)
+            weights[0, 1:-1, j0:-1] = -wm[:, None]
+            weights[1, 1:-1, j0 + 1:-1] = -inv_r2 * lower
+            weights[2, 1:-1, j0:-1] = -w0[:, None] - inv_r2 * centre
+            weights[3, 1:-1, j0:-1] = -inv_r2 * upper
+            weights[4, 1:-1, j0:-1] = -wp[:, None]
+            if oblique_s is not None:
+                weights[:, 1:-1, -1] = _oblique_weights(grid, oblique_s, first)
+    except FloatingPointError as exc:
+        raise DomainError(
+            f"the stencil of radii ({grid.r_min!r}, {grid.r_max!r}) with {nr} nodes is "
+            f"not finite in floating point ({exc})"
+        ) from None
     if oblique_s is not None:
         kind[1:-1, -1] = ROW_OBLIQUE
         cols[:, 1:-1, -1] += np.array([-nt, -2, -1, 0, nt])[:, None]
-        weights[:, 1:-1, -1] = _oblique_weights(grid, oblique_s, first)
     weights[2][kind == ROW_DIRICHLET] = 1.0
     return cols.reshape(5, -1), weights.reshape(5, -1), kind.ravel()
 
@@ -286,6 +306,20 @@ def _singular(
     )
 
 
+#: scipy's compiled LAPACK wrappers, and the routines the solve takes from them.
+_LAPACK_MODULE = "scipy.linalg._flapack"
+_LAPACK_ROUTINES = ("dstevd", "dgetrf", "dgetrs", "zgetrf", "zgetrs")
+
+
+@functools.cache
+def _lapack() -> dict[str, Callable]:
+    """The routines of _LAPACK_ROUTINES by name, loaded on the first solve, so
+    that importing the package costs nothing for them; where scipy's compiled
+    file cannot serve, `scipy.linalg.lapack` supplies the same routines."""
+    routines = _load_compiled(_LAPACK_MODULE, _LAPACK_ROUTINES, "scipy.linalg.lapack")
+    return dict(zip(_LAPACK_ROUTINES, routines))
+
+
 def _eigen(
     diag: np.ndarray, sub: np.ndarray, sup: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -293,20 +327,23 @@ def _eigen(
 
     sub[k] and sup[k] are T[k+1, k] and T[k, k+1].  When every product
     sub[k] sup[k] is positive, D^-1 T D is symmetric for the diagonal D with
-    d[k+1] / d[k] = sqrt(sub[k] / sup[k]), and `eigh_tridiagonal` applies.
-    Otherwise the dense matrix goes to the general `eig`, and the results
-    are complex.
+    d[k+1] / d[k] = sqrt(sub[k] / sup[k]), and LAPACK's dstevd applies, as
+    in scipy's `eigh_tridiagonal`.  Otherwise the dense matrix goes to
+    numpy's general `eig`, and the results may be complex.  A failed
+    eigensolve raises numpy's LinAlgError.
     """
-    import scipy.linalg as la
-
     prod = sub * sup
     if np.all(prod > 0.0):
+        if len(diag) == 1:  # dstevd rejects a 1 x 1 matrix
+            return diag.copy(), np.ones((1, 1)), np.ones((1, 1))
         log_d = np.concatenate(([0.0], np.cumsum(0.5 * np.log(sub / sup))))
         d = np.exp(log_d - 0.5 * (log_d.max() + log_d.min()))
-        w, Z = la.eigh_tridiagonal(diag, np.copysign(np.sqrt(prod), sup))
+        w, Z, info = _lapack()["dstevd"](diag, np.copysign(np.sqrt(prod), sup), compute_v=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dstevd did not converge (LAPACK info = {info})")
         return w, d[:, None] * Z, Z.T / d
-    w, Y = la.eig(np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1))
-    return w, Y, la.inv(Y)
+    w, Y = np.linalg.eig(np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1))
+    return w, Y, np.linalg.inv(Y)
 
 
 def _sector_solver(
@@ -327,8 +364,6 @@ def _sector_solver(
     respond by Y diag(sigma) Y^-1, so the oblique rows give a dense Schur
     complement in c, factored once.
     """
-    import scipy.linalg as la
-
     nr, nt, j0 = grid.n_r, grid.n_theta, grid.m
     first, (wm, w0, wp) = _radial_weights(grid.r)
     r2 = grid.r[1:-1] ** 2
@@ -336,7 +371,7 @@ def _sector_solver(
     try:
         mu, Y, Yi = _eigen(r2 * w0, r2[1:] * wm[1:], r2[:-1] * wp[:-1])
         lam, V, Vi = _eigen(centre, lower, upper[:-1])
-    except la.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise _singular(grid, oblique_s, "eigendecomposition", str(exc)) from exc
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sum = 1.0 / (mu[:, None] + lam)
@@ -355,14 +390,16 @@ def _sector_solver(
         sigma = inv_sum @ (V[near] * Vi[:, last]).T
         schur = np.diag(o0) + np.diag(om[1:], -1) + np.diag(op[:-1], 1)
         schur = schur - upper[-1] * ((near_w @ sigma.T) * Y) @ Yi
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", la.LinAlgWarning)
-            try:
-                schur_lu = la.lu_factor(schur)
-            except (ValueError, la.LinAlgWarning) as exc:
-                raise _singular(
-                    grid, oblique_s, "cone Schur complement", str(exc)
-                ) from exc
+        if not np.all(np.isfinite(schur)):
+            raise _singular(grid, oblique_s, "cone Schur complement", "non-finite entries")
+        prefix = "z" if schur.dtype.kind == "c" else "d"
+        schur_lu, piv, info = _lapack()[prefix + "getrf"](schur)
+        if info > 0:
+            raise _singular(
+                grid, oblique_s, "cone Schur complement",
+                f"diagonal number {info} of its LU factor is exactly zero",
+            )
+        getrs = _lapack()[prefix + "getrs"]
 
     def solve(v: np.ndarray) -> np.ndarray:
         x = np.where(fixed, v, 0.0)
@@ -372,7 +409,7 @@ def _sector_solver(
         if oblique_s is not None:
             x_near = Y @ ((G * inv_sum) @ V[near].T)
             rhs = g[1:-1, -1] - (near_w * x_near).sum(axis=1)
-            c = la.lu_solve(schur_lu, rhs).real
+            c = getrs(schur_lu, piv, rhs)[0].real
             G = G - upper[-1] * np.outer(Yi @ c, Vi[:, last])
             x[1:-1, -1] = c
         x[1:-1, j0:-1] = (Y @ (G * inv_sum) @ V.T).real

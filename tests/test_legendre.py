@@ -535,13 +535,15 @@ class TestUfuncLoader:
         bogus.write_bytes(b"not a shared object")
         looked = []
 
-        def ufuncs_file():
-            looked.append(lookup)
+        def compiled_file(module):
+            looked.append(module)
             return None if lookup == "none" else str(bogus)
 
         monkeypatch.delitem(sys.modules, legendre._UFUNCS_MODULE, raising=False)
-        monkeypatch.setattr(legendre, "_ufuncs_file", ufuncs_file)
-        hyp2f1, psi = legendre._load_ufuncs()
-        assert looked == [lookup]
+        monkeypatch.setattr(legendre, "_compiled_file", compiled_file)
+        hyp2f1, psi = legendre._load_compiled(
+            legendre._UFUNCS_MODULE, ("hyp2f1", "psi"), "scipy.special"
+        )
+        assert looked == [legendre._UFUNCS_MODULE]
         assert hyp2f1 is scipy.special.hyp2f1 and psi is scipy.special.psi
         assert legendre._UFUNCS_MODULE not in sys.modules

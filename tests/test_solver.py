@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import obliquecone
 from obliquecone.errors import DegenerateFit, DomainError, SingularSystem
 from obliquecone.exponent import SeparableSolution, critical_exponent, neumann_exponent
 from obliquecone.geometry import ConeGeometry, ObliqueBC
-from obliquecone import solver
+from obliquecone import legendre, solver
 from obliquecone.grids import DiscreteField, SectorGrid
 from obliquecone.solver import (
     ROW_DIRICHLET,
@@ -604,6 +605,108 @@ class TestTensorSolve:
         assert out.stdout.strip() == ""
 
 
+class TestLapackRoutines:
+    @pytest.mark.parametrize("lookup", ["none", "no-extension", "missing-name"])
+    def test_without_the_compiled_file_the_routines_come_from_scipy_linalg(
+        self, monkeypatch, tmp_path, lookup
+    ):
+        import scipy.linalg.lapack
+
+        if lookup == "missing-name":
+            # a compiled module that loads from its file but has no such routine
+            if legendre._compiled_file(legendre._UFUNCS_MODULE) is None:
+                pytest.skip("scipy has no compiled _special_ufuncs file")
+            monkeypatch.setattr(solver, "_LAPACK_MODULE", legendre._UFUNCS_MODULE)
+        bogus = tmp_path / "_flapack.so"
+        bogus.write_bytes(b"not a shared object")
+        compiled_file = legendre._compiled_file
+        looked = []
+
+        def lookup_file(module):
+            looked.append(module)
+            if lookup == "none":
+                return None
+            return str(bogus) if lookup == "no-extension" else compiled_file(module)
+
+        monkeypatch.delitem(sys.modules, solver._LAPACK_MODULE, raising=False)
+        monkeypatch.setattr(legendre, "_compiled_file", lookup_file)
+        routines = solver._lapack.__wrapped__()
+        assert looked == [solver._LAPACK_MODULE]
+        assert list(routines) == list(solver._LAPACK_ROUTINES)
+        assert all(f is getattr(scipy.linalg.lapack, name) for name, f in routines.items())
+        assert solver._LAPACK_MODULE not in sys.modules
+
+    @pytest.mark.parametrize(
+        "m,oblique_s", [(0, 1.8), (1, None)], ids=["257-m0-oblique", "257-m1-dirichlet"]
+    )
+    def test_routines_equal_scipy_linalg_bit_for_bit(self, monkeypatch, m, oblique_s):
+        import scipy.linalg as la
+
+        grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=257, n_theta=257, theta0=2.0, m=m)
+        edges = {"r_min": 1.0, "r_max": lambda r, t: math.cos(t)}
+        if oblique_s is None:
+            edges["cone"] = 0.5
+
+        def run(routines):
+            calls = []
+
+            def recorded(name, routine):
+                def call(*args, **kwargs):
+                    out = routine(*args, **kwargs)
+                    calls.append((name, [np.asarray(x).tobytes() for x in out]))
+                    return out
+
+                return call
+
+            recording = {name: recorded(name, f) for name, f in routines.items()}
+            monkeypatch.setattr(solver, "_lapack", lambda: recording)
+            u = solve_dirichlet(grid, edges, oblique_s=oblique_s).values
+            return calls, u.tobytes()
+
+        ours = run(solver._lapack())
+        # scipy.linalg's entry points in place of the routines they call
+        theirs = run({
+            "dstevd": lambda d, e, compute_v: (*la.eigh_tridiagonal(d, e), 0),
+            "dgetrf": lambda a: (*la.lu_factor(a), 0),
+            "dgetrs": lambda lu, piv, b: (la.lu_solve((lu, piv), b), 0),
+        })
+        names = [name for name, _ in ours[0]]
+        assert names[:2] == ["dstevd", "dstevd"]
+        assert names[2:3] == (["dgetrf"] if oblique_s else [])
+        assert ours == theirs
+
+    def test_solves_load_no_scipy_linalg_package(self):
+        # the import loads no routine; the solves load them from their file,
+        # the very objects scipy.linalg.lapack exports once it is imported
+        src = str(Path(obliquecone.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "import obliquecone.cli\n"
+            "from obliquecone import solver\n"
+            "from obliquecone.grids import SectorGrid\n"
+            "heavy = ('scipy.linalg', 'numpy.testing', 'unittest')\n"
+            "print(solver._lapack.cache_info().currsize, solver._LAPACK_MODULE in sys.modules)\n"
+            "print(' '.join(m for m in heavy if m in sys.modules))\n"
+            "for m, s, edges in ((0, 1.2, {'r_min': 1.0, 'r_max': 2.0}),\n"
+            "                    (1, None, {'r_min': 1.0, 'r_max': 2.0, 'cone': 0.0})):\n"
+            "    grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=33, n_theta=33, theta0=2.0, m=m)\n"
+            "    solver.solve_dirichlet(grid, edges, oblique_s=s)\n"
+            "print(' '.join(m for m in heavy if m in sys.modules))\n"
+            "import scipy.linalg.lapack\n"
+            "print(all(f is getattr(scipy.linalg.lapack, n) for n, f in solver._lapack().items()))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        unloaded, after_import, after_solves, same = out.stdout.split("\n")[:4]
+        assert unloaded == "0 False"
+        # where scipy.special's compiled module is missing, its package import
+        # brings numpy.testing and unittest; the solves add nothing either way
+        assert after_solves == after_import and "scipy.linalg" not in after_solves.split()
+        assert same == "True"
+
+
 class TestAssembly:
     @pytest.mark.parametrize("m", [0, 1])
     @pytest.mark.parametrize("oblique_s", [None, 1.2, -0.9])
@@ -626,6 +729,25 @@ class TestAssembly:
         np.testing.assert_array_equal(kind, ref_kind)
         for x in np.random.default_rng(0).standard_normal((3, cols.shape[1])):
             assert _apply(cols, weights, x).tobytes() == (ref @ x).tobytes()
+
+    @pytest.mark.parametrize(
+        "radii", [(1e-200, 1e-199), (1.0, 1e300)], ids=["tiny-radii", "huge-span"]
+    )
+    def test_non_finite_stencil_is_one_domain_error(self, radii):
+        # 1/(hm hp) and 1/r^2 overflow on the tiny radii; on the huge span
+        # h^2 and r^2 do, which would leave the interior rows with zero weights
+        grid = SectorGrid(r_min=radii[0], r_max=radii[1], n_r=9, n_theta=9, theta0=1.0)
+        calls = (
+            lambda: check_m_matrix(grid),
+            lambda: check_m_matrix(grid, 0.5),
+            lambda: solve_dirichlet(grid, {"r_min": 1.0, "r_max": 2.0, "cone": 0.0}),
+            lambda: solve_dirichlet(grid, {"r_min": 1.0, "r_max": 2.0}, oblique_s=0.5),
+            lambda: laplacian_residual(SeparableSolution(alpha=0.5, m=0), grid),
+        )
+        named = re.escape(f"the stencil of radii ({radii[0]!r}, {radii[1]!r})")
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^{named}"):
+                call()
 
     def test_residual_is_interior_rows_of_the_operator(self):
         grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=12, n_theta=9, theta0=2.0, m=1)
