@@ -169,6 +169,8 @@ def cmd_exponent(args: argparse.Namespace) -> int:
     theta0 = _radians(args.theta0, args.degrees)
     geom = ConeGeometry(theta0=theta0)
     if args.neumann:
+        if args.s is not None:
+            raise ObliqueConeError("--s is not used with --neumann")
         fields = {"mode": 1}
         root = exp_mod.neumann_exponent(geom)
         mismatch = exp_mod.neumann_mismatch(geom, root)

@@ -1,5 +1,5 @@
-"""Exception hierarchy for the toolkit, and the type rules of its real and
-real-array arguments."""
+"""Exception hierarchy for the toolkit, and the type rules of its real,
+real-array and integer-choice arguments."""
 
 import math
 import numbers
@@ -63,6 +63,15 @@ def real_number(value, name: str, error: type[ObliqueConeError] = DomainError) -
         raise error(f"{name} must lie within the float range") from None
 
 
+def integer_choice(value, top: int, name: str, error=DomainError) -> int:
+    """value as an int: error unless it is a real number equal to one of
+    0, ..., top, so 1.0 and True are the choice 1.  For a float `in` walks the
+    range, so a mode or an order takes this rule and a count does not."""
+    if not (isinstance(value, numbers.Real) and value in range(top + 1)):
+        raise error(f"{name} must be an integer in [0, {top}], got {value!r}")
+    return int(value)
+
+
 def real_array(value, name: str, shape=None, error=DomainError, finite: bool = True) -> np.ndarray:
     """value, an ndarray or a nested sequence, as a float ndarray: error unless
     its dtype is bool, integer or float, read before numpy casts a numeric
@@ -87,3 +96,17 @@ def real_array(value, name: str, shape=None, error=DomainError, finite: bool = T
     ):
         raise error(f"{name} must be finite")
     return arr
+
+
+def check_each(check, x, name: str) -> np.ndarray:
+    """x as a float ndarray (the dtype rule of `real_array`), after check(v)
+    at each element v, naming the first that fails, NaN included.  Each
+    domain is an interval, so only a failure at x's extremes walks x."""
+    x = real_array(x, name, finite=False)
+    try:
+        for v in (x.min(), x.max()) if x.size else ():
+            check(float(v))
+    except DomainError:
+        for v in x.ravel().tolist():
+            check(float(v))
+    return x

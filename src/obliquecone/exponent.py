@@ -27,11 +27,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BracketError, DomainError, real_number
+from .errors import BracketError, DomainError, check_each, integer_choice, real_number
 from .geometry import THETA0_MIN, ConeGeometry, ObliqueBC, check_polar_angle
 from .grids import SectorGrid
 from .legendre import (
-    _dp1_dz_identity, _dp_dz_identity, _dtheta_near_axis, _libm, check_each, legendre_dp1_dz,
+    _dp1_dz_identity, _dp_dz_identity, _dtheta_near_axis, _libm, _p1_identity, legendre_dp1_dz,
     legendre_p, legendre_p1,
 )
 
@@ -241,8 +241,7 @@ class SeparableSolution:
             real_number(self.alpha, "degree")
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"degree must lie in (0, 1], got {self.alpha}")
-        if self.m not in (0, 1):
-            raise DomainError(f"azimuthal mode must be 0 or 1, got {self.m}")
+        object.__setattr__(self, "m", integer_choice(self.m, 1, "azimuthal mode"))
 
     def profile(self, theta):
         """Angular profile P^m_a(cos theta) at an angle or an ndarray of angles.
@@ -293,7 +292,7 @@ class SeparableSolution:
             p1 = None if z == 1.0 or near and m == 0 else legendre_p(a + 1.0, z)
             f = p
             if m == 1:
-                f = 0.0 if p1 is None else _dp_dz_identity(a, z, p, p1) * -math.sqrt(1.0 - z * z)
+                f = 0.0 if p1 is None else _p1_identity(a, z, p, p1)
             if near:
                 return f, float(_dtheta_near_axis(a, m, theta))
             return f, -math.sin(theta) * identity(a, z, p, p1)
@@ -311,7 +310,7 @@ class SeparableSolution:
             return p, deriv
         f = np.zeros(theta.shape)
         z_in = z[pair]
-        f[pair] = _dp_dz_identity(a, z_in, p[pair], p1[pair]) * -np.sqrt(1.0 - z_in * z_in)
+        f[pair] = _p1_identity(a, z_in, p[pair], p1[pair])
         return f, deriv
 
 

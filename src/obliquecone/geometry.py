@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidOperator, real_array, real_number
-from .legendre import check_each
+from .errors import DomainError, InvalidOperator, check_each, real_array, real_number
 
 #: Largest admissible opening angle; cos(THETA0_MAX) stays above the Legendre
 #: kernel's argument cutoff -1 + Z_CUTOFF, so every admissible cone evaluates.

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, real_array, real_number
+from .errors import DomainError, integer_choice, real_array, real_number
 from .geometry import ConeGeometry, check_radii
 
 #: Default radial grading ratio of the vertex-clustered grid.
@@ -46,8 +46,7 @@ class SectorGrid:
             raise DomainError(f"need integer node counts >= 3, got {counts}")
         if not (1.0 <= real_number(self.grading, "grading") < math.inf):
             raise DomainError(f"grading must be finite and >= 1, got {self.grading}")
-        if self.m not in (0, 1):
-            raise DomainError(f"mode must be 0 or 1, got {self.m}")
+        object.__setattr__(self, "m", integer_choice(self.m, 1, "azimuthal mode"))
         if self.grading == 1.0:
             r = np.linspace(self.r_min, self.r_max, self.n_r)
         else:

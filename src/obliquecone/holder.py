@@ -14,13 +14,14 @@ them are phrased under sample refinement, never as continuum claims.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ObliqueConeError, real_array, real_number
+from .errors import (
+    DomainError, HypothesisError, ObliqueConeError, integer_choice, real_array, real_number,
+)
 from .geometry import ConeGeometry, check_radii
 
 #: Central-difference step of `samples_from_function`, relative to the
@@ -45,17 +46,8 @@ class HolderSpec:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _check_order(DomainError, self.k, 1, "seminorm order"))
+        object.__setattr__(self, "k", integer_choice(self.k, 1, "seminorm order"))
         _check_exponents(DomainError, self.alpha, self.beta)
-
-
-def _check_order(error: type[ObliqueConeError], k, top: int, name: str) -> int:
-    """k as an int: error unless it is a real number equal to one of
-    0, ..., top, so the float 1.0 is the order 1; the interpolation check
-    raises HypothesisError, the rest DomainError."""
-    if not (isinstance(k, numbers.Real) and k in range(top + 1)):
-        raise error(f"{name} must be an integer in [0, {top}], got {k!r}")
-    return int(k)
 
 
 def _check_exponents(error: type[ObliqueConeError], alpha: float, *betas: float) -> None:
@@ -106,7 +98,7 @@ class HolderSamples:
 
     def derivative_table(self, order: int) -> np.ndarray:
         """Flattened D^j u rows used for pairwise differences, j = 0, 1 or 2."""
-        order = _check_order(DomainError, order, 2, "derivative order")
+        order = integer_choice(order, 2, "derivative order")
         if order == 0:
             return self.values[:, None]
         if order == 1:
@@ -130,7 +122,7 @@ def samples_from_function(
     the step vanishes at the vertex, so a vertex point with derivatives
     raises DomainError.  The second differences reuse the point's own value.
     """
-    order = _check_order(DomainError, derivatives, 2, "derivative order")
+    order = integer_choice(derivatives, 2, "derivative order")
     pts = real_array(points, "points", (None, 2))
     HolderSamples(points=pts, values=np.zeros(len(pts)))
     vals, grads, hess = [], [], []
@@ -207,7 +199,7 @@ def weighted_norm(samples: HolderSamples, k: int, alpha: float, beta: float) -> 
     beta follow `HolderSpec`'s rules.
     """
     _check_exponents(DomainError, alpha, beta)
-    k = _check_order(DomainError, k, 2, "derivative order")
+    k = integer_choice(k, 2, "derivative order")
     # the samples must carry the order's derivatives
     samples.derivative_table(k)
     return weighted_sup_norm(samples, k, beta) + _seminorm_raw(samples, k, alpha, beta)
@@ -292,7 +284,7 @@ def holder_interpolation_check(
     first = real_array(first, "first tuple", (3,), HypothesisError, finite=False).tolist()
     second = real_array(second, "second tuple", (3,), HypothesisError, finite=False).tolist()
     for k_j, a_j, b_j in (first, second):
-        _check_order(HypothesisError, k_j, 2, "derivative order")
+        integer_choice(k_j, 2, "derivative order", HypothesisError)
         _check_exponents(HypothesisError, a_j, b_j)
         if k_j + a_j + b_j < 0.0:
             raise HypothesisError(f"tuple ({k_j}, {a_j}, {b_j}) has negative k+a+b")

@@ -22,9 +22,10 @@ terms fixed in advance, so no accepted argument can fail to converge.
 Degrees above DEGREE_MAX, where both branches lose accuracy for z < 0, are
 rejected.
 
-The z-derivatives of P_a and P^1_a are identities in P_a and P_{a+1} alone,
-the second through Legendre's equation, so each evaluates the kernel once
-at each of the two degrees and accepts a degree up to DEGREE_MAX - 1.
+P^1_a and the z-derivatives of P_a and P^1_a are identities in P_a and
+P_{a+1} alone, the last through Legendre's equation, so each evaluates the
+kernel once at each of the two degrees and accepts a degree up to
+DEGREE_MAX - 1.
 
 An independent quadrature oracle (`legendre_p_quadrature`) is provided for
 cross-validation only; nothing in the evaluation path depends on it.  It
@@ -52,7 +53,7 @@ import sys
 
 import numpy as np
 
-from .errors import DomainError, real_array, real_number
+from .errors import DomainError, check_each, real_array, real_number
 
 _UFUNCS_MODULE = "scipy.special._special_ufuncs"
 
@@ -136,20 +137,6 @@ def _check_args(alpha: float, z: float) -> None:
         real_number(alpha, "degree")
         real_number(z, "argument")
         raise
-
-
-def check_each(check, x, name: str) -> np.ndarray:
-    """x as a float ndarray (the dtype rule of `errors.real_array`), after
-    check(v) at each element v, naming the first that fails, NaN included.
-    Each domain is an interval, so only a failure at x's extremes walks x."""
-    x = real_array(x, name, finite=False)
-    try:
-        for v in (x.min(), x.max()) if x.size else ():
-            check(float(v))
-    except DomainError:
-        for v in x.ravel().tolist():
-            check(float(v))
-    return x
 
 
 def _libm(f, x):
@@ -278,13 +265,16 @@ def legendre_p_many(alphas, z) -> np.ndarray:
 
     Element by element it equals the scalar evaluation bit for bit.
     """
+    # the float is checked once ahead of the walk, which an empty ndarray skips
     if isinstance(z, np.ndarray):
         if isinstance(alphas, np.ndarray):
             raise DomainError("pass an ndarray of degrees or of arguments, not both")
         alphas = real_number(alphas, "degree")
+        _check_args(alphas, 1.0)
         z = check_each(lambda v: _check_args(alphas, v), z, "argument")
     else:
         z = real_number(z, "argument")
+        _check_args(0.0, z)
         alphas = check_each(lambda a: _check_args(a, z), alphas, "degree")
     return _kernel_many(alphas, z)
 
@@ -310,19 +300,27 @@ def legendre_p1(alpha, z):
 
     `alpha` and `z` are as for `legendre_p`.  At z = 1 the square-root factor
     vanishes faster than the derivative grows, so 0 is returned there by
-    continuity.  The derivative is taken first: its kernel calls reject
-    every argument outside the domain before the square root sees it.
+    continuity.  The kernel calls reject every argument outside the domain
+    before the square root sees it.
     """
     if isinstance(z, np.ndarray):
         p1 = np.zeros(z.shape)
         inner = z != 1.0
         zi = z[inner]
-        p1[inner] = legendre_dp_dz(alpha, zi) * -np.sqrt(1.0 - zi * zi)
+        p1[inner] = _p1_identity(alpha, zi, legendre_p(alpha, zi), legendre_p(alpha + 1.0, zi))
         return p1
     if z == 1.0:
         # P_a(1) = 1, and legendre_p rejects a degree outside the domain
         return 0.0 * legendre_p(alpha, z)
-    return legendre_dp_dz(alpha, z) * -math.sqrt(1.0 - z * z)
+    return _p1_identity(alpha, z, legendre_p(alpha, z), legendre_p(alpha + 1.0, z))
+
+
+def _p1_identity(alpha, z, p0, p1):
+    """P^1_a(z) = -(1-z^2)^(1/2) P_a'(z), with P_a' the identity of
+    `legendre_dp_dz`, from p0 = P_a(z) and p1 = P_{a+1}(z), z < 1.  Square
+    roots are correctly rounded, so numpy's equals libm's."""
+    w = 1.0 - z * z
+    return _dp_dz_identity(alpha, z, p0, p1) * -(math.sqrt(w) if type(w) is float else np.sqrt(w))
 
 
 def legendre_dp1_dz(alpha, z):

@@ -504,6 +504,11 @@ class TestExponentCommand:
         code, _, err = run_cli(capsys, "exponent", "--theta0", "2.0944")
         assert code == 2
 
+    def test_s_with_neumann_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "exponent", "--theta0", "2.0", "--neumann", "--s", "0.3")
+        assert code == 2 and out == ""
+        assert "--s" in err
+
 
 class TestBarrierCheck:
     def test_reports_negative_coefficient(self, capsys):

@@ -84,7 +84,7 @@ def retyped(valid) -> tuple:
 #: Bad values of each argument kind.
 BAD = {
     "real": REAL + NOT_ONE_ANGLE,
-    "int": (-1, 0, 2, 3, 2.5, NAN),
+    "int": (-1, 0, 2, 3, 2.5, NAN, np.array([0, 1]), np.array([1]), np.array(0), "1", None),
     "theta0": REAL + NOT_ONE_ANGLE + (THETA0_MAX, 0.5 * THETA0_MIN, 5e-324, 1e-200),
     "s": REAL + NOT_ONE_ANGLE + (
         S_LO, S_HI, math.nextafter(S_LO, -INF), math.nextafter(S_HI, INF),

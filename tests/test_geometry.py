@@ -166,6 +166,13 @@ def _adds_negated_pi(node: ast.AST) -> bool:
     )
 
 
+def test_geometry_imports_nothing_from_the_legendre_kernel():
+    # its type rules come from errors.py; the kernel is no dependency of the cone
+    tree = ast.parse(Path(geometry.__file__).read_text(encoding="utf-8"))
+    modules = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "errors" in modules and "legendre" not in modules
+
+
 def test_only_geometry_writes_the_admissible_interval():
     # the interval (-pi + theta0, theta0) has one owner,
     # ConeGeometry.admissible_s_interval; every other module and test asks it.

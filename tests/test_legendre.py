@@ -484,6 +484,27 @@ def test_a_degree_or_argument_of_no_real_type_is_named(bad):
         legendre_p(np.array([0.5]), bad)
 
 
+@pytest.mark.parametrize(
+    "f,alpha,z,scalar",
+    [
+        (legendre_p, 10.0, np.array([]), (10.0, 0.3)),
+        (legendre_p, np.array([]), 5.0, (0.5, 5.0)),
+        (legendre_dp1_dz, 3.5, np.array([]), (3.5, 0.3)),
+        (legendre_p1, math.nan, np.array([1.0]), (math.nan, 1.0)),
+    ],
+    ids=["degree-beside-no-arguments", "argument-beside-no-degrees",
+         "next-degree-beside-no-arguments", "degree-beside-only-z-one"],
+)
+def test_the_float_beside_an_ndarray_is_checked_when_no_element_is(f, alpha, z, scalar):
+    # the elements' checks never see the float when the ndarray is empty, or
+    # when legendre_p1 drops every z = 1 before its kernel calls
+    with pytest.raises(DomainError) as want:
+        f(*scalar)
+    with pytest.raises(DomainError) as got:
+        f(alpha, z)
+    assert str(got.value) == str(want.value)
+
+
 def _compiled_ufuncs_exist() -> bool:
     """Whether scipy has a compiled `special/_special_ufuncs` with hyp2f1 and psi."""
     try:

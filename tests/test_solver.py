@@ -240,6 +240,26 @@ class TestSectorGrid:
         g = SectorGrid(r_min=0.1, r_max=1.0, n_r=np.int64(6), n_theta=np.int32(4), theta0=1.0)
         assert g.node_count() == 24
 
+    @pytest.mark.parametrize("mode", [1.0, np.int64(1), True], ids=["float", "int64", "bool"])
+    def test_an_integer_valued_mode_is_stored_as_that_int(self, mode):
+        # the mode is an integer choice, as a Hoelder order is; the solver
+        # slices with it, so it must be a plain int
+        args = dict(r_min=0.1, r_max=1.0, n_r=9, n_theta=9, theta0=2.0)
+        grid, sol = SectorGrid(**args, m=mode), SeparableSolution(alpha=0.5, m=mode)
+        assert type(grid.m) is type(sol.m) is int and grid.m == sol.m == 1
+        want_grid, want_sol = SectorGrid(**args, m=1), SeparableSolution(alpha=0.5, m=1)
+        assert grid == want_grid and hash(sol) == hash(want_sol)
+        edges = {"r_min": 1.0, "r_max": 2.0, "cone": 0.0}
+        assert (
+            solve_dirichlet(grid, edges).values.tobytes()
+            == solve_dirichlet(want_grid, edges).values.tobytes()
+        )
+        assert check_m_matrix(grid, 1.2) == check_m_matrix(want_grid, 1.2)
+        assert (
+            laplacian_residual(sol, grid)[0].values.tobytes()
+            == laplacian_residual(want_sol, want_grid)[0].values.tobytes()
+        )
+
 
 class TestLaplacianResidual:
     def test_residual_field_masks_boundary_ring(self):
@@ -562,6 +582,19 @@ class TestTensorSolve:
             "import sys, obliquecone; print(' '.join(m for m in "
             "('scipy.sparse', 'scipy.sparse.linalg', 'scipy.linalg') "
             "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert out.stdout.strip() == ""
+
+    def test_cli_import_loads_no_test_only_module_and_no_integrate_or_linear_algebra(self):
+        src = str(Path(obliquecone.__file__).resolve().parents[1])
+        code = (
+            "import sys, obliquecone.cli; print(' '.join(m for m in "
+            "('mpmath', 'hypothesis', 'pytest', 'scipy.integrate', 'scipy.linalg', "
+            "'scipy.sparse') if m in sys.modules))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
