@@ -46,6 +46,12 @@ TILT_FLOOR = 1e-6
 ALPHA0_SCAN_POINTS = 400
 ALPHA0_XTOL = 1e-10
 
+#: The positivity-threshold scan grid, and each node less ALPHA0_XTOL, in
+#: which `build_barrier` finds the prefix that decides its degree; read-only.
+ALPHA0_GRID = np.linspace(1e-6, 1.0, ALPHA0_SCAN_POINTS)
+_ALPHA0_GRID_LESS_XTOL = ALPHA0_GRID - ALPHA0_XTOL
+ALPHA0_GRID.flags.writeable = _ALPHA0_GRID_LESS_XTOL.flags.writeable = False
+
 #: Smallest barrier degree.  Off the axis F_a' comes from the identity of
 #: `legendre_dp_dz`, whose terms of size 1 cancel to a result of size a.  On
 #: 80 cones over the admissible range rounding took its sign at a = 3e-16 on
@@ -78,10 +84,6 @@ class MillerBarrier(SeparableSolution):
         object.__setattr__(self, "fprime", fprime)
 
 
-def _alpha0_grid() -> np.ndarray:
-    return np.linspace(1e-6, 1.0, ALPHA0_SCAN_POINTS)
-
-
 def _first_zero(geom: ConeGeometry, alphas: np.ndarray) -> Optional[float]:
     """The first zero of a -> P_a(cos theta0) that the sign scan on alphas, a
     prefix of the alpha0 grid, brackets, bisected to ALPHA0_XTOL; None if none.
@@ -100,7 +102,7 @@ def alpha0(geom: ConeGeometry) -> float:
     P_0 = 1 > 0 and a -> P_a(cos theta0) is continuous, so the first zero is
     bracketed by a sign scan and pinned by bisection.
     """
-    root = _first_zero(geom, _alpha0_grid())
+    root = _first_zero(geom, ALPHA0_GRID)
     return 1.0 if root is None else root
 
 
@@ -124,11 +126,10 @@ def build_barrier(geom: ConeGeometry, alpha: float) -> MillerBarrier:
         raise InvalidAlpha(
             f"barrier degree must lie in [{BARRIER_DEGREE_MIN:g}, 1), got {alpha}"
         )
-    grid = _alpha0_grid()
     # a zero of the scan lies at or above its bracket's first node, so a
     # prefix ending at a node g whose g - ALPHA0_XTOL exceeds alpha decides
-    end = int(np.searchsorted(grid - ALPHA0_XTOL, alpha, side="right")) + 1
-    a0 = _first_zero(geom, grid[:end])
+    end = int(np.searchsorted(_ALPHA0_GRID_LESS_XTOL, alpha, side="right")) + 1
+    a0 = _first_zero(geom, ALPHA0_GRID[:end])
     if a0 is None and end > ALPHA0_SCAN_POINTS:
         a0 = 1.0
     if a0 is not None and alpha >= a0 - ALPHA0_XTOL:

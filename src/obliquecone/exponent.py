@@ -41,6 +41,10 @@ ALPHA_MIN = 1e-3
 #: Number of sign-scan points on the exponent search window.
 SCAN_POINTS = 2000
 
+#: The sign-scan grid of the exponent search window, shared and read-only.
+SCAN_ALPHAS = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
+SCAN_ALPHAS.flags.writeable = False
+
 #: Bisection interval-width target for exponent roots.
 ROOT_XTOL = 1e-12
 
@@ -146,10 +150,11 @@ def _bracketed_roots(f, grid: np.ndarray, values: np.ndarray, xtol: float) -> li
     between neighbouring nodes is bisected on f to width xtol.  A zero node
     next to a nonzero one is not a sign change, so no root is counted twice.
     """
-    zeros = np.flatnonzero(values == 0.0)
-    changes = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    # one ascending mask, not np.union1d, which would load numpy.ma
+    brackets = values == 0.0
+    brackets[:-1] |= values[:-1] * values[1:] < 0.0
     roots: list[float] = []
-    for i in np.union1d(zeros, changes):
+    for i in np.flatnonzero(brackets):
         lo = float(grid[i])
         if values[i] == 0.0:
             roots.append(lo)
@@ -210,10 +215,9 @@ def neumann_exponent(geom: ConeGeometry) -> float:
     NEUMANN_ENDPOINT_TOL.  For theta0 < pi/2 a root is not guaranteed;
     BracketError is raised when the scan finds no sign change.
     """
-    alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
     mismatch = partial(legendre_dp1_dz, z=geom.z0)
-    profile = mismatch(alphas)
-    roots = _bracketed_roots(mismatch, alphas, profile, ROOT_XTOL)
+    profile = mismatch(SCAN_ALPHAS)
+    roots = _bracketed_roots(mismatch, SCAN_ALPHAS, profile, ROOT_XTOL)
     if roots:
         return roots[0]
     if abs(profile[-1]) <= NEUMANN_ENDPOINT_TOL:
@@ -401,13 +405,12 @@ def classify_many(geom: ConeGeometry, bcs: Sequence[ObliqueBC]) -> list[RegimeRe
     for bc in bcs:
         if bc.theta0 != geom.theta0:
             raise DomainError(f"bc built for theta0 = {bc.theta0}, cone has {geom.theta0}")
-    alphas = np.linspace(ALPHA_MIN, 1.0, SCAN_POINTS)
-    f1, f2 = _angular_factors(geom.theta0, alphas)
+    f1, f2 = _angular_factors(geom.theta0, SCAN_ALPHAS)
     reports = []
     for bc in bcs:
         mismatch = partial(_mismatch, geom, bc.s)
         cos_s, sin_s = math.cos(bc.s), math.sin(bc.s)
-        roots = _bracketed_roots(mismatch, alphas, _combine(bc.s, f1, f2), ROOT_XTOL)
+        roots = _bracketed_roots(mismatch, SCAN_ALPHAS, _combine(bc.s, f1, f2), ROOT_XTOL)
         root = roots[0] if roots else None
         barrier_regime = cos_s * sin_s > 0.0
         if root is not None:

@@ -82,8 +82,10 @@ class HolderSamples:
         for name, shape in (("gradients", (n, 2)), ("hessians", (n, 2, 2))):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, real_array(getattr(self, name), name, shape))
-        # a repeated point has zero separation, so no pair quotient exists
-        if len(np.unique(pts, axis=0)) < len(pts):
+        # a repeated point has zero separation, so no pair quotient exists;
+        # row tuples in a set, where -0.0 equals 0.0 as in np.unique, which
+        # would load numpy.ma
+        if len(set(map(tuple, pts.tolist()))) < len(pts):
             raise DomainError("points must be distinct")
 
     def __len__(self) -> int:

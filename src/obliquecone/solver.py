@@ -189,7 +189,8 @@ class ConvergenceStudy:
         res = real_array(self.residuals, "residuals", hs.shape)
         if len(hs) < 2 or min(hs.min(), res.min()) <= 0.0:
             raise DomainError(f"need two or more positive (h, residual) pairs, got {hs}, {res}")
-        if len(np.unique(hs)) < len(hs):
+        # a set of floats, not np.unique, which would load numpy.ma
+        if len(set(hs.tolist())) < len(hs):
             raise DomainError(f"mesh sizes must be distinct, got {self.h_values}")
 
     @property

@@ -3,6 +3,14 @@
 Each suite re-derives its expected values independently of the code path it
 checks (quadrature oracles, finite differences, closed forms), prints
 nothing itself, and reports one CheckResult per invariant.
+
+A run computes each production result that several of its checks need once,
+the first time one of them asks for it, and hands it to the others: the
+regime reports of each cone's row of EXPONENT_CELLS, the Neumann exponents
+and the barriers certified at BARRIER_DEGREE.  The oracles those results are
+compared with stay independent of them, and the classification check still
+classifies one cell on its own to test determinism.  Nothing is kept between
+runs, so every `run_suite` call pays for the results it shares.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -86,16 +94,6 @@ def _rows(pairs) -> dict[float, list[float]]:
     for theta0, s in pairs:
         rows.setdefault(theta0, []).append(s)
     return rows
-
-
-def _classified(pairs) -> dict[tuple[float, float], exp_mod.RegimeReport]:
-    """The report of each (theta0, s) pair, from one `classify_many` call per cone."""
-    reports = {}
-    for theta0, ss in _rows(pairs).items():
-        geom = ConeGeometry(theta0=theta0)
-        row = exp_mod.classify_many(geom, [ObliqueBC.for_cone(geom, s) for s in ss])
-        reports.update(((theta0, s), report) for s, report in zip(ss, row))
-    return reports
 
 
 def _grids(theta0: float, m: int = 0) -> list[SectorGrid]:
@@ -195,17 +193,72 @@ BARRIER_REGIME_PAIRS = (
     (1.2, -1.8),
 )
 
+#: (theta0, s, label) cases whose labels the classification check pins.
+LABELLED_CASES = (
+    (2.0 * math.pi / 3.0, 1.8, exp_mod.IRREGULAR),
+    (math.pi / 3.0, 0.6, exp_mod.REGULAR_BARRIER),
+    (math.pi / 3.0, 0.0, exp_mod.AXIS_CONTINUOUS),
+    (2.0 * math.pi / 3.0, -0.3, exp_mod.UNKNOWN),
+)
+
+#: The (theta0, s) cells whose critical modes the solver suite solves with:
+#: the oblique comparison minimum and the oblique error-order study.
+COMPARISON_CELL = (math.pi / 3.0, -1.3)
+SOLVE_ORDER_CELL = (2.0 * math.pi / 3.0, 1.8)
+
+#: The oblique angles s of each theta0 whose regime reports the checks read:
+#: 12 cells on 5 cones, each cone's row classified by one `classify_many` call.
+EXPONENT_CELLS = _rows(dict.fromkeys(
+    GUARANTEED_IRREGULAR
+    + BARRIER_REGIME_PAIRS
+    + tuple((theta0, s) for theta0, s, _ in LABELLED_CASES)
+    + (COMPARISON_CELL, SOLVE_ORDER_CELL)
+))
+
+#: Degree of the barriers the invariant and tilt checks certify and share.
+BARRIER_DEGREE = 0.05
+
+
+def _classified_row(theta0: float) -> dict[float, exp_mod.RegimeReport]:
+    """The report of each s of theta0's EXPONENT_CELLS row, from one
+    `classify_many` call."""
+    geom = ConeGeometry(theta0=theta0)
+    ss = EXPONENT_CELLS[theta0]
+    return dict(zip(ss, exp_mod.classify_many(geom, [ObliqueBC.for_cone(geom, s) for s in ss])))
+
+
+class SharedResults:
+    """Production results that several checks of one `run_suite` call read.
+
+    Each is computed the first time a check of the run asks for it, and the
+    object, made afresh by every run, drops them all with the run.  A result
+    whose computation raises is not kept, so the next check asks again.
+    """
+
+    def __init__(self) -> None:
+        self._row = cache(_classified_row)
+        self.neumann_exponent = cache(
+            lambda theta0: exp_mod.neumann_exponent(ConeGeometry(theta0=theta0))
+        )
+        self.barrier = cache(
+            lambda theta0: bar.build_barrier(ConeGeometry(theta0=theta0), BARRIER_DEGREE)
+        )
+
+    def report(self, theta0: float, s: float) -> exp_mod.RegimeReport:
+        """The regime report of an EXPONENT_CELLS cell."""
+        return self._row(theta0)[s]
+
 
 # ---------------------------------------------------------------------------
 # special suite
 # ---------------------------------------------------------------------------
 
-def _check_value_at_one() -> tuple[bool, str]:
+def _check_value_at_one(shared: SharedResults) -> tuple[bool, str]:
     worst = max(abs(legendre_p(a, 1.0) - 1.0) for a in np.linspace(0.0, 3.0, 50))
     return worst <= 1e-12, f"max |P_a(1) - 1| = {worst:.3e}"
 
 
-def _check_integer_degrees() -> tuple[bool, str]:
+def _check_integer_degrees(shared: SharedResults) -> tuple[bool, str]:
     polys = {
         0.0: lambda z: 1.0,
         1.0: lambda z: z,
@@ -219,7 +272,7 @@ def _check_integer_degrees() -> tuple[bool, str]:
     return worst <= 1e-12, f"max deviation from explicit polynomials = {worst:.3e}"
 
 
-def _check_recurrence() -> tuple[bool, str]:
+def _check_recurrence(shared: SharedResults) -> tuple[bool, str]:
     worst = 0.0
     for a in np.linspace(0.1, 2.0, 20):
         for z in np.linspace(-0.9, 1.0, 21):
@@ -233,7 +286,7 @@ def _check_recurrence() -> tuple[bool, str]:
     return worst <= 1e-10, f"max three-term recurrence residual = {worst:.3e}"
 
 
-def _check_dz_identity() -> tuple[bool, str]:
+def _check_dz_identity(shared: SharedResults) -> tuple[bool, str]:
     worst = 0.0
     for a in (0.3, 0.5, 1.2, 1.7):
         for z in (-0.8, -0.2, 0.3, 0.7, 0.95):
@@ -246,7 +299,7 @@ def _check_dz_identity() -> tuple[bool, str]:
     return worst <= 1e-8, f"max relative gap identity vs Richardson = {worst:.3e}"
 
 
-def _check_quadrature() -> tuple[bool, str]:
+def _check_quadrature(shared: SharedResults) -> tuple[bool, str]:
     worst = 0.0
     for a in (0.25, 0.5, 0.75):
         for z in np.linspace(-0.9, 1.0, 20):
@@ -256,7 +309,7 @@ def _check_quadrature() -> tuple[bool, str]:
     return worst <= 1e-9, f"max kernel-vs-quadrature gap = {worst:.3e}"
 
 
-def _check_degree_derivative_identity() -> tuple[bool, str]:
+def _check_degree_derivative_identity(shared: SharedResults) -> tuple[bool, str]:
     # at degree 0: d/da P_{a+1} - z d/da P_a = -P_1 + 2 z P_0 - P_{-1} = z - 1
     worst = 0.0
     for z in np.linspace(-0.9, 0.9, 13):
@@ -270,7 +323,7 @@ def _check_degree_derivative_identity() -> tuple[bool, str]:
 # exponent suite
 # ---------------------------------------------------------------------------
 
-def _check_endpoints() -> tuple[bool, str]:
+def _check_endpoints(shared: SharedResults) -> tuple[bool, str]:
     worst0 = worst1 = 0.0
     for theta0, ss in _rows(admissible_grid()).items():
         f1, f2 = exp_mod._angular_factors(theta0, np.array([0.0, 1.0]))
@@ -282,7 +335,7 @@ def _check_endpoints() -> tuple[bool, str]:
     return ok, f"|B(.,0,.)| <= {worst0:.2e}, |B(.,1,.) - cos s| <= {worst1:.2e}"
 
 
-def _check_slope() -> tuple[bool, str]:
+def _check_slope(shared: SharedResults) -> tuple[bool, str]:
     h = 1e-5
     worst = 0.0
     for theta0, ss in _rows(admissible_grid()).items():
@@ -294,7 +347,7 @@ def _check_slope() -> tuple[bool, str]:
     return worst <= 1e-4, f"max |FD slope - V| = {worst:.3e}"
 
 
-def _check_critical_angle() -> tuple[bool, str]:
+def _check_critical_angle(shared: SharedResults) -> tuple[bool, str]:
     # bisect V(theta0, .) from -1 at -pi + theta0 to 1 at 0
     worst = 0.0
     for theta0 in np.linspace(0.25, 2.7, 100):
@@ -310,13 +363,12 @@ def _check_critical_angle() -> tuple[bool, str]:
     return worst <= 1e-10, f"max |s0 - bisected root of V| = {worst:.3e}"
 
 
-def _check_guaranteed_roots() -> tuple[bool, str]:
+def _check_guaranteed_roots(shared: SharedResults) -> tuple[bool, str]:
     radii = np.linspace(0.1, 1.0, 20)
     details = []
-    reports = _classified(GUARANTEED_IRREGULAR)
     for theta0, s in GUARANTEED_IRREGULAR:
         geom = ConeGeometry(theta0=theta0)
-        root = reports[theta0, s].critical_exponent
+        root = shared.report(theta0, s).critical_exponent
         if root is None or not (0.0 < root < 1.0):
             return False, f"no interior root at (theta0={theta0:.4f}, s={s})"
         bval = abs(exp_mod.boundary_mismatch(geom, root, s))
@@ -329,10 +381,9 @@ def _check_guaranteed_roots() -> tuple[bool, str]:
     return True, "roots " + ", ".join(details)
 
 
-def _check_no_root_in_barrier_regime() -> tuple[bool, str]:
-    reports = _classified(BARRIER_REGIME_PAIRS)
+def _check_no_root_in_barrier_regime(shared: SharedResults) -> tuple[bool, str]:
     for theta0, s in BARRIER_REGIME_PAIRS:
-        root = reports[theta0, s].critical_exponent
+        root = shared.report(theta0, s).critical_exponent
         if root is not None:
             return False, f"unexpected root {root} at (theta0={theta0:.4f}, s={s})"
     return True, f"no sign change for {len(BARRIER_REGIME_PAIRS)} pairs"
@@ -358,7 +409,7 @@ def separable_gradient_gap(sol: exp_mod.SeparableSolution, points) -> float:
     return worst
 
 
-def _check_gradient_consistency() -> tuple[bool, str]:
+def _check_gradient_consistency(shared: SharedResults) -> tuple[bool, str]:
     points = ((0.5, 0.4), (1.0, 1.0), (2.0, 1.8))
     worst = max(
         separable_gradient_gap(exp_mod.SeparableSolution(alpha=alpha, m=m), points)
@@ -367,7 +418,7 @@ def _check_gradient_consistency() -> tuple[bool, str]:
     return worst <= 1e-6, f"max relative gradient gap = {worst:.3e}"
 
 
-def _check_neumann_identities() -> tuple[bool, str]:
+def _check_neumann_identities(shared: SharedResults) -> tuple[bool, str]:
     worst0 = worst1 = worst_slope = 0.0
     for theta0 in (1.0, math.pi / 2.0, 2.0 * math.pi / 3.0, 3.0 * math.pi / 4.0, 2.9):
         geom = ConeGeometry(theta0=theta0)
@@ -385,15 +436,14 @@ def _check_neumann_identities() -> tuple[bool, str]:
     )
 
 
-def _check_neumann_roots() -> tuple[bool, str]:
-    geom_half = ConeGeometry(theta0=math.pi / 2.0)
-    root_half = exp_mod.neumann_exponent(geom_half)
+def _check_neumann_roots(shared: SharedResults) -> tuple[bool, str]:
+    root_half = shared.neumann_exponent(math.pi / 2.0)
     if abs(root_half - 1.0) > 1e-8:
         return False, f"half-space Neumann exponent {root_half} != 1"
     radii = np.linspace(0.1, 1.0, 10)
     for theta0 in (2.0 * math.pi / 3.0, 3.0 * math.pi / 4.0):
         geom = ConeGeometry(theta0=theta0)
-        root = exp_mod.neumann_exponent(geom)
+        root = shared.neumann_exponent(theta0)
         if not (0.0 < root < 1.0):
             return False, f"Neumann exponent {root} outside (0,1) at theta0={theta0:.4f}"
         wval = abs(exp_mod.neumann_mismatch(geom, root))
@@ -403,28 +453,20 @@ def _check_neumann_roots() -> tuple[bool, str]:
     return True, f"half-space root {root_half}, obtuse roots interior"
 
 
-def _check_classification() -> tuple[bool, str]:
-    geom = ConeGeometry(theta0=2.0 * math.pi / 3.0)
-    bc = ObliqueBC.for_cone(geom, 1.8)
-    first = exp_mod.classify_regime(geom, bc)
-    second = exp_mod.classify_regime(geom, bc)
-    if first != second:
+def _check_classification(shared: SharedResults) -> tuple[bool, str]:
+    # a row of one against the shared row of five, which holds the same cell
+    theta0, s = 2.0 * math.pi / 3.0, 1.8
+    geom = ConeGeometry(theta0=theta0)
+    if exp_mod.classify_regime(geom, ObliqueBC.for_cone(geom, s)) != shared.report(theta0, s):
         return False, "classification is not deterministic"
-    cases = (
-        (2.0 * math.pi / 3.0, 1.8, exp_mod.IRREGULAR),
-        (math.pi / 3.0, 0.6, exp_mod.REGULAR_BARRIER),
-        (math.pi / 3.0, 0.0, exp_mod.AXIS_CONTINUOUS),
-        (2.0 * math.pi / 3.0, -0.3, exp_mod.UNKNOWN),
-    )
-    reports = _classified([(theta0, s) for theta0, s, _ in cases])
-    for theta0, s, expected in cases:
-        report = reports[theta0, s]
+    for theta0, s, expected in LABELLED_CASES:
+        report = shared.report(theta0, s)
         if report.label != expected:
             return False, f"(theta0={theta0:.4f}, s={s}) -> {report.label}, expected {expected}"
-    return True, f"{len(cases)} labelled cases and determinism"
+    return True, f"{len(LABELLED_CASES)} labelled cases and determinism"
 
 
-def _check_reduction() -> tuple[bool, str]:
+def _check_reduction(shared: SharedResults) -> tuple[bool, str]:
     for n in (3, 4, 5):
         a0, b21 = reduce_to_axisymmetric(np.eye(n))
         if not np.allclose(a0, np.eye(2)) or b21 != float(n - 2):
@@ -462,18 +504,17 @@ def barrier_regime_angles(theta0: float) -> list[float]:
     return [float(s) for s in angles]
 
 
-def _check_barrier_invariants() -> tuple[bool, str]:
+def _check_barrier_invariants(shared: SharedResults) -> tuple[bool, str]:
     details = []
     for theta0 in _BARRIER_THETAS:
-        geom = ConeGeometry(theta0=theta0)
-        b = bar.build_barrier(geom, 0.05)
+        b = shared.barrier(theta0)
         if not (0.0 < b.cstar < 1.0):
             return False, f"c* = {b.cstar} outside (0,1) at theta0={theta0:.4f}"
         details.append(f"c*({theta0:.3f})={b.cstar:.6f}")
     return True, "; ".join(details)
 
 
-def _check_barrier_small_degree_limit() -> tuple[bool, str]:
+def _check_barrier_small_degree_limit(shared: SharedResults) -> tuple[bool, str]:
     worst = 0.0
     for theta0 in _BARRIER_THETAS:
         geom = ConeGeometry(theta0=theta0)
@@ -483,7 +524,7 @@ def _check_barrier_small_degree_limit() -> tuple[bool, str]:
     return worst <= 1e-2, f"sup |F - 1| = {worst:.3e} at degree 1e-4"
 
 
-def _check_m1_sign_grid() -> tuple[bool, str]:
+def _check_m1_sign_grid(shared: SharedResults) -> tuple[bool, str]:
     count = 0
     for theta0 in np.linspace(0.35, 2.5, 20):
         geom = ConeGeometry(theta0=float(theta0))
@@ -523,17 +564,16 @@ def m1_closed_vs_fd_gap(seed: int) -> float:
     return worst
 
 
-def _check_m1_closed_vs_fd() -> tuple[bool, str]:
+def _check_m1_closed_vs_fd(shared: SharedResults) -> tuple[bool, str]:
     worst = m1_closed_vs_fd_gap(20240817)
     return worst <= 1e-8, f"max relative closed-form vs FD gap = {worst:.3e}"
 
 
-def _check_tilt() -> tuple[bool, str]:
+def _check_tilt(shared: SharedResults) -> tuple[bool, str]:
     details = []
     for theta0, s in ((math.pi / 3.0, 0.5), (2.0 * math.pi / 3.0, 0.4), (math.pi / 3.0, -1.8)):
-        geom = ConeGeometry(theta0=theta0)
-        b = bar.build_barrier(geom, 0.05)
-        bc = ObliqueBC.for_cone(geom, s)
+        b = shared.barrier(theta0)
+        bc = ObliqueBC.for_cone(ConeGeometry(theta0=theta0), s)
         rc = bar.rotate_coefficients(np.eye(2), bc)
         m1 = bar.m1_coefficient(b, bc, rc)
         if bar.m2_coefficient(b, bc, rc, 0.0) != m1:
@@ -548,7 +588,7 @@ def _check_tilt() -> tuple[bool, str]:
     return True, "; ".join(details)
 
 
-def _check_barrier_harmonicity() -> tuple[bool, str]:
+def _check_barrier_harmonicity(shared: SharedResults) -> tuple[bool, str]:
     geom = ConeGeometry(theta0=2.0 * math.pi / 3.0)
     sol = exp_mod.SeparableSolution(alpha=0.05, m=0)
     study = sol_mod.residual_convergence(sol, _grids(geom.theta0))
@@ -556,7 +596,7 @@ def _check_barrier_harmonicity() -> tuple[bool, str]:
     return 1.7 <= order <= 2.3, f"observed order = {order:.3f}"
 
 
-def _check_rotation_cases() -> tuple[bool, str]:
+def _check_rotation_cases(shared: SharedResults) -> tuple[bool, str]:
     geom = ConeGeometry(theta0=2.0)
     bc_normal = ObliqueBC.for_cone(geom, 2.0 - math.pi / 2.0)  # beta0 = nu
     rc = bar.rotate_coefficients(np.eye(2), bc_normal)
@@ -580,7 +620,7 @@ def _check_rotation_cases() -> tuple[bool, str]:
 # solver suite
 # ---------------------------------------------------------------------------
 
-def _check_residual_orders() -> tuple[bool, str]:
+def _check_residual_orders(shared: SharedResults) -> tuple[bool, str]:
     theta0 = 2.0 * math.pi / 3.0
     details = []
     for alpha, m in ((1.0, 0), (0.6, 0)):
@@ -591,8 +631,7 @@ def _check_residual_orders() -> tuple[bool, str]:
         if not (1.7 <= order <= 2.3):
             return False, f"order {order:.3f} for degree {alpha}, mode {m}"
         details.append(f"{alpha}/m{m}: {order:.2f}")
-    geom = ConeGeometry(theta0=theta0)
-    a_neu = exp_mod.neumann_exponent(geom)
+    a_neu = shared.neumann_exponent(theta0)
     study = sol_mod.residual_convergence(
         exp_mod.SeparableSolution(alpha=a_neu, m=1), _grids(theta0, m=1)
     )
@@ -603,7 +642,7 @@ def _check_residual_orders() -> tuple[bool, str]:
     return True, "; ".join(details)
 
 
-def _check_m_matrix_default() -> tuple[bool, str]:
+def _check_m_matrix_default(shared: SharedResults) -> tuple[bool, str]:
     for m in (0, 1):
         grid = SectorGrid.default(2.0 * math.pi / 3.0, n_r=40, n_theta=32, m=m)
         report = sol_mod.check_m_matrix(grid)
@@ -612,7 +651,7 @@ def _check_m_matrix_default() -> tuple[bool, str]:
     return True, "default grids pass for modes 0 and 1"
 
 
-def _check_m_matrix_stress() -> tuple[bool, str]:
+def _check_m_matrix_stress(shared: SharedResults) -> tuple[bool, str]:
     # radial steps far larger than r near the inner edge break monotonicity
     radial = SectorGrid(
         r_min=1e-6, r_max=1.0, n_r=8, n_theta=8, theta0=2.0 * math.pi / 3.0, grading=2.0
@@ -629,7 +668,7 @@ def _check_m_matrix_stress() -> tuple[bool, str]:
     )
 
 
-def _check_dirichlet_constant() -> tuple[bool, str]:
+def _check_dirichlet_constant(shared: SharedResults) -> tuple[bool, str]:
     grid = SectorGrid.default(2.0 * math.pi / 3.0, n_r=24, n_theta=20)
     field = sol_mod.solve_dirichlet(
         grid, {"r_min": 3.5, "r_max": 3.5, "cone": 3.5}
@@ -638,7 +677,7 @@ def _check_dirichlet_constant() -> tuple[bool, str]:
     return worst <= 1e-10, f"constant solve max error = {worst:.3e}"
 
 
-def _check_comparison_minimum() -> tuple[bool, str]:
+def _check_comparison_minimum(shared: SharedResults) -> tuple[bool, str]:
     """Nonnegative solves: positive Dirichlet data, and the critical mode's `field`."""
     grid = SectorGrid.default(2.0 * math.pi / 3.0, n_r=40, n_theta=32)
     data = lambda r, t: abs(math.sin(3.0 * r) * math.cos(t)) + 0.1
@@ -646,10 +685,8 @@ def _check_comparison_minimum() -> tuple[bool, str]:
         grid, {"r_min": data, "r_max": data, "cone": data}
     )
     min_all_dirichlet = float(field.values.min())
-    theta0, s = math.pi / 3.0, -1.3
-    geom = ConeGeometry(theta0=theta0)
-    root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
-    sol = exp_mod.SeparableSolution(alpha=root, m=0)
+    theta0, s = COMPARISON_CELL
+    sol = exp_mod.SeparableSolution(alpha=shared.report(theta0, s).critical_exponent, m=0)
     grid = SectorGrid(r_min=0.02, r_max=1.0, n_r=48, n_theta=32, theta0=theta0)
     exact = sol.field(grid)
     edges = {"r_min": exact[0], "r_max": exact[-1]}
@@ -659,12 +696,10 @@ def _check_comparison_minimum() -> tuple[bool, str]:
     return ok, f"minima {min_all_dirichlet:.2e} (Dirichlet), {min_oblique:.2e} (oblique)"
 
 
-def _check_oblique_solve_order() -> tuple[bool, str]:
+def _check_oblique_solve_order(shared: SharedResults) -> tuple[bool, str]:
     """Error order of oblique solves whose exact field and edge data are `field`."""
-    theta0, s = 2.0 * math.pi / 3.0, 1.8
-    geom = ConeGeometry(theta0=theta0)
-    root = exp_mod.critical_exponent(geom, ObliqueBC.for_cone(geom, s))
-    sol = exp_mod.SeparableSolution(alpha=root, m=0)
+    theta0, s = SOLVE_ORDER_CELL
+    sol = exp_mod.SeparableSolution(alpha=shared.report(theta0, s).critical_exponent, m=0)
     errs, hs = [], []
     for n in (17, 33, 65):
         grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=n, n_theta=n, theta0=theta0)
@@ -677,14 +712,14 @@ def _check_oblique_solve_order() -> tuple[bool, str]:
     return 1.7 <= slope <= 2.3, f"oblique-solve error order = {slope:.3f}"
 
 
-def _check_fit_recovery() -> tuple[bool, str]:
+def _check_fit_recovery(shared: SharedResults) -> tuple[bool, str]:
     slope, _ = sol_mod.fit_exponent(
         lambda r, t: 2.0 * r ** 0.37, 0.5, (1e-3, 1e-1)
     )
     return abs(slope - 0.37) <= 1e-8, f"pure-power slope gap = {abs(slope - 0.37):.3e}"
 
 
-def _check_holder_behaviour() -> tuple[bool, str]:
+def _check_holder_behaviour(shared: SharedResults) -> tuple[bool, str]:
     pts = hold.sector_sample_points(2.0, 1e-2, 1.0)
     u = hold.samples_from_function(lambda y1, y2: math.hypot(y1, y2) ** 0.3, pts)
     v = hold.samples_from_function(lambda y1, y2: math.hypot(y1, y2) ** 0.4, pts)
@@ -714,7 +749,7 @@ def _check_holder_behaviour() -> tuple[bool, str]:
 
 
 #: Every check as (suite, name, check), in the order `run_suite("all")` runs them.
-CHECKS: tuple[tuple[str, str, Callable[[], tuple[bool, str]]], ...] = (
+CHECKS: tuple[tuple[str, str, Callable[[SharedResults], tuple[bool, str]]], ...] = (
     ("special", "value_at_one", _check_value_at_one),
     ("special", "integer_degree_polynomials", _check_integer_degrees),
     ("special", "three_term_recurrence", _check_recurrence),
@@ -753,13 +788,15 @@ SUITE_NAMES = tuple(dict.fromkeys(suite for suite, _, _ in CHECKS))
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one named suite, or all of them ("all") in the order of CHECKS."""
+    """Run one named suite, or all of them ("all") in the order of CHECKS,
+    with one SharedResults for the run."""
     if name != "all" and name not in SUITE_NAMES:
         raise KeyError(
             f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)} or 'all'"
         )
+    shared = SharedResults()
     return [
-        _run(suite, check_name, check)
+        _run(suite, check_name, partial(check, shared))
         for suite, check_name, check in CHECKS
         if name in (suite, "all")
     ]

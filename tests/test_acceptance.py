@@ -39,6 +39,7 @@ from obliquecone.legendre import legendre_p
 from obliquecone.solver import fit_exponent, residual_convergence, solve_dirichlet
 from obliquecone.verify import (
     CHECKS,
+    SharedResults,
     barrier_regime_angles,
     fd_neumann_residual,
     fd_oblique_residual,
@@ -87,8 +88,10 @@ def report(cid, ok, detail):
 
 
 def run_checks(*check_ids):
-    """(passed, detail) of the `verify` checks named "suite.name", run in order."""
-    results = [(check_id, CHECKS_BY_ID[check_id]()) for check_id in check_ids]
+    """(passed, detail) of the `verify` checks named "suite.name", run in order
+    with the results they share computed once, as in one `run_suite` call."""
+    shared = SharedResults()
+    results = [(check_id, CHECKS_BY_ID[check_id](shared)) for check_id in check_ids]
     return (
         all(passed for _, (passed, _) in results),
         "; ".join(f"{check_id}: {detail}" for check_id, (_, detail) in results),

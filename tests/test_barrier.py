@@ -480,3 +480,18 @@ def test_construction_takes_p_a_at_the_edge_once(monkeypatch, theta0):
         monkeypatch.setattr(module, "legendre_p", spy)
     MillerBarrier(alpha=0.3, theta0=theta0)
     assert calls.count((0.3, math.cos(theta0))) == 1
+
+
+@pytest.mark.parametrize(
+    "grid,lo,points",
+    [
+        (exponent.SCAN_ALPHAS, exponent.ALPHA_MIN, exponent.SCAN_POINTS),
+        (barrier_module.ALPHA0_GRID, 1e-6, barrier_module.ALPHA0_SCAN_POINTS),
+    ],
+    ids=["exponent", "alpha0"],
+)
+def test_a_shared_scan_grid_is_read_only(grid, lo, points):
+    # every scan reads one module-level grid, so a write would move them all
+    assert np.array_equal(grid, np.linspace(lo, 1.0, points))
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0] = 0.5

@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from obliquecone import exponent
+from obliquecone import barrier, exponent
 from obliquecone.cli import main
 from obliquecone.exponent import boundary_mismatch
 from obliquecone.geometry import ConeGeometry
@@ -788,8 +789,46 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("suite", ["special", "exponent", "barrier", "solver"])
     def test_single_suite_runs_its_slice_in_order(self, suite):
-        got = tuple(f"{r.suite}.{r.name}" for r in run_suite(suite))
-        assert got == tuple(i for i in VERIFY_IDS if i.startswith(suite + "."))
+        # alone, a check computes the results that an earlier check of a
+        # full run would have shared with it, and gives the same detail
+        got = tuple((f"{r.suite}.{r.name}", r.detail) for r in run_suite(suite))
+        assert got == tuple(
+            (i, detail) for i, detail in VERIFY_DETAILS.items() if i.startswith(suite + ".")
+        )
+
+    @pytest.fixture
+    def production_calls(self, monkeypatch):
+        """Counts of the production calls whose results a run shares."""
+        calls = Counter()
+        for module, name in (
+            (exponent, "classify_many"),
+            (exponent, "neumann_exponent"),
+            (barrier, "build_barrier"),
+        ):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_a_run_computes_each_shared_result_once(self, production_calls):
+        # one row per cone of the 12 exponent cells on 5 cones, and the row of
+        # one the determinism check classifies itself; the Neumann exponents
+        # at pi/2, 2pi/3 and 3pi/4; 36 distinct barriers.  A second run in
+        # the same process computes them all again: nothing outlives a run.
+        for _ in range(2):
+            production_calls.clear()
+            run_suite("all")
+            assert production_calls == {
+                "classify_many": 6, "neumann_exponent": 3, "build_barrier": 36
+            }
+
+    def test_a_suite_alone_computes_only_what_it_reads(self, production_calls):
+        # the solver suite reads the rows of pi/3 and 2pi/3 and one exponent
+        run_suite("solver")
+        assert production_calls["classify_many"] <= 2
+        assert production_calls["neumann_exponent"] <= 1
 
     def test_unknown_suite_raises_key_error(self):
         with pytest.raises(KeyError, match="unknown suite 'nope'"):

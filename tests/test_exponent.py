@@ -7,6 +7,9 @@ mismatch and gradient code paths it validates.
 
 import ast
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -754,3 +757,32 @@ def test_no_module_loops_profile_over_angles():
                 if name in ("profile", "profile_deriv"):
                     loops.append(f"{path.name}:{node.lineno}")
     assert loops == []
+
+
+def test_no_production_call_loads_numpy_ma():
+    # np.union1d and np.unique import numpy.ma on their first call in a
+    # process, which costs a cold classify about 10 ms
+    src = str(Path(exponent.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from obliquecone.barrier import build_barrier\n"
+        "from obliquecone.exponent import classify_regime, neumann_exponent\n"
+        "from obliquecone.geometry import ConeGeometry, ObliqueBC\n"
+        "from obliquecone.grids import SectorGrid\n"
+        "from obliquecone.holder import HolderSamples\n"
+        "from obliquecone.solver import ConvergenceStudy, solve_dirichlet\n"
+        "geom = ConeGeometry(theta0=2.0)\n"
+        "classify_regime(geom, ObliqueBC.for_cone(geom, 1.2))\n"
+        "neumann_exponent(geom)\n"
+        "build_barrier(geom, 0.05)\n"
+        "grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=17, n_theta=17, theta0=2.0)\n"
+        "solve_dirichlet(grid, {'r_min': 1.0, 'r_max': 2.0}, oblique_s=1.2)\n"
+        "ConvergenceStudy((0.1, 0.05), (1.0, 0.25))\n"
+        "HolderSamples(points=[[0.1, 0.2], [0.3, 0.4]], values=[1.0, 2.0])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert out.stdout.strip() == "False"

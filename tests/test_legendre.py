@@ -33,7 +33,7 @@ from obliquecone.legendre import (
     legendre_p_many,
     legendre_p_quadrature,
 )
-from obliquecone.verify import CHECKS
+from obliquecone.verify import CHECKS, SharedResults
 
 # frozen from the quadrature oracle
 P_HALF_AT_ZERO = 0.5393526011883792
@@ -85,7 +85,7 @@ class TestLegendreP:
     def test_series_vs_quadrature_cross_validation(self):
         # the degrees 0.25, 0.5 and 0.75 against the oracle are verify's check
         check = {(suite, name): fn for suite, name, fn in CHECKS}
-        passed, detail = check["special", "kernel_vs_quadrature"]()
+        passed, detail = check["special", "kernel_vs_quadrature"](SharedResults())
         assert passed, detail
 
     def test_domain_errors(self):

@@ -32,7 +32,7 @@ from obliquecone.solver import (
     residual_convergence,
     solve_dirichlet,
 )
-from obliquecone.verify import CHECKS
+from obliquecone.verify import CHECKS, SharedResults
 
 THETA0 = 2 * math.pi / 3
 
@@ -371,7 +371,7 @@ class TestSolveDirichlet:
     def test_oblique_solve_converges_at_order_two(self):
         # the 17/33/65 error study at (THETA0, s = 1.8) is verify's check
         check = {(suite, name): fn for suite, name, fn in CHECKS}
-        passed, detail = check["solver", "oblique_solve_order"]()
+        passed, detail = check["solver", "oblique_solve_order"](SharedResults())
         assert passed, detail
 
     def test_m1_dirichlet_solve_converges_at_order_two(self):
