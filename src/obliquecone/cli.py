@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -53,6 +52,9 @@ def _emit(payload: dict, as_json: bool) -> int:
 
 
 def _witness_digest(witnesses) -> str:
+    # imported here: of all commands, only phase-map needs OpenSSL's sha256
+    import hashlib
+
     canonical = ";".join(
         f"{name}={_fmt(value)}@{_fmt(tol)}" for name, value, tol in witnesses
     )

@@ -240,9 +240,10 @@ class SeparableSolution:
     m: int = 0
 
     def __post_init__(self) -> None:
-        # a Python float degree, the hot case, skips the type rule's call
+        # a Python float degree, the hot case, skips the type rule's call;
+        # any other degree is stored as its float, so float32 stays out
         if type(self.alpha) is not float:
-            real_number(self.alpha, "degree")
+            object.__setattr__(self, "alpha", real_number(self.alpha, "degree"))
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"degree must lie in (0, 1], got {self.alpha}")
         object.__setattr__(self, "m", integer_choice(self.m, 1, "azimuthal mode"))

@@ -30,11 +30,13 @@ def check_polar_angle(theta, name: str, lo: float) -> None:
         raise DomainError(f"{name} must lie in [{lo:g}, {THETA0_MAX:.4f}), got {theta}")
 
 
-def check_radii(r_min: float, r_max: float, name: str) -> None:
-    """DomainError unless 0 < r_min < r_max < inf, the radii of an annulus."""
+def check_radii(r_min: float, r_max: float, name: str) -> tuple[float, float]:
+    """(r_min, r_max) as floats: DomainError unless 0 < r_min < r_max < inf,
+    the radii of an annulus."""
     lo, hi = real_number(r_min, f"{name} r_min"), real_number(r_max, f"{name} r_max")
     if not (0.0 < lo < hi < math.inf):
         raise DomainError(f"invalid {name}: need 0 < r_min < r_max < inf, got ({r_min}, {r_max})")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,12 @@ class ConeGeometry:
     theta0: float
 
     def __post_init__(self) -> None:
-        # a cone has one angle, and check_polar_angle takes an ndarray too
+        # a cone has one angle, and check_polar_angle takes an ndarray too;
+        # the float is stored, so a numpy float32 does not keep the cone's
+        # arithmetic in float32
         theta0 = real_number(self.theta0, "opening angle")
         check_polar_angle(theta0, "opening angle", THETA0_MIN)
+        object.__setattr__(self, "theta0", theta0)
 
     @property
     def z0(self) -> float:
@@ -78,8 +83,12 @@ class ObliqueBC:
     theta0: float
 
     def __post_init__(self) -> None:
-        lo, hi = ConeGeometry(theta0=self.theta0).admissible_s_interval()
-        if not (lo < real_number(self.s, "oblique angle s") < hi):
+        geom = ConeGeometry(theta0=self.theta0)
+        object.__setattr__(self, "theta0", geom.theta0)
+        lo, hi = geom.admissible_s_interval()
+        s = real_number(self.s, "oblique angle s")
+        object.__setattr__(self, "s", s)
+        if not (lo < s < hi):
             raise DomainError(
                 f"oblique angle s = {self.s} outside the admissible interval "
                 f"({lo:.6f}, {hi:.6f}) for theta0 = {self.theta0}"

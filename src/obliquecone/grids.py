@@ -39,13 +39,18 @@ class SectorGrid:
     theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ConeGeometry(theta0=self.theta0)
-        check_radii(self.r_min, self.r_max, "sector radii")
+        # the floats are stored, so numpy float32 input builds float64 nodes
+        object.__setattr__(self, "theta0", ConeGeometry(theta0=self.theta0).theta0)
+        r_min, r_max = check_radii(self.r_min, self.r_max, "sector radii")
+        object.__setattr__(self, "r_min", r_min)
+        object.__setattr__(self, "r_max", r_max)
         counts = (self.n_r, self.n_theta)
         if not all(isinstance(n, (int, np.integer)) and n >= 3 for n in counts):
             raise DomainError(f"need integer node counts >= 3, got {counts}")
-        if not (1.0 <= real_number(self.grading, "grading") < math.inf):
+        grading = real_number(self.grading, "grading")
+        if not (1.0 <= grading < math.inf):
             raise DomainError(f"grading must be finite and >= 1, got {self.grading}")
+        object.__setattr__(self, "grading", grading)
         object.__setattr__(self, "m", integer_choice(self.m, 1, "azimuthal mode"))
         if self.grading == 1.0:
             r = np.linspace(self.r_min, self.r_max, self.n_r)

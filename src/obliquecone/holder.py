@@ -151,8 +151,8 @@ def sector_sample_points(theta0: float, r_min: float, r_max: float = 1.0) -> np.
     """Vertex-clustered (y1, y2) sample points: geometric shells times rays,
     the outer product of the radii and the rays' unit vectors.  Radii whose
     ratio r_max / r_min overflows raise DomainError."""
-    ConeGeometry(theta0=theta0)
-    check_radii(r_min, r_max, "sample radii")
+    theta0 = ConeGeometry(theta0=theta0).theta0
+    r_min, r_max = check_radii(r_min, r_max, "sample radii")
     if r_max / r_min == math.inf:
         raise DomainError(f"sample radii span more than the float range: ({r_min}, {r_max})")
     n_shells = max(2, int(round(SHELLS_PER_DECADE * math.log10(r_max / r_min))) + 1)

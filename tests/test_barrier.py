@@ -32,10 +32,29 @@ from obliquecone.exponent import M1_AXIS_CUTOFF, SeparableSolution, separable_ev
 from obliquecone.geometry import ConeGeometry, ObliqueBC
 from obliquecone.legendre import legendre_p
 from obliquecone.verify import (
+    M1_FD_CASES,
     central_difference,
     m1_closed_vs_fd_gap,
     separable,
 )
+
+
+def draw_m1_fd_cases(seed):
+    """Ten barrier-regime (theta0, s, alpha) cases drawn from `seed`:
+    theta0 in [0.4, 2.6], s at least 0.1 inside the admissible interval with
+    cos(s) sin(s) > 0.01 (a rejected s draws no degree), degree in
+    [0.01, 0.06]."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < 10:
+        theta0 = float(rng.uniform(0.4, 2.6))
+        lo, hi = ConeGeometry(theta0=theta0).admissible_s_interval()
+        s = float(rng.uniform(lo + 0.1, hi - 0.1))
+        if math.cos(s) * math.sin(s) <= 0.01:
+            continue
+        cases.append((theta0, s, float(rng.uniform(0.01, 0.06))))
+    return tuple(cases)
+
 
 # frozen bisection-oracle thresholds
 ALPHA0_EXPECTED = {
@@ -297,7 +316,15 @@ class TestBoundaryCoefficients:
         assert m1_coefficient(b, bc, rc) < 0.0
 
     def test_closed_form_matches_directional_differences(self):
-        assert m1_closed_vs_fd_gap(seed=7) <= 1e-8
+        assert m1_closed_vs_fd_gap(draw_m1_fd_cases(seed=7)) <= 1e-8
+
+    def test_verify_cases_are_the_draw_from_seed_20240817(self):
+        # verify keeps the draw as a table, so a run does not load numpy.random
+        drawn = draw_m1_fd_cases(seed=20240817)
+        assert [tuple(map(float.hex, case)) for case in M1_FD_CASES] == [
+            tuple(map(float.hex, case)) for case in drawn
+        ]
+        assert all(type(x) is float for case in M1_FD_CASES for x in case)
 
     def test_tilt_zero_collapses_exactly(self):
         _, bc, b, rc = make_setup(2 * math.pi / 3, 0.4, 0.05)

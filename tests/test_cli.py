@@ -3,11 +3,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import obliquecone
 from obliquecone import barrier, exponent
 from obliquecone.cli import main
 from obliquecone.exponent import boundary_mismatch
@@ -858,3 +863,32 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", "special")
         assert code == 1
         assert "[FAIL] special.poisoned" in out
+
+
+def _loaded_after(code, modules):
+    """The modules of `modules` that a fresh interpreter has loaded after
+    running `code` against this checkout's package."""
+    src = str(Path(obliquecone.__file__).resolve().parents[1])
+    probe = f"{code}\nimport sys\nprint(' '.join(m for m in {modules!r} if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    return out.stdout.split()
+
+
+def test_a_verify_run_loads_no_numpy_random():
+    # the closed-form versus FD cases are the table M1_FD_CASES, not a draw
+    code = "from obliquecone.verify import run_suite\nrun_suite('all')"
+    assert _loaded_after(code, ("numpy.random",)) == []
+
+
+def test_classify_loads_no_hashlib():
+    # only phase-map hashes witnesses, so only phase-map loads OpenSSL
+    code = (
+        "import contextlib, io\n"
+        "from obliquecone.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['classify', '--theta0', '2', '--s', '-0.8'])"
+    )
+    assert _loaded_after(code, ("hashlib", "_hashlib")) == []

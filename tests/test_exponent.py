@@ -40,12 +40,14 @@ from obliquecone.exponent import (
     u2,
 )
 from obliquecone.geometry import THETA0_MAX, ConeGeometry, ObliqueBC
+from obliquecone.grids import SectorGrid
 from obliquecone.legendre import (
     legendre_dp1_dz,
     legendre_p,
     legendre_p_quadrature,
 )
 from obliquecone.verify import (
+    admissible_grid,
     central_difference,
     fd_neumann_residual,
     fd_oblique_residual,
@@ -344,6 +346,23 @@ class TestCriticalExponent:
         assert critical_exponent(geom, ObliqueBC.for_cone(geom, s)) is None
 
 
+def test_irregular_exactly_where_the_slope_opposes_cos_s():
+    # the paper's dichotomy on the admissible grid: a root of the mismatch in
+    # (0, 1), so an irregular cell, exactly where V(theta0, s) cos(s) < 0
+    rows = {}
+    for theta0, s in admissible_grid():
+        rows.setdefault(theta0, []).append(s)
+    irregular = 0
+    for theta0, ss in rows.items():
+        geom = ConeGeometry(theta0=theta0)
+        reports = classify_many(geom, [ObliqueBC.for_cone(geom, s) for s in ss])
+        for s, report in zip(ss, reports):
+            expected = slope_at_zero(geom, s) * math.cos(s) < 0.0
+            assert (report.label == IRREGULAR) == expected, (theta0, s, report.label)
+            irregular += expected
+    assert (sum(map(len, rows.values())), irregular) == (400, 89)
+
+
 class TestNeumann:
     @pytest.mark.parametrize("theta0", [1.0, math.pi / 2, 2 * math.pi / 3, 2.9])
     def test_endpoint_identities(self, theta0):
@@ -423,6 +442,25 @@ class TestNeumann:
         for alpha, lo, hi in zip(calls, kernel_degrees[::2], kernel_degrees[1::2]):
             assert lo.tobytes() == alpha.tobytes()
             assert hi.tobytes() == (alpha + 1.0).tobytes()
+
+
+class TestFloat32Inputs:
+    # a numpy float32 angle or degree is stored as its float, so each result
+    # equals its float64 twin's bit for bit
+    def test_regime_of_a_float32_cone(self):
+        geom = ConeGeometry(theta0=np.float32(2.0))
+        report = classify_regime(geom, ObliqueBC.for_cone(geom, np.float32(-0.8)))
+        twin_geom = ConeGeometry(theta0=2.0)
+        twin = classify_regime(twin_geom, ObliqueBC.for_cone(twin_geom, float(np.float32(-0.8))))
+        assert report.s0 == twin.s0 == (2.0 - math.pi) / 2.0
+        assert report == twin
+
+    def test_field_of_a_float32_degree(self):
+        grid = SectorGrid(r_min=0.05, r_max=1.0, n_r=9, n_theta=7, theta0=2.0)
+        sol = SeparableSolution(np.float32(0.3))
+        twin = SeparableSolution(float(np.float32(0.3)))
+        assert type(sol.alpha) is float and sol == twin
+        assert sol.field(grid).tobytes() == twin.field(grid).tobytes()
 
 
 class TestSeparableEval:

@@ -197,3 +197,33 @@ def test_radii_and_grading_of_no_real_type_are_named(bad):
         SectorGrid(0.1, bad, 5, 5, 1.0)
     with pytest.raises(DomainError, match="^grading must be one real number"):
         SectorGrid(0.1, 1.0, 5, 5, 1.0, bad)
+
+
+def _twin(value):
+    """The float64 number that a numpy float32 stands for."""
+    return float(np.float32(value))
+
+
+def test_a_float32_cone_and_oblique_angle_are_stored_as_their_floats():
+    # under NEP 50 a float32 kept in the dataclass would keep every Python
+    # float sum with it in float32
+    geom = ConeGeometry(theta0=np.float32(2.0))
+    assert type(geom.theta0) is float
+    assert geom.admissible_s_interval() == ConeGeometry(theta0=2.0).admissible_s_interval()
+    assert all(type(end) is float for end in geom.admissible_s_interval())
+    bc = ObliqueBC(s=np.float32(0.4), theta0=np.float32(2.0))
+    twin = ObliqueBC(s=_twin(0.4), theta0=2.0)
+    assert (type(bc.s), type(bc.theta0)) == (float, float)
+    assert (bc.s, bc.theta0) == (twin.s, twin.theta0)
+    assert (bc.beta0, bc.obliqueness) == (twin.beta0, twin.obliqueness)
+
+
+def test_a_float32_grid_has_the_float64_nodes_of_its_twin():
+    grid = SectorGrid(np.float32(0.05), np.float32(1.0), 9, 7, np.float32(2.0),
+                      np.float32(1.05))
+    twin = SectorGrid(_twin(0.05), 1.0, 9, 7, 2.0, _twin(1.05))
+    assert grid == twin
+    assert all(type(getattr(grid, f)) is float for f in ("r_min", "r_max", "theta0", "grading"))
+    assert (grid.r.dtype, grid.theta.dtype) == (np.float64, np.float64)
+    assert grid.r.tobytes() == twin.r.tobytes()
+    assert grid.theta.tobytes() == twin.theta.tobytes()

@@ -36,6 +36,14 @@ def power_samples(alpha, r_min, theta0=THETA0):
     )
 
 
+def test_float32_sample_points_equal_their_float64_twins():
+    # the opening angle and radii are read as floats, so a float32 input
+    # places its points where its float64 twin does, bit for bit
+    pts = sector_sample_points(np.float32(2.0), np.float32(0.05), np.float32(1.0))
+    twin = sector_sample_points(2.0, float(np.float32(0.05)), 1.0)
+    assert pts.tobytes() == twin.tobytes()
+
+
 class TestSeminorm:
     def test_constant_field_is_zero(self):
         pts = sector_sample_points(1.0, 1e-2)
